@@ -22,6 +22,10 @@ class IdenticallySingular(AlgebraError):
     """A substitution produced an identically-zero denominator."""
 
 
+class VerificationFailed(AlgebraError):
+    """A certificate check failed; must not happen on genuine flows."""
+
+
 class NeedsRationalRoot(AlgebraError):
     """A required root is irrational; the computation cannot stay in Q."""
 
@@ -956,7 +960,6 @@ def _ex(nvars, i):
 
 def _sturm_chain(coeffs):
     chain = [_trim([Fraction(c) for c in coeffs])]
-    d = _trim([c * i for i, c in enumerate(chain[0])][1:] if len(chain[0]) > 1 else [])
     # derivative: coefficient i of f' is (i+1)*a_{i+1}
     f = chain[0]
     d = _trim([f[i] * i for i in range(1, len(f))])

@@ -15,6 +15,7 @@ from .algebra import (
     NeedsRationalRoot,
     Poly,
     RatFn,
+    VerificationFailed,
     LinearMap2,
     divexact,
     linear_factors_q,
@@ -58,10 +59,6 @@ def _rf(p, q=None):
     if isinstance(q, Poly):
         q = RatFn(q)
     return p / q
-
-
-class VerificationFailed(AlgebraError):
-    """Internal invariant violated; must not happen on genuine flows."""
 
 
 class NotDegenerate(AlgebraError):

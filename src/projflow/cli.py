@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .algebra import (AlgebraError, IdenticallySingular, NeedsRationalRoot,
                       Poly)
-from .flowcore import (DegenerateJacobian, Flow, VectorField, level_of,
-                       vector_field, verify_translation, verify_pde,
+from .flowcore import (DegenerateJacobian, Flow, VectorField, check_boundary,
+                       level_of, vector_field, verify_translation, verify_pde,
                        zeros_poles, is_i0_symmetric)
 from .parser import (ParseError, parse_flow, parse_input, parse_vector_field,
                      print_flow, print_vector_field)
@@ -99,8 +99,11 @@ def cmd_parse(args):
 
 def cmd_verify(args):
     f = parse_flow(_read_input(args))
-    ok = verify_translation(f)
-    _emit({"translation_equation": ok, "pde": verify_pde(f)}, args)
+    pde = verify_pde(f)
+    # given the boundary condition, verify_translation would decide by the
+    # same PDE system
+    ok = pde if check_boundary(f) else verify_translation(f)
+    _emit({"translation_equation": ok, "pde": pde}, args)
     return 0
 
 

@@ -265,10 +265,10 @@ def _sample_check(f, trials=6, seed=20240814):
     return True
 
 
-def verify_translation(f):
-    """Exact check of (1-z) phi(x, y) = phi(phi(xz, yz) (1-z)/z)."""
-    if f.u.is_zero() and f.v.is_zero():
-        return False  # the zero map trivially fails the boundary-normalized form
+def _verify_compose(f):
+    """The translation equation by composing phi with itself in three
+    variables: a numeric pre-check on sample points, then exact equality of
+    the two sides as trivariate fractions."""
     if not _sample_check(f):
         return False
     z = Poly.var(2, 3)
@@ -294,7 +294,42 @@ def verify_translation(f):
     return True
 
 
+def verify_translation(f):
+    """Exact check of (1-z) phi(x, y) = phi(phi(xz, yz) (1-z)/z).
+
+    The zero map fails.  A map that satisfies the boundary condition
+    lim phi(xz, yz)/z = (x, y) satisfies the translation equation iff it
+    satisfies the PDE system, so ``verify_pde`` decides it.  Any other map
+    (the degenerate solutions R*A/(cR+1) and non-flows) is decided by
+    composing phi with itself in three variables.
+    """
+    if f.u.is_zero() and f.v.is_zero():
+        return False  # the zero map trivially fails the boundary-normalized form
+    if check_boundary(f):
+        return verify_pde(f)
+    return _verify_compose(f)
+
+
 # -- vector field ----------------------------------------------------------
+
+def _first_derivatives(f):
+    """Polynomial numerators of the first derivatives of u = a/b, v = c/d.
+
+    u_x = UX/b^2, u_y = UY/b^2, v_x = VX/d^2, v_y = VY/d^2; over b^2 d^2,
+    E is the numerator of v u_y - u v_y, F that of u v_x - v u_x and J that
+    of the Jacobian.  Returns (UX, UY, VX, VY, E, F, J).
+    """
+    a, b = f.u.num, f.u.den
+    c, d = f.v.num, f.v.den
+    UX = a.derivative(0) * b - a * b.derivative(0)
+    UY = a.derivative(1) * b - a * b.derivative(1)
+    VX = c.derivative(0) * d - c * d.derivative(0)
+    VY = c.derivative(1) * d - c * d.derivative(1)
+    E = c * UY * d - a * VY * b
+    F = a * VX * b - c * UX * d
+    J = UX * VY - UY * VX
+    return UX, UY, VX, VY, E, F, J
+
 
 def vector_field(f):
     """(w, r) = ((v u_y - u v_y)/J + x, (u v_x - v u_x)/J + y).
@@ -303,17 +338,9 @@ def vector_field(f):
     shared denominator b^2 d^2 of the derivative combinations and of J
     cancels, leaving a single reduction per coordinate.
     """
-    a, b = f.u.num, f.u.den
-    c, d = f.v.num, f.v.den
-    UX = a.derivative(0) * b - a * b.derivative(0)
-    UY = a.derivative(1) * b - a * b.derivative(1)
-    VX = c.derivative(0) * d - c * d.derivative(0)
-    VY = c.derivative(1) * d - c * d.derivative(1)
-    Jn = UX * VY - UY * VX
+    E, F, Jn = _first_derivatives(f)[4:]
     if Jn.is_zero():
         raise DegenerateJacobian("Jacobian vanishes identically")
-    E = c * UY * d - a * VY * b
-    F = a * VX * b - c * UX * d
     x = Poly.var(0, 2)
     y = Poly.var(1, 2)
     w = RatFn(E + x * Jn, Jn)
@@ -332,15 +359,7 @@ def verify_pde(f):
     c, d = f.v.num, f.v.den
     x = Poly.var(0, 2)
     y = Poly.var(1, 2)
-    # first-derivative numerators: u_x = UX/b^2, v_x = VX/d^2, etc.
-    UX = a.derivative(0) * b - a * b.derivative(0)
-    UY = a.derivative(1) * b - a * b.derivative(1)
-    VX = c.derivative(0) * d - c * d.derivative(0)
-    VY = c.derivative(1) * d - c * d.derivative(1)
-    # shared combinations over b^2 d^2
-    E = c * UY * d - a * VY * b          # (v u_y - u v_y) numerator
-    F = a * VX * b - c * UX * d          # (u v_x - v u_x) numerator
-    J = UX * VY - UY * VX                # Jacobian numerator
+    UX, UY, VX, VY, E, F, J = _first_derivatives(f)
     for num, den, WX, WY in ((a, b, UX, UY), (c, d, VX, VY)):
         # second-derivative numerators over den^3
         XX = WX.derivative(0) * den - 2 * WX * den.derivative(0)

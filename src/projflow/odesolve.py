@@ -13,6 +13,7 @@ from .algebra import (
     NeedsRationalRoot,
     Poly,
     RatFn,
+    VerificationFailed,
     divexact,
     poly_gcd,
 )
@@ -307,12 +308,14 @@ def rational_solutions(ode):
     part = None
     if particular is not None:
         part = build(particular)
-        assert ode.residual(part).is_zero()
+        if not ode.residual(part).is_zero():
+            raise VerificationFailed("particular solution has a nonzero residual")
     basis = None
     real_null = [v for v in nullspace if any(v)]
     if real_null:
         basis = build(real_null[0]).scale_num_monic()
-        assert (ode.p * basis.derivative(0) + ode.q * basis).is_zero()
+        if not (ode.p * basis.derivative(0) + ode.q * basis).is_zero():
+            raise VerificationFailed("homogeneous solution does not solve the ODE")
     return {"particular": part, "homogeneous_basis": basis,
             "blocked_poles": blocked, "degree_bound": M}
 

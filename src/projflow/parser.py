@@ -4,6 +4,10 @@ Grammar: infix arithmetic over x, y with ^, *, /, +, -, parentheses and
 integer literals (fractions spelled as divisions, e.g. 3/4).  Decimal
 literals are rejected to keep the kernel exact.  Flows are written
 "u = expr; v = expr", vector fields "(expr, expr)".
+
+Parentheses and unary signs may nest at most MAX_NESTING levels deep
+around any operand; deeper input raises ParseError instead of exhausting
+the interpreter stack.
 """
 from __future__ import annotations
 
@@ -20,6 +24,8 @@ class ParseError(AlgebraError):
         self.column = column
 
 
+MAX_NESTING = 100
+
 _X = RatFn(Poly.var(0, 2))
 _Y = RatFn(Poly.var(1, 2))
 
@@ -31,6 +37,7 @@ class _Lexer:
         self.tokens = []
         self._scan()
         self.idx = 0
+        self.depth = 0
 
     def _loc(self, pos):
         line = self.src.count("\n", 0, pos) + 1
@@ -87,6 +94,12 @@ class _Lexer:
                              line, col)
         return tok
 
+    def enter(self, tok):
+        """Open the nesting level of tok, a parenthesis or a unary sign."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nesting deeper than %d levels" % MAX_NESTING, tok)
+
     def error(self, message, tok=None):
         tok = tok or self.peek()
         line, col = self._loc(tok[2])
@@ -118,14 +131,13 @@ def _parse_expr(lx, min_prec=0):
 
 
 def _parse_unary(lx):
-    kind, _val, _pos = lx.peek()
-    if kind == "-":
-        lx.next()
-        return -_parse_unary(lx)
-    if kind == "+":
-        lx.next()
-        return _parse_unary(lx)
-    return _parse_power(lx)
+    tok = lx.peek()
+    if tok[0] not in ("-", "+"):
+        return _parse_power(lx)
+    lx.enter(lx.next())
+    operand = _parse_unary(lx)
+    lx.depth -= 1
+    return -operand if tok[0] == "-" else operand
 
 
 def _parse_power(lx):
@@ -157,8 +169,10 @@ def _parse_atom(lx):
             return _Y
         lx.error("unknown name %r" % val, (kind, val, _pos))
     if kind == "(":
+        lx.enter((kind, val, _pos))
         inner = _parse_expr(lx)
         lx.expect(")")
+        lx.depth -= 1
         return inner
     lx.error("unexpected token %r" % (val,), (kind, val, _pos))
 

@@ -21,6 +21,7 @@ from projflow import (
     VectorField,
     canonical_flow,
     canonicalize,
+    check_boundary,
     classify_involution,
     conjugate_flow,
     diagonal_series,
@@ -43,6 +44,7 @@ from projflow import (
     zeros_poles,
     zoo,
 )
+from projflow.flowcore import _verify_compose
 from projflow.odesolve import homogenize_0
 
 X = Poly.var(0, 2)
@@ -125,11 +127,72 @@ def _mutants():
 
 
 def test_criterion_4_pde_equivalence():
+    # verify_translation decides boundary-satisfying maps by verify_pde, so
+    # three-variable composition is the independent side of the comparison
     for entry in zoo():
         assert verify_pde(entry.flow) is True, entry.name
+        assert _verify_compose(entry.flow) is True, entry.name
     for i, f in enumerate(_mutants()):
         assert verify_translation(f) is False, i
         assert verify_pde(f) is False, i
+        assert _verify_compose(f) is False, i
+
+
+def _perturbed(f, rng):
+    """f with one coefficient of one of its four polynomials moved by 1."""
+    parts = [f.u.num, f.u.den, f.v.num, f.v.den]
+    k = rng.randrange(4)
+    mono = rng.choice(sorted(parts[k].terms))
+    step = rng.choice((1, -1))
+    moved = parts[k] + Poly(2, {mono: Fraction(step)})
+    if moved.is_zero():
+        moved = parts[k] - Poly(2, {mono: Fraction(step)})
+    parts[k] = moved
+    return Flow(_rf(parts[0], parts[1]), _rf(parts[2], parts[3]))
+
+
+def _small_conjugates(rng, count):
+    """Conjugates of phi_N, N in {1, -1, 2}, by degree-1 maps (P, Q; L).
+
+    Composition costs about ten times more per degree of the map, so only
+    conjugates of degree at most 3 are kept.
+    """
+    out = []
+    while len(out) < count:
+        P, Q = (rng.randint(-2, 2) * X + rng.randint(-2, 2) * Y
+                for _ in range(2))
+        a, b, c, d = (rng.randint(-1, 1) for _ in range(4))
+        if P.is_zero() or Q.is_zero() or a * d == b * c:
+            continue
+        g = conjugate_flow(canonical_flow(rng.choice((1, -1, 2))),
+                           HomBir(P, Q, LinearMap2(a, b, c, d)))
+        if max(p.total_degree() for p in (g.u.num, g.u.den, g.v.num,
+                                          g.v.den)) <= 3:
+            out.append(g)
+    return out
+
+
+def test_criterion_4_routes_agree():
+    rng = random.Random(20121004)
+    flows = _small_conjugates(rng, 6)
+    for N in (2, 3):
+        for _ in range(3):
+            sigma, tau, kappa = (Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                 for _ in range(3))
+            if sigma * tau != N:
+                flows.append(uniN(N, sigma, tau))
+            flows.append(kapa(N, kappa))
+    cases = [(f, True) for f in flows]
+    cases += [(_perturbed(f, rng), None) for f in flows for _ in range(4)]
+    seen = set()
+    for f, expected in cases:
+        verdict = verify_translation(f)
+        assert verdict == _verify_compose(f), f
+        if expected is not None:
+            assert verdict is expected, f
+        seen.add((check_boundary(f), verdict))
+    # both routes ran, and the PDE route rejected some maps
+    assert {(True, True), (True, False), (False, False)} <= seen
 
 
 # -- 5. series consistency -------------------------------------------------

@@ -23,9 +23,16 @@ SCHEMA = json.load(open(
                  "report-schema.json")))
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
 def run_cli(*argv):
+    # the child runs the same source tree as the tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "projflow.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -58,6 +65,27 @@ def test_parse_error_position():
         assert e.line == 1 and e.column > 1
     else:
         raise AssertionError("expected ParseError")
+
+
+def test_parse_nesting_limit():
+    from projflow.parser import MAX_NESTING
+    x = parse_expr("x")
+    deep = MAX_NESTING
+    assert parse_expr("(" * deep + "x" + ")" * deep) == x
+    assert parse_expr("-" * deep + "x") == (x if deep % 2 == 0 else -x)
+    assert parse_expr("x*(" * deep + "x" + ")" * deep) == x ** (deep + 1)
+    deep += 1
+    for text in ("(" * deep + "x" + ")" * deep, "-" * deep + "x",
+                 "x*(" * deep + "x" + ")" * deep):
+        with pytest.raises(ParseError):
+            parse_expr(text)
+
+
+def test_cli_deep_nesting_is_parse_error(capsys):
+    deep = "(" * 2000 + "x" + ")" * 2000
+    assert main(["classify", deep + ", y"]) == 2
+    assert main(["verify", "u = %s; v = y" % deep]) == 2
+    assert "nesting" in capsys.readouterr().err
 
 
 def test_parse_negative_exponent():

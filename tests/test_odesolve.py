@@ -9,6 +9,7 @@ from projflow import (
     Poly,
     RatFn,
     VectorField,
+    VerificationFailed,
     dehomogenize,
     differ_ode,
     homogenize_0,
@@ -19,6 +20,7 @@ from projflow import (
     canonical_flow,
     lookup,
 )
+from projflow import odesolve
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -74,6 +76,29 @@ def test_nonexistence_certified():
     sol = rational_solutions(ode)
     assert sol["particular"] is not None and sol["particular"].is_zero()
     assert sol["homogeneous_basis"] is None
+
+
+def test_wrong_solution_fails_certificate(monkeypatch):
+    # the certificate checks must raise, not assert, so that they also run
+    # under python -O
+    solve = odesolve._solve_linear_system
+
+    def wrong_particular(rows, rhs, ncols):
+        particular, nullspace = solve(rows, rhs, ncols)
+        return [c + 1 for c in particular], nullspace
+
+    def wrong_null(rows, rhs, ncols):
+        particular, nullspace = solve(rows, rhs, ncols)
+        return particular, [[c + 1 for c in v] for v in nullspace]
+
+    monkeypatch.setattr(odesolve, "_solve_linear_system", wrong_particular)
+    ode = LinODE(RatFn(T) * Fraction(-2), _const(-1), _const(-1))
+    with pytest.raises(VerificationFailed):
+        rational_solutions(ode)
+    monkeypatch.setattr(odesolve, "_solve_linear_system", wrong_null)
+    ode = LinODE(RatFn(T) * Fraction(-1), _const(-1), _const(-1))
+    with pytest.raises(VerificationFailed):
+        rational_solutions(ode)
 
 
 def test_cap_exceeded():
