@@ -5,10 +5,20 @@ coefficients.  The canonical monomial order is graded lexicographic with
 x > y (> z).  Rational functions are kept fully reduced, with the
 denominator normalized to primitive integer coefficients and a positive
 graded-lex leading coefficient, so equality is structural.
+
+The inner loops of products and exact division run on Python ints, not on
+Fractions: each operand is scaled once by the lcm of its denominators,
+every exponent tuple is packed into one int (total degree in the top field,
+then one field per variable, so that adding keys multiplies monomials and
+comparing keys compares in graded-lex order), and each output coefficient
+becomes a Fraction once, at the end.  Exact division divides by the
+primitive part of the divisor, so every quotient coefficient is an integer
+(Gauss's lemma), and takes the leading term of the remainder from a heap.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
 
 VAR_NAMES = ("x", "y", "z", "t")
@@ -62,6 +72,15 @@ class Poly:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
+    @classmethod
+    def _of(cls, nvars, terms):
+        """A Poly on ``terms`` already in normal form: exponent tuples
+        mapped to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
@@ -142,12 +161,12 @@ class Poly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Poly(self.nvars, terms)
+        return Poly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -160,18 +179,20 @@ class Poly:
             c0 = _as_fraction(other)
             if not c0:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {e: c * c0 for e, c in self.terms.items()})
+            return Poly._of(self.nvars, {e: c * c0 for e, c in self.terms.items()})
         other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.nvars, terms)
+        if not self.terms or not other.terms:
+            return Poly.zero(self.nvars)
+        width = (self.total_degree() + other.total_degree()).bit_length()
+        den1, ints1 = _scaled_ints(self, width)
+        den2, ints2 = _scaled_ints(other, width)
+        acc = {}
+        get = acc.get
+        for k1, c1 in ints1:
+            for k2, c2 in ints2:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        return _from_ints(self.nvars, width, acc, den1 * den2)
 
     __rmul__ = __mul__
 
@@ -285,11 +306,6 @@ class Poly:
             c = -c
         return self * (1 / c)
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading_coeff())
-
     def monomial_content(self):
         """Componentwise min exponents across all terms."""
         mins = None
@@ -298,8 +314,8 @@ class Poly:
         return mins or (0,) * self.nvars
 
     def strip_monomial(self, exps):
-        return Poly(self.nvars, {tuple(a - b for a, b in zip(e, exps)): c
-                                 for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {tuple(a - b for a, b in zip(e, exps)): c
+                                     for e, c in self.terms.items()})
 
     # -- structural --------------------------------------------------------
     def __eq__(self, other):
@@ -346,6 +362,44 @@ def _frac_str(c):
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
 
+# -- integer inner loops ---------------------------------------------------
+
+def _pack(exps, width):
+    """One int for an exponent tuple: the total degree, then each exponent
+    in a field of ``width`` bits; every exponent must be below 2**width."""
+    k = sum(exps)
+    for a in exps:
+        k = (k << width) | a
+    return k
+
+
+def _unpack(k, nvars, width):
+    mask = (1 << width) - 1
+    out = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        out[i] = k & mask
+        k >>= width
+    return tuple(out)
+
+
+def _from_ints(nvars, width, acc, den):
+    """The Poly with terms {packed exponents: integer / den}."""
+    if den == 1:
+        return Poly._of(nvars, {_unpack(k, nvars, width): Fraction(c)
+                                for k, c in acc.items() if c})
+    return Poly._of(nvars, {_unpack(k, nvars, width): Fraction(c, den)
+                            for k, c in acc.items() if c})
+
+
+def _scaled_ints(p, width):
+    """(D, [(packed exponents, D*c)]) with D the lcm of p's denominators."""
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // _int_gcd(den, c.denominator)
+    return den, [(_pack(e, width), c.numerator * (den // c.denominator))
+                 for e, c in p.terms.items()]
+
+
 # -- exact division and gcd ----------------------------------------------
 
 def divexact(p, d):
@@ -354,25 +408,49 @@ def divexact(p, d):
         raise AlgebraError("division by zero polynomial")
     if p.is_zero():
         return p
-    lt_e, lt_c = d.leading_term()
-    r = dict(p.terms)
+    nv = p.nvars
+    deg = p.total_degree()
+    if d.total_degree() > deg:
+        raise AlgebraError("inexact polynomial division")
+    # every exponent of the remainder and the quotient is at most deg p
+    width = deg.bit_length()
+    pden, pints = _scaled_ints(p, width)
+    dden, dints = _scaled_ints(d, width)
+    g = 0
+    for _, c in dints:
+        g = _int_gcd(g, c)
+    # p/d = (dden / (g pden)) * P/D with P = pints and D = dints/g primitive
+    lt_k, lt_c = max(dints)
+    lt_e = _unpack(lt_k, nv, width)
+    rest = [(k, c // g) for k, c in dints if k != lt_k]
+    lt_c //= g
+    r = dict(pints)
+    heap = [-k for k in r]
+    heapify(heap)
     out = {}
     while r:
-        e = max(r, key=_grlex_key)
-        c = r[e]
-        qe = tuple(a - b for a, b in zip(e, lt_e))
-        if any(k < 0 for k in qe):
+        k = -heappop(heap)
+        c = r.pop(k, 0)
+        if not c:
+            continue  # cancelled after it was queued
+        qc, rem = divmod(c, lt_c)
+        if rem or any(a < b for a, b in zip(_unpack(k, nv, width), lt_e)):
             raise AlgebraError("inexact polynomial division")
-        qc = c / lt_c
-        out[qe] = qc
-        for e2, c2 in d.terms.items():
-            e3 = tuple(a + b for a, b in zip(qe, e2))
-            s = r.get(e3, 0) - qc * c2
-            if s:
-                r[e3] = s
+        qk = k - lt_k
+        out[qk] = qc
+        for k2, c2 in rest:
+            k3 = qk + k2
+            s = r.get(k3)
+            if s is None:
+                r[k3] = -qc * c2
+                heappush(heap, -k3)
             else:
-                r.pop(e3, None)
-    return Poly(p.nvars, out)
+                s -= qc * c2
+                if s:
+                    r[k3] = s
+                else:
+                    del r[k3]
+    return _from_ints(nv, width, {k: c * dden for k, c in out.items()}, g * pden)
 
 
 def _uni_coeffs(p, k):
@@ -481,10 +559,8 @@ def _gcd_inner(p, q):
     qa = _split_univar(q, k)
     cont_p = _dict_content(pa)
     cont_q = _dict_content(qa)
-    pp = {d: divexact(c, cont_p) for d, c in pa.items()}
-    qq = {d: divexact(c, cont_q) for d, c in qa.items()}
     cont_g = _gcd_inner(cont_p, cont_q)
-    g = _prs_gcd(pp, qq, k)
+    g = _prs_gcd(_primitive_parts(pa, cont_p), _primitive_parts(qa, cont_q), k)
     return divexact(_join_univar(g, k), _dict_content(g)) * cont_g if g else Poly.zero(p.nvars)
 
 
@@ -495,6 +571,25 @@ def _dict_content(parts):
         if cont.is_constant():
             break
     return cont if cont is not None else None
+
+
+def _primitive_parts(parts, cont):
+    """Parts divided by their content ``cont`` and then by the rational
+    content left over, so that the coefficients are integers with no common
+    factor and the pseudo-remainders built from them stay small."""
+    num = 0
+    den = 1
+    out = {}
+    for d, c in parts.items():
+        c = divexact(c, cont)
+        out[d] = c
+        cc = c.content()
+        num = _int_gcd(num, cc.numerator)
+        den = den * cc.denominator // _int_gcd(den, cc.denominator)
+    if num == den:
+        return out
+    scale = Fraction(den, num)
+    return {d: c * scale for d, c in out.items()}
 
 
 def _gcd_dispatch(a, b):
@@ -518,8 +613,7 @@ def _prs_gcd(a, b, k):
             return {d: divexact(c, cont) for d, c in b.items()}
         if max(r) == 0:
             return {0: Poly.const(next(iter(b.values())).nvars, 1)}
-        cont = _dict_content(r)
-        a, b = b, {d: divexact(c, cont) for d, c in r.items()}
+        a, b = b, _primitive_parts(r, _dict_content(r))
 
 
 def _prem(a, b, k):
@@ -597,10 +691,6 @@ class RatFn:
     @classmethod
     def var(cls, i, nvars=2):
         return cls(Poly.var(i, nvars))
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
 
     @property
     def nvars(self):
@@ -826,88 +916,26 @@ class LinearMap2:
         return "LinearMap2(%s, %s, %s, %s)" % (self.a, self.b, self.c, self.d)
 
 
-# -- substitution / homogeneity conveniences -------------------------------
-
-def substitute(f, sx, sy):
-    """f(sx, sy) fully reduced."""
-    return f.subs([sx, sy])
-
-
-def homogeneity_degree(f):
-    """Integer degree, or None when not homogeneous (NotHomogeneous)."""
-    return f.homogeneity_degree()
-
-
 # -- rational linear factorization over Q ---------------------------------
 
-def _rational_roots(coeffs):
-    """All rational roots (with multiplicity stripped off) of a univariate
-    polynomial given by Fraction coefficients low-to-high.  Returns a sorted
-    list of (root, multiplicity)."""
-    coeffs = _trim(list(coeffs))
-    if len(coeffs) <= 1:
-        return []
-    # clear to primitive integers
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, c)
-    ints = [c // g for c in ints]
-    roots = []
-    # root zero
-    k = 0
-    while ints[0] == 0:
-        ints = ints[1:]
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    if len(ints) > 1:
-        a0 = abs(ints[0])
-        an = abs(ints[-1])
-        cands = set()
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
-        work = [Fraction(c) for c in ints]
-        for r in sorted(cands):
-            m = 0
-            while True:
-                val, quot = _synth_div(work, r)
-                if val != 0:
-                    break
-                work = quot
-                m += 1
-            if m:
-                roots.append((r, m))
-    return sorted(roots)
+def factor_list_q(coeffs):
+    """Irreducible factors over Q of the univariate polynomial with
+    coefficients ``coeffs`` (low to high), by sympy's ``factor_list``.
 
+    Returns [(monic factor coefficients low to high, multiplicity)].
+    """
+    import sympy
 
-def _divisors(n):
-    n = abs(n)
+    xs = sympy.symbols("x")
+    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                        for c in reversed(coeffs)], xs, domain="QQ")
+    _, factors = spoly.factor_list()
     out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+    for fac, mult in factors:
+        monic = [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+                 for c in reversed(fac.monic().all_coeffs())]
+        out.append((monic, int(mult)))
     return out
-
-
-def _synth_div(coeffs, r):
-    """Synthetic division by (t - r): returns (remainder, quotient coeffs)."""
-    acc = Fraction(0)
-    quot = [Fraction(0)] * (len(coeffs) - 1)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * r + coeffs[i]
-        quot[i - 1] = acc
-    rem = acc * r + coeffs[0]
-    return rem, quot
 
 
 def linear_factors_q(p):
@@ -930,9 +958,11 @@ def linear_factors_q(p):
     coeffs = [Fraction(0)] * (work.total_degree() + 1)
     for e, c in work.terms.items():
         coeffs[e[0]] += c
-    for r, m in _rational_roots(coeffs):
-        # root t = a/b -> factor b*x - a*y
-        a, b = r.numerator, r.denominator
+    for fac, m in factor_list_q(coeffs):
+        if len(fac) != 2:
+            continue
+        # root t = a/b of t + fac[0] -> factor b*x - a*y
+        a, b = -fac[0].numerator, fac[0].denominator
         f = Poly(nv, {_ex(nv, 0): Fraction(b), _ex(nv, 1): Fraction(-a)})
         factors.append((f, m))
     rem = work

@@ -163,18 +163,6 @@ def _normalize_triple(P, Q, L):
 
 # -- conjugation actions ---------------------------------------------------
 
-def hb_compose(a, b):
-    return a.compose(b)
-
-
-def hb_inverse(a):
-    return a.inverse()
-
-
-def hb_apply(a, pair):
-    return a.apply(pair)
-
-
 def conjugate_flow(f, a):
     """a^{-1} o f o a, reduced."""
     ax, ay = a.coords()

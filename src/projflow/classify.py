@@ -27,10 +27,12 @@ from .flowcore import (
     VectorField,
     LevelResult,
     HyperboloidPoint,
+    NotLevel0Form,
     check_boundary,
     level0_J,
     level_of,
     vector_field,
+    verify_pde,
 )
 from .birmap import (
     HomBir,
@@ -771,13 +773,36 @@ def _univariate_form(vf):
 
 def canonicalize(f):
     """Full classification of a flow; certifies RationalFlow verdicts by a
-    structural conjugation check."""
+    structural conjugation check.
+
+    A map that satisfies the boundary condition has a 2-homogenic vector
+    field whether or not it is a flow.  Before such a map gets any verdict
+    other than RationalFlow, and when one of its certificate checks fails,
+    ``verify_pde`` decides whether it is a flow at all; a non-flow raises
+    AlgebraError("not a flow").
+    """
     if not isinstance(f, Flow):
         f = Flow(*f)
     if f.is_identity():
         return Identity()
     if not check_boundary(f):
         return classify_degenerate(f)
+    try:
+        verdict = _canonicalize_boundary(f)
+    except (VerificationFailed, NotLevel0Form) as exc:
+        _require_flow(f, exc)
+        raise
+    if not isinstance(verdict, RationalFlow):
+        _require_flow(f)
+    return verdict
+
+
+def _require_flow(f, cause=None):
+    if not verify_pde(f):
+        raise AlgebraError("not a flow: the translation equation fails") from cause
+
+
+def _canonicalize_boundary(f):
     vf = vector_field(f)
     lvl = level_of(vf)
     if lvl.tag == "NonIntegerSquare" and lvl.value != 0:
@@ -787,7 +812,7 @@ def canonicalize(f):
         A = _rf(Poly(2, {(0, 1): Fraction(-1)})) / J
         ell = HomBir.from_A(A)
         target = canonical_flow(0)
-        if conjugate_flow(f, ell) != target:
+        if not _conjugates_to(f, ell, target):
             raise VerificationFailed("level-0 conjugation check failed")
         return RationalFlow(0, ell, _rf(X, Y), None)
     try:
@@ -803,7 +828,7 @@ def canonicalize(f):
     pieces = _chain_to_canonical(q, N)
     full = _compose_chain([ell] + pieces)
     target = canonical_flow(N)
-    if conjugate_flow(f, full) != target:
+    if not _conjugates_to(f, full, target):
         raise VerificationFailed("canonical conjugation check failed")
     orbit_W = orbit_invariant(vf, N)
     if N >= 2:
@@ -813,6 +838,14 @@ def canonicalize(f):
     else:
         coords = None
     return RationalFlow(N, full, orbit_W, coords)
+
+
+def _conjugates_to(f, a, target):
+    """True iff a^{-1} o f o a == target, checked as f o a == a o target:
+    the same identity without composing a^{-1} with the large f o a."""
+    ax, ay = a.coords()
+    return (f.u.subs([ax, ay]) == ax.subs([target.u, target.v])
+            and f.v.subs([ax, ay]) == ay.subs([target.u, target.v]))
 
 
 def _pseudolog_chain(q):

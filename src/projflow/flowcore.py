@@ -180,6 +180,28 @@ def _lowest_part_ratio(f):
     return (a - b, nparts[a], dparts[b])
 
 
+def _coord_jets(f, K):
+    """Exact z-expansion of f(xz, yz)/z to K terms for one coordinate.
+
+    With f = a/b split into homogeneous parts a_i, b_i and m the lowest
+    degree in b, the coefficient of z^(k-1) is
+    (a_(m+k) - sum_(j<k) c_j b_(m+k-j)) / b_m.
+    """
+    nparts = f.num.homogeneous_parts()
+    dparts = f.den.homogeneous_parts()
+    if not nparts:
+        raise IdenticallySingular("zero coordinate has no flow expansion")
+    b = min(dparts)
+    Db = RatFn(dparts[b])
+    coeffs = []
+    for k in range(1, K + 1):
+        acc = RatFn(nparts.get(b + k, Poly.zero(2)))
+        for j in range(1, k):
+            acc = acc - coeffs[j - 1] * RatFn(dparts.get(b + k - j, Poly.zero(2)))
+        coeffs.append(acc / Db)
+    return coeffs
+
+
 def check_boundary(f):
     """True iff lim_{z->0} phi(xz, yz)/z = (x, y), by exact expansion."""
     x = Poly.var(0, 2)
@@ -332,6 +354,19 @@ def _first_derivatives(f):
 
 
 def vector_field(f):
+    """The vector field (w, r) = d/dz [phi(xz, yz)/z] at z = 0.
+
+    A map that satisfies the boundary condition has (w, r) as the second
+    jet of its z-expansion, (a_(m+2) - x b_(m+1))/b_m per coordinate
+    (``_coord_jets``); on a map that is not a flow this is its tangent
+    field at z = 0.  Any other map goes through ``_jacobian_field``.
+    """
+    if check_boundary(f):
+        return VectorField(_coord_jets(f.u, 2)[1], _coord_jets(f.v, 2)[1])
+    return _jacobian_field(f)
+
+
+def _jacobian_field(f):
     """(w, r) = ((v u_y - u v_y)/J + x, (u v_x - v u_x)/J + y).
 
     Works on polynomial numerators throughout: with u = a/b, v = c/d the

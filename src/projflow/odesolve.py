@@ -15,6 +15,7 @@ from .algebra import (
     RatFn,
     VerificationFailed,
     divexact,
+    factor_list_q,
     poly_gcd,
 )
 
@@ -75,25 +76,12 @@ def _clear_denominators(ode):
 
 
 def _factor_irreducible(P):
-    """Irreducible monic factors of a univariate Poly over Q via sympy."""
-    import sympy
-
-    xs = sympy.symbols("x")
+    """Irreducible monic factors of a univariate Poly over Q."""
     coeffs = [Fraction(0)] * (P.total_degree() + 1)
     for e, c in P.terms.items():
         coeffs[e[0]] = c
-    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                        for c in reversed(coeffs)], xs, domain="QQ")
-    _, factors = spoly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fac = fac.monic()
-        terms = {}
-        for (k,), c in fac.terms():
-            cr = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-            terms[(k,)] = cr
-        out.append((Poly(1, terms), int(mult)))
-    return out
+    return [(Poly(1, {(k,): c for k, c in enumerate(fac)}), mult)
+            for fac, mult in factor_list_q(coeffs)]
 
 
 def _multiplicity(P, pi):
@@ -159,17 +147,6 @@ def _poly_quo(a, b):
         q = q + mono
         r = r - mono * b
     return q
-
-
-def _pole_order_bound(pi, p0, Q):
-    """Max order of a pole of f at the irreducible pi."""
-    q0, _ = _multiplicity(Q, pi) if not Q.is_zero() else (10 ** 9, None)
-    if p0 - 1 < q0:
-        return max(0, p0 - 1)
-    if p0 - 1 > q0:
-        return q0
-    # indicial case: -e * A * pi' + B = 0 mod pi, A = P/pi^p0, B = Q/pi^q0
-    return None  # caller computes with the cofactors
 
 
 def _indicial_candidate(pi, A, B):

@@ -122,7 +122,6 @@ def orbit_svg(points, vf=None, rng=(-2, 2), size=480, arrows=11):
                 r = _eval(vf.r, x, y)
                 if w is None or r is None or (w == 0 and r == 0):
                     continue
-                norm2 = w * w + r * r
                 # crude exact normalization: scale by span/(arrows*|v|_inf)
                 m = max(abs(w), abs(r))
                 span = (Fraction(rng[1]) - Fraction(rng[0])) / (3 * arrows)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, IdenticallySingular, Poly, RatFn
+from .algebra import AlgebraError, Poly, RatFn
+from .flowcore import _coord_jets, check_boundary
 
 
 class PoleAtDirection(AlgebraError):
@@ -65,26 +66,8 @@ def expand_from_vf(vf, K):
     return JetTable(K, u_parts, v_parts)
 
 
-def _coord_jets(f, K):
-    """Exact z-expansion of f(xz, yz)/z to K terms for one coordinate."""
-    nparts = f.num.homogeneous_parts()
-    dparts = f.den.homogeneous_parts()
-    if not nparts:
-        raise IdenticallySingular("zero coordinate has no flow expansion")
-    b = min(dparts)
-    Db = RatFn(dparts[b])
-    coeffs = []
-    for k in range(1, K + 1):
-        acc = RatFn(nparts.get(b + k, Poly.zero(2)))
-        for j in range(1, k):
-            acc = acc - coeffs[j - 1] * RatFn(dparts.get(b + k - j, Poly.zero(2)))
-        coeffs.append(acc / Db)
-    return coeffs
-
-
 def expand_flow(f, K):
     """Exact jets of (u(xz,yz)/z, v(xz,yz)/z) to order K."""
-    from .flowcore import check_boundary
     if not check_boundary(f):
         raise AlgebraError("flow does not satisfy the boundary condition")
     return JetTable(K, _coord_jets(f.u, K), _coord_jets(f.v, K))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from projflow import (
     Flow,
+    HomBir,
+    LinearMap2,
     VectorField,
     Poly,
     RatFn,
@@ -19,9 +22,13 @@ from projflow import (
     level0_flow,
     compose_flows_level0,
     canonical_flow,
+    conjugate_flow,
+    kapa,
     lookup,
+    uniN,
     zoo,
 )
+from projflow.flowcore import _jacobian_field
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -56,6 +63,40 @@ def test_pde_matches_translation():
         assert verify_pde(e.flow), e.name
     bad = Flow(RatFn(X, (X + 1) ** 2), RatFn(Y, Y + 1))
     assert not verify_pde(bad)
+
+
+def _seeded_conjugates(rng):
+    """Conjugates of phi_N, N in {1, -1, 2}, by two maps (P, Q; L) of
+    degree 1 and two of degree 2, with coefficients in {-1, 0, 1}."""
+    out = []
+    for deg in (1, 1, 2, 2):
+        while True:
+            P, Q = (sum((rng.randint(-1, 1) * X ** i * Y ** (deg - i)
+                         for i in range(deg + 1)), Poly.zero(2))
+                    for _ in range(2))
+            a, b, c, d = (rng.randint(-1, 1) for _ in range(4))
+            if P.is_zero() or Q.is_zero() or a * d == b * c:
+                continue
+            h = HomBir(P, Q, LinearMap2(a, b, c, d))
+            if h.degree() == deg:
+                break
+        out.append(conjugate_flow(canonical_flow(rng.choice((1, -1, 2))), h))
+    return out
+
+
+def test_vector_field_routes_agree():
+    # the boundary expansion and the Jacobian formula give the same field
+    rng = random.Random(2)
+    flows = [e.flow for e in zoo()] + _seeded_conjugates(rng)
+    for N in (2, 3):
+        sigma, tau, kappa = (Fraction(rng.choice((-3, -1, 1, 2)),
+                                      rng.randint(1, 3)) for _ in range(3))
+        flows.append(kapa(N, kappa))
+        if sigma * tau != N:
+            flows.append(uniN(N, sigma, tau))
+    for f in flows:
+        assert check_boundary(f), f
+        assert vector_field(f) == _jacobian_field(f), f
 
 
 def test_level_of_special_cases():

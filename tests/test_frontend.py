@@ -88,6 +88,23 @@ def test_cli_deep_nesting_is_parse_error(capsys):
     assert "nesting" in capsys.readouterr().err
 
 
+def test_cli_classify_non_flows(capsys):
+    # these satisfy the boundary condition, so they have a vector field
+    for text in ("u = x*(y+1) + y^2; v = y/(y+1)",
+                 "u = x*(y+1); v = y/(y+1)^2",
+                 "u = x/(x+1)^2; v = y/(y+1)",
+                 "u = x + x^2 + y^2; v = y + x*y",
+                 "u = x/(1 - x); v = y/(1 - x + y^2)"):  # level 0 by its field
+        assert main(["classify", text, "--json"]) == 1, text
+        out = capsys.readouterr()
+        assert "not a flow" in out.err and out.out == "", text
+    # these fail it and are rejected as degenerate candidates
+    for text in ("u = x/(x+y+1); v = y/(x+y+2)", "u = x*(y+2); v = y/(y+1)"):
+        assert main(["classify", text, "--json"]) == 1, text
+        out = capsys.readouterr()
+        assert "not a flow" not in out.err and out.out == "", text
+
+
 def test_parse_negative_exponent():
     f = parse_flow("u = x*(x+1)^-2; v = y/(y+1)")
     from projflow import Flow, Poly, RatFn
