@@ -14,12 +14,22 @@ comparing keys compares in graded-lex order), and each output coefficient
 becomes a Fraction once, at the end.  Exact division divides by the
 primitive part of the divisor, so every quotient coefficient is an integer
 (Gauss's lemma), and takes the leading term of the remainder from a heap.
+
+Substitution (``Poly.eval_hom``, and through it ``subs_polys`` and
+``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) by a homogeneous Horner
+scheme on the same packed ints: the arguments and C are scaled once to
+integers, the scalar of every term of P is put over one common denominator,
+and the sum is folded variable by variable, so that each step multiplies by
+one argument and each innermost term takes a cached power of C.
+``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
+only compare it by cross-multiplication.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd as _int_gcd
+from itertools import groupby
+from math import gcd as _int_gcd, lcm
 
 VAR_NAMES = ("x", "y", "z", "t")
 
@@ -186,13 +196,8 @@ class Poly:
         width = (self.total_degree() + other.total_degree()).bit_length()
         den1, ints1 = _scaled_ints(self, width)
         den2, ints2 = _scaled_ints(other, width)
-        acc = {}
-        get = acc.get
-        for k1, c1 in ints1:
-            for k2, c2 in ints2:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        return _from_ints(self.nvars, width, acc, den1 * den2)
+        return _from_ints(self.nvars, width, _mul_ints(ints1, ints2),
+                          den1 * den2)
 
     __rmul__ = __mul__
 
@@ -239,51 +244,44 @@ class Poly:
         """Substitute polynomials for the variables."""
         if len(args) != self.nvars:
             raise AlgebraError("wrong number of substitution arguments")
-        nv = args[0].nvars
-        acc = Poly.zero(nv)
-        powers = [{0: Poly.const(nv, 1)} for _ in args]
-
-        def pw(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = pw(i, k - 1) * args[i]
-            return cache[k]
-
-        for e, c in self.terms.items():
-            t = Poly.const(nv, c)
-            for i, k in enumerate(e):
-                if k:
-                    t = t * pw(i, k)
-            acc = acc + t
-        return acc
+        return self.eval_hom(args, Poly.const(args[0].nvars, 1))
 
     def eval_hom(self, args, denom):
         """C^d * P(A/C, B/C, ...): substitute args[i]/denom, cleared.
 
-        ``d`` is the total degree of self; valid for any polynomial.
+        ``d`` is the total degree of self; valid for any polynomial.  The
+        sum runs as a homogeneous Horner scheme on integers: see
+        ``_horner``.
         """
+        nv = denom.nvars
         d = self.total_degree()
         if d < 0:
-            return Poly.zero(denom.nvars)
-        nv = denom.nvars
-        caches = [{0: Poly.const(nv, 1)} for _ in range(len(args) + 1)]
+            return Poly.zero(nv)
         allargs = list(args) + [denom]
-
-        def pw(i, k):
-            cache = caches[i]
-            if k not in cache:
-                cache[k] = pw(i, k - 1) * allargs[i]
-            return cache[k]
-
-        acc = Poly.zero(nv)
+        # every exponent of every partial sum is at most d * max degree
+        width = max(1, d * max(a.total_degree() for a in allargs)).bit_length()
+        dens, ints = zip(*(_scaled_ints(a, width) for a in allargs))
+        # the term c*A^i*B^j*C^k is c/(a^i b^j g^k) times a product of the
+        # integer arguments; put all these scalars over one denominator M
+        scaled = []
         for e, c in self.terms.items():
-            t = Poly.const(nv, c)
-            for i, k in enumerate(e):
-                if k:
-                    t = t * pw(i, k)
-            t = t * pw(len(args), d - sum(e))
-            acc = acc + t
-        return acc
+            s = c
+            for den, k in zip(dens, e + (d - sum(e),)):
+                if k and den != 1:
+                    s /= den ** k
+            scaled.append((e, s))
+        M = lcm(*(s.denominator for _, s in scaled))
+        items = sorted(((e, s.numerator * (M // s.denominator))
+                        for e, s in scaled), reverse=True)
+        cpows = [{0: 1}]
+
+        def cpow(k):
+            while len(cpows) <= k:
+                cpows.append(_mul_ints(cpows[-1].items(), ints[-1]))
+            return cpows[k]
+
+        acc = _horner(items, 0, d, ints[:-1], cpow)
+        return _from_ints(nv, width, acc, M)
 
     # -- normalization ----------------------------------------------------
     def content(self):
@@ -389,6 +387,47 @@ def _from_ints(nvars, width, acc, den):
                                 for k, c in acc.items() if c})
     return Poly._of(nvars, {_unpack(k, nvars, width): Fraction(c, den)
                             for k, c in acc.items() if c})
+
+
+def _mul_ints(terms1, terms2):
+    """{packed exponents: int} product of two sequences of (packed
+    exponents, int) pairs."""
+    acc = {}
+    get = acc.get
+    for k1, c1 in terms1:
+        for k2, c2 in terms2:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _horner(items, i, k, args, cpow):
+    """Sum of n * args[i]^e[i] * ... * C^(k - e[i] - ...) over ``items``.
+
+    ``items`` are (exponent tuple e, int n) in descending order and agree on
+    e[:i]; ``args`` are the packed-int arguments and ``cpow(m)`` the packed
+    m-th power of the denominator C.  Grouping by e[i], the sum is
+    sum_j args[i]^j * H_j with H_j the sum over the group at degree bound
+    k - j, and Horner's rule multiplies by args[i] once per step of j.
+    """
+    if i == len(args):
+        (_, n), = items
+        return {key: n * c for key, c in cpow(k).items()}
+    acc = None
+    for j, group in groupby(items, key=lambda t: t[0][i]):
+        part = _horner(list(group), i + 1, k - j, args, cpow)
+        if acc is None:
+            acc = part
+        else:
+            for _ in range(prev - j):
+                acc = _mul_ints(acc.items(), args[i])
+            get = acc.get
+            for key, c in part.items():
+                acc[key] = get(key, 0) + c
+        prev = j
+    for _ in range(prev):
+        acc = _mul_ints(acc.items(), args[i])
+    return acc
 
 
 def _scaled_ints(p, width):
@@ -773,17 +812,28 @@ class RatFn:
 
     def subs(self, args):
         """Substitute RatFn arguments for the variables; fully reduced."""
+        return RatFn(*self.subs_pair(args))
+
+    def subs_pair(self, args):
+        """(N, D) with N/D = self(args), not reduced.
+
+        The arguments are put over the product of their distinct
+        denominators, so arguments that share a denominator C substitute as
+        C^d * P(A/C, B/C).  Raises IdenticallySingular when D vanishes.
+        """
         args = [a if isinstance(a, RatFn) else RatFn(a) for a in args]
-        nv = args[0].nvars
-        denoms = [a.den for a in args]
-        prod = Poly.const(nv, 1)
-        for d in denoms:
+        dens = []
+        for a in args:
+            if a.den not in dens:
+                dens.append(a.den)
+        prod = dens[0]
+        for d in dens[1:]:
             prod = prod * d
         cleared = []
-        for i, a in enumerate(args):
+        for a in args:
             t = a.num
-            for j, d in enumerate(denoms):
-                if j != i:
+            for d in dens:
+                if d != a.den:
                     t = t * d
             cleared.append(t)
         nn = self.num.eval_hom(cleared, prod)
@@ -796,7 +846,7 @@ class RatFn:
             dd = dd * prod ** (dN - dD)
         elif dD > dN:
             nn = nn * prod ** (dD - dN)
-        return RatFn(nn, dd)
+        return nn, dd
 
     # -- homogeneity -------------------------------------------------------
     def homogeneity_degree(self):

@@ -842,10 +842,17 @@ def _canonicalize_boundary(f):
 
 def _conjugates_to(f, a, target):
     """True iff a^{-1} o f o a == target, checked as f o a == a o target:
-    the same identity without composing a^{-1} with the large f o a."""
+    the same identity without composing a^{-1} with the large f o a.
+    Each coordinate of f o a stays an unreduced pair N/D and is compared
+    with the small reduced R = a o target by N * R.den == D * R.num, so the
+    large f o a is never reduced by a gcd."""
     ax, ay = a.coords()
-    return (f.u.subs([ax, ay]) == ax.subs([target.u, target.v])
-            and f.v.subs([ax, ay]) == ay.subs([target.u, target.v]))
+    for fc, ac in ((f.u, ax), (f.v, ay)):
+        nn, dd = fc.subs_pair([ax, ay])
+        rhs = ac.subs([target.u, target.v])
+        if nn * rhs.den != dd * rhs.num:
+            return False
+    return True
 
 
 def _pseudolog_chain(q):

@@ -157,7 +157,8 @@ def _classify_vf(vf):
             return _cl.RationalFlow(0, None, _cl.orbit_invariant(vf, 0), None)
         if isinstance(out, dict) and "classification" in out:
             sub = out["classification"]
-            return _cl.RationalFlow(sub["N"], None, None, None)
+            return _cl.RationalFlow(sub["N"], None,
+                                    _cl.orbit_invariant(vf, sub["N"]), None)
         return _cl.NonRational("unclassified_route", detail=out)
     step = _cl.reduce_denominator_step(vf)
     if isinstance(step, dict):

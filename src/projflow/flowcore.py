@@ -248,19 +248,6 @@ def _pair_normalize(num, den):
     return num, den
 
 
-def _compose3(f, A, B, C):
-    """Trivariate pair for f(A/C, B/C) with bivariate rational f."""
-    nn = f.num.eval_hom([A, B], C)
-    dd = f.den.eval_hom([A, B], C)
-    dN = f.num.total_degree()
-    dD = f.den.total_degree()
-    if dN > dD:
-        dd = dd * C ** (dN - dD)
-    elif dD > dN:
-        nn = nn * C ** (dD - dN)
-    return _pair_normalize(nn, dd)
-
-
 def _sample_check(f, trials=6, seed=20240814):
     """Fast numeric pre-check of the translation equation on random points."""
     rng = random.Random(seed)
@@ -305,10 +292,9 @@ def _verify_compose(f):
     A = n1 * omz * d2
     B = n2 * omz * d1
     C = z * d1 * d2
+    args = [RatFn(A, C, reduce=False), RatFn(B, C, reduce=False)]
     for coord in (f.u, f.v):
-        rn, rd = _compose3(coord, A, B, C)
-        if rd.is_zero():
-            raise IdenticallySingular("outer substitution degenerates")
+        rn, rd = _pair_normalize(*coord.subs_pair(args))
         ln = _poly_to3(coord.num) * omz
         ld = _poly_to3(coord.den)
         if ln * rd != rn * ld:

@@ -230,3 +230,50 @@ def test_mul_and_divexact_match_sympy(triple):
             divexact(c, b)
     else:
         assert divexact(c, b) == _from_ring(q, c.nvars)
+
+
+@st.composite
+def kernel_polys(draw, nvars):
+    """Small polynomials with rational coefficients, zero and constants
+    included, since they fix the exponent field width."""
+    kind = draw(st.sampled_from(("poly", "poly", "const", "zero")))
+    if kind == "zero":
+        return Poly.zero(nvars)
+    if kind == "const":
+        return Poly.const(nvars, Fraction(draw(st.integers(-6, 6)) or 1,
+                                          draw(st.integers(1, 5))))
+    return draw(rational_polys(nvars))
+
+
+@st.composite
+def substitutions(draw):
+    """(P, args, denom): P in 2 or 3 variables and one argument per variable,
+    the arguments and denom in 2 or 3 variables."""
+    n = draw(st.integers(2, 3))
+    nv = draw(st.integers(2, 3))
+    P = draw(kernel_polys(n))
+    args = [draw(kernel_polys(nv)) for _ in range(n)]
+    return P, args, draw(kernel_polys(nv))
+
+
+@given(substitutions())
+@settings(max_examples=80, deadline=2000)
+def test_eval_hom_and_subs_polys_match_sympy(sub):
+    P, args, denom = sub
+    R = _RINGS[denom.nvars]
+    A = [_to_ring(a) for a in args]
+    C = _to_ring(denom)
+    d = P.total_degree()
+    hom = R.zero
+    plain = R.zero
+    for e, c in P.terms.items():
+        t = R(QQ(c.numerator, c.denominator))
+        for a, k in zip(A, e):
+            if k:  # sympy refuses 0**0
+                t *= a ** k
+        plain += t
+        hom += t * C ** (d - sum(e)) if d > sum(e) else t
+    got = P.eval_hom(args, denom)
+    assert got == _from_ring(hom, denom.nvars)
+    assert P.subs_polys(args) == _from_ring(plain, denom.nvars)
+    assert all(type(v) is Fraction for v in got.terms.values())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from projflow import (
     verify_translation,
     zoo,
 )
+from projflow.classify import _conjugates_to
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -70,6 +72,43 @@ def test_canonicalize_certificate():
         entry = lookup(name)
         res = canonicalize(entry.flow)
         assert conjugate_flow(entry.flow, res.ell) == canonical_flow(res.level)
+
+
+def _seeded_conjugates(rng):
+    """(N, h, h^-1 o phi_N o h) for N in {1, -1, 2} and two maps (P, Q; L)
+    of degree 1 and two of degree 2, with coefficients in {-1, 0, 1}: the
+    draw of test_flowcore.test_vector_field_routes_agree.  (Other draws of
+    degree 2 can take minutes in conjugate_flow's gcd.)"""
+    out = []
+    for deg in (1, 1, 2, 2):
+        while True:
+            P, Q = (sum((rng.randint(-1, 1) * X ** i * Y ** (deg - i)
+                         for i in range(deg + 1)), Poly.zero(2))
+                    for _ in range(2))
+            a, b, c, d = (rng.randint(-1, 1) for _ in range(4))
+            if P.is_zero() or Q.is_zero() or a * d == b * c:
+                continue
+            h = HomBir(P, Q, LinearMap2(a, b, c, d))
+            if h.degree() == deg:
+                break
+        N = rng.choice((1, -1, 2))
+        out.append((N, h, conjugate_flow(canonical_flow(N), h)))
+    return out
+
+
+def test_conjugation_certificate_check():
+    # (f, ell, N) with ell^-1 o f o ell == phi_N
+    cases = [(e.flow, canonicalize(e.flow).ell, e.level) for e in zoo()]
+    cases += [(f, h.inverse(), N)
+              for N, h, f in _seeded_conjugates(random.Random(2))]
+    assert {N for _, _, N in cases} >= {0, 1, -1, 2, 3}
+    # the shear commutes with phi_N only at level 0
+    shear = HomBir.linear(LinearMap2(1, 1, 0, 1))
+    for f, ell, N in cases:
+        target = canonical_flow(N)
+        assert _conjugates_to(f, ell, target), (f, N)
+        sheared = ell.compose(shear)
+        assert _conjugates_to(f, sheared, target) == (N == 0), (f, N)
 
 
 def test_canonicalize_coordinates():

@@ -105,6 +105,18 @@ def test_cli_classify_non_flows(capsys):
         assert "not a flow" not in out.err and out.out == "", text
 
 
+def test_cli_classify_quadratic_route_fields(capsys):
+    # fields decided by quadratic_classify report their orbit invariant
+    for name in ("Phi_1", "Phi_2", "phi2_2"):
+        entry = lookup(name)
+        assert main(["classify", print_vector_field(entry.vf), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["verdict"] == "RationalFlow", name
+        assert report["level"] == entry.level, name
+        assert report["orbit_W"] == entry.orbit_W.to_string(), name
+
+
 def test_parse_negative_exponent():
     f = parse_flow("u = x*(x+1)^-2; v = y/(y+1)")
     from projflow import Flow, Poly, RatFn
@@ -134,6 +146,9 @@ def test_cli_exit_parse_error():
 def test_cli_exit_singular():
     code, _, err = run_cli("vf", "u = x; v = x")
     assert code == 3
+    # phi(phi(xz, yz)(1-z)/z) has the denominator x - y at u = v
+    code, _, err = run_cli("verify", "u = x/(x-y); v = x/(x-y)")
+    assert code == 3 and "identically singular" in err
 
 
 def test_cli_exit_needs_rational_root():
