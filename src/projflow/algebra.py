@@ -4,7 +4,11 @@ Polynomials are stored as sparse maps from exponent tuples to Fraction
 coefficients.  The canonical monomial order is graded lexicographic with
 x > y (> z).  Rational functions are kept fully reduced, with the
 denominator normalized to primitive integer coefficients and a positive
-graded-lex leading coefficient, so equality is structural.
+graded-lex leading coefficient, so equality is structural.  Reduction
+divides by ``poly_gcd``: sympy's ring gcd over ZZ of the two arguments
+scaled to primitive integer polynomials, put through ``unit_normal``.
+Real projective roots are counted by sympy's square-free split and real-root
+count of the dehomogenized form.
 
 The inner loops of products and exact division run on Python ints, not on
 Fractions: each operand is scaled once by the lcm of its denominators,
@@ -27,6 +31,7 @@ only compare it by cross-multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 from math import gcd as _int_gcd, lcm
@@ -130,11 +135,6 @@ class Poly:
             return -1
         return min(sum(e) for e in self.terms)
 
-    def degree_in(self, i):
-        if self.is_zero():
-            return -1
-        return max(e[i] for e in self.terms)
-
     def leading_term(self):
         """Graded-lex leading (exponents, coefficient)."""
         exps = max(self.terms, key=_grlex_key)
@@ -152,14 +152,6 @@ class Poly:
         for e, c in self.terms.items():
             parts.setdefault(sum(e), {})[e] = c
         return {d: Poly(self.nvars, t) for d, t in sorted(parts.items())}
-
-    def used_vars(self):
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
@@ -492,193 +484,36 @@ def divexact(p, d):
     return _from_ints(nv, width, {k: c * dden for k, c in out.items()}, g * pden)
 
 
-def _uni_coeffs(p, k):
-    """Coefficient list (low to high) of p viewed in variable k alone."""
-    n = p.degree_in(k)
-    out = [Fraction(0)] * (n + 1)
-    for e, c in p.terms.items():
-        out[e[k]] += c
-    return out
-
-
-def _list_gcd_q(a, b):
-    """Euclid on univariate coefficient lists over Q; monic result."""
-    a = _trim(a)
-    b = _trim(b)
-    while b:
-        a, b = b, _trim(_list_rem(a, b))
-    return a
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a = a[:-1]
-    return a
-
-
-def _list_rem(a, b):
-    a = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and a:
-        if not a[-1]:
-            a.pop()
-            continue
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a.pop()
-    return _trim(a)
-
-
-def _from_uni(coeffs, k, nvars):
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = [0] * nvars
-            e[k] = i
-            terms[tuple(e)] = c
-    return Poly(nvars, terms)
-
-
-def _split_univar(p, k):
-    """View p as univariate in variable k with Poly coefficients."""
-    out = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        deg = e2[k]
-        e2[k] = 0
-        d = out.setdefault(deg, {})
-        d[tuple(e2)] = d.get(tuple(e2), 0) + c
-    return {deg: Poly(p.nvars, t) for deg, t in out.items()}
-
-
-def _join_univar(parts, k):
-    nvars = next(iter(parts.values())).nvars
-    terms = {}
-    for deg, q in parts.items():
-        for e, c in q.terms.items():
-            e2 = list(e)
-            e2[k] += deg
-            terms[tuple(e2)] = terms.get(tuple(e2), 0) + c
-    return Poly(nvars, terms)
-
-
 def poly_gcd(p, q):
-    """GCD with primitive integer coefficients, positive grlex leading."""
+    """GCD with primitive integer coefficients, positive grlex leading.
+
+    Both arguments are scaled to primitive integer polynomials and handed
+    to sympy's ring gcd over ZZ (the heuristic gcd of Char, Geddes and
+    Gonnet, with a PRS fallback)."""
     if p.is_zero():
         return q.unit_normal()
     if q.is_zero():
         return p.unit_normal()
-    # pull out common monomial content cheaply
-    mp = p.monomial_content()
-    mq = q.monomial_content()
-    common = tuple(min(a, b) for a, b in zip(mp, mq))
-    p0 = p.strip_monomial(mp)
-    q0 = q.strip_monomial(mq)
-    g = _gcd_inner(p0, q0)
-    if any(common):
-        mono = Poly(p.nvars, {common: Fraction(1)})
-        g = g * mono
-    return g.unit_normal()
-
-
-def _gcd_inner(p, q):
-    used = p.used_vars() | q.used_vars()
-    if not used:
+    if p.is_constant() or q.is_constant():
         return Poly.const(p.nvars, 1)
-    if len(used) == 1:
-        k = used.pop()
-        g = _list_gcd_q(_uni_coeffs(p, k), _uni_coeffs(q, k))
-        return _from_uni(g, k, p.nvars) if g else Poly.zero(p.nvars)
-    # main variable: the used var where min(deg_p, deg_q) is smallest
-    k = min(used, key=lambda i: min(p.degree_in(i), q.degree_in(i)))
-    pa = _split_univar(p, k)
-    qa = _split_univar(q, k)
-    cont_p = _dict_content(pa)
-    cont_q = _dict_content(qa)
-    cont_g = _gcd_inner(cont_p, cont_q)
-    g = _prs_gcd(_primitive_parts(pa, cont_p), _primitive_parts(qa, cont_q), k)
-    return divexact(_join_univar(g, k), _dict_content(g)) * cont_g if g else Poly.zero(p.nvars)
+    R = _zz_ring(p.nvars)
+    g = R.from_dict(_primitive_ints(p)).gcd(R.from_dict(_primitive_ints(q)))
+    return Poly._of(p.nvars, {e: Fraction(int(c)) for e, c in g.items()}).unit_normal()
 
 
-def _dict_content(parts):
-    cont = None
-    for c in parts.values():
-        cont = c.unit_normal() if cont is None else _gcd_dispatch(cont, c)
-        if cont.is_constant():
-            break
-    return cont if cont is not None else None
+@cache
+def _zz_ring(nvars):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    return ring("x:%d" % nvars, ZZ)[0]
 
 
-def _primitive_parts(parts, cont):
-    """Parts divided by their content ``cont`` and then by the rational
-    content left over, so that the coefficients are integers with no common
-    factor and the pseudo-remainders built from them stay small."""
-    num = 0
-    den = 1
-    out = {}
-    for d, c in parts.items():
-        c = divexact(c, cont)
-        out[d] = c
-        cc = c.content()
-        num = _int_gcd(num, cc.numerator)
-        den = den * cc.denominator // _int_gcd(den, cc.denominator)
-    if num == den:
-        return out
-    scale = Fraction(den, num)
-    return {d: c * scale for d, c in out.items()}
-
-
-def _gcd_dispatch(a, b):
-    mp = a.monomial_content()
-    mq = b.monomial_content()
-    common = tuple(min(x, y) for x, y in zip(mp, mq))
-    g = _gcd_inner(a.strip_monomial(mp), b.strip_monomial(mq))
-    if any(common):
-        g = g * Poly(a.nvars, {common: Fraction(1)})
-    return g.unit_normal()
-
-
-def _prs_gcd(a, b, k):
-    """Primitive-PRS gcd of primitive univariate-in-k dicts; primitive result."""
-    if max(a) < max(b):
-        a, b = b, a
-    while True:
-        r = _prem(a, b, k)
-        if not r:
-            cont = _dict_content(b)
-            return {d: divexact(c, cont) for d, c in b.items()}
-        if max(r) == 0:
-            return {0: Poly.const(next(iter(b.values())).nvars, 1)}
-        a, b = b, _primitive_parts(r, _dict_content(r))
-
-
-def _prem(a, b, k):
-    """Pseudo-remainder of univariate-in-k dicts with Poly coefficients."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        new = {}
-        for e, c in r.items():
-            if e != dr:
-                _dict_add(new, e, c * lb)
-        for e, c in b.items():
-            if e != db:
-                _dict_add(new, e + dr - db, -(c * lr))
-        r = {e: c for e, c in new.items() if not c.is_zero()}
-    return r
-
-
-def _dict_add(d, e, c):
-    if e in d:
-        d[e] = d[e] + c
-    else:
-        d[e] = c
+def _primitive_ints(p):
+    """{exps: int}: p / p.content(), primitive with integer coefficients."""
+    c = p.content()
+    return {e: v.numerator * (c.denominator // v.denominator) // c.numerator
+            for e, v in p.terms.items()}
 
 
 def poly_lcm(p, q):
@@ -968,6 +803,14 @@ class LinearMap2:
 
 # -- rational linear factorization over Q ---------------------------------
 
+def _sympy_qq(coeffs):
+    """sympy ``Poly`` over QQ in x with coefficients ``coeffs`` (low to high)."""
+    import sympy
+
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], sympy.Symbol("x"), domain="QQ")
+
+
 def factor_list_q(coeffs):
     """Irreducible factors over Q of the univariate polynomial with
     coefficients ``coeffs`` (low to high), by sympy's ``factor_list``.
@@ -976,16 +819,26 @@ def factor_list_q(coeffs):
     """
     import sympy
 
-    xs = sympy.symbols("x")
-    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                        for c in reversed(coeffs)], xs, domain="QQ")
-    _, factors = spoly.factor_list()
+    _, factors = _sympy_qq(coeffs).factor_list()
     out = []
     for fac, mult in factors:
         monic = [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
                  for c in reversed(fac.monic().all_coeffs())]
         out.append((monic, int(mult)))
     return out
+
+
+def _dehomogenize(p):
+    """(k, work, coeffs) for a nonzero homogeneous BiPoly p = y^k * work,
+    with ``coeffs`` the coefficients of work(x, 1), low to high."""
+    if p.is_zero() or not p.is_homogeneous():
+        raise AlgebraError("expected a nonzero homogeneous polynomial")
+    y_pow = min(e[1] for e in p.terms)
+    work = p.strip_monomial((0, y_pow))
+    coeffs = [Fraction(0)] * (work.total_degree() + 1)
+    for e, c in work.terms.items():
+        coeffs[e[0]] += c
+    return y_pow, work, coeffs
 
 
 def linear_factors_q(p):
@@ -996,18 +849,12 @@ def linear_factors_q(p):
     the remainder free of rational projective roots.  Factors are sorted by
     their (x, y) coefficients.
     """
-    if p.is_zero() or not p.is_homogeneous():
-        raise AlgebraError("expected a nonzero homogeneous polynomial")
     nv = p.nvars
-    y_pow = min(e[1] for e in p.terms)
-    work = p.strip_monomial((0, y_pow))
+    # dehomogenize at y=1: roots t = x/y
+    y_pow, work, coeffs = _dehomogenize(p)
     factors = []
     if y_pow:
         factors.append((Poly.var(1, nv), y_pow))
-    # dehomogenize at y=1: roots t = x/y
-    coeffs = [Fraction(0)] * (work.total_degree() + 1)
-    for e, c in work.terms.items():
-        coeffs[e[0]] += c
     for fac, m in factor_list_q(coeffs):
         if len(fac) != 2:
             continue
@@ -1038,116 +885,13 @@ def _ex(nvars, i):
 
 # -- real projective root counting ----------------------------------------
 
-def _sturm_chain(coeffs):
-    chain = [_trim([Fraction(c) for c in coeffs])]
-    # derivative: coefficient i of f' is (i+1)*a_{i+1}
-    f = chain[0]
-    d = _trim([f[i] * i for i in range(1, len(f))])
-    if d:
-        chain.append(d)
-    while len(chain) >= 2 and len(chain[-1]) > 0:
-        r = _list_rem(chain[-2], chain[-1])
-        r = [-c for c in r]
-        if not r:
-            break
-        chain.append(r)
-    return chain
-
-
-def _sign_variations_at_inf(chain, positive):
-    signs = []
-    for f in chain:
-        lc = f[-1]
-        deg = len(f) - 1
-        s = lc if positive or deg % 2 == 0 else -lc
-        signs.append(1 if s > 0 else -1)
-    var = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            var += 1
-    return var
-
-
-def count_real_roots_univariate(coeffs):
-    """Distinct real roots of a squarefree univariate polynomial over Q."""
-    coeffs = _trim([Fraction(c) for c in coeffs])
-    if len(coeffs) <= 1:
-        return 0
-    chain = _sturm_chain(coeffs)
-    return _sign_variations_at_inf(chain, False) - _sign_variations_at_inf(chain, True)
-
-
-def _squarefree_decomposition(coeffs):
-    """Yun's algorithm: list of (factor coeffs, multiplicity)."""
-    f = _trim([Fraction(c) for c in coeffs])
-    if len(f) <= 1:
-        return []
-    df = _trim([f[i] * i for i in range(1, len(f))])
-    a = _list_gcd_q(f, df)
-    if len(a) <= 1:
-        return [(f, 1)]
-    out = []
-    b = _list_div(f, a)
-    c = _list_div(df, a)
-    d = _list_sub(c, _deriv(b))
-    i = 1
-    while len(b) > 1:
-        a = _list_gcd_q(b, d)
-        if len(a) > 1:
-            out.append((a, i))
-        b = _list_div(b, a)
-        c = _list_div(d, a)
-        d = _list_sub(c, _deriv(b))
-        i += 1
-    return out
-
-
-def _deriv(f):
-    return _trim([f[i] * i for i in range(1, len(f))])
-
-
-def _list_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _list_div(a, b):
-    """Exact division of univariate coefficient lists."""
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    lb = b[-1]
-    while len(a) >= len(b) and _trim(a):
-        a = _trim(a)
-        if len(a) < len(b):
-            break
-        q = a[-1] / lb
-        shift = len(a) - len(b)
-        out[shift] = q
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a.pop()
-    return _trim(out) or [Fraction(0)]
-
-
 def count_real_projective_roots(p):
     """Real projective roots of a homogeneous BiPoly, with multiplicity.
 
     Counts real root directions of the dehomogenized polynomial plus the
-    direction at infinity carried by the power of y dividing p.
+    direction at infinity carried by the power of y dividing p: sympy's
+    square-free split, then its real-root count of each part.
     """
-    if p.is_zero() or not p.is_homogeneous():
-        raise AlgebraError("expected a nonzero homogeneous polynomial")
-    y_pow = min(e[1] for e in p.terms)
-    work = p.strip_monomial((0, y_pow))
-    coeffs = [Fraction(0)] * (work.total_degree() + 1)
-    for e, c in work.terms.items():
-        coeffs[e[0]] += c
-    total = y_pow
-    for fac, mult in _squarefree_decomposition(coeffs):
-        total += mult * count_real_roots_univariate(fac)
-    return total
+    y_pow, _, coeffs = _dehomogenize(p)
+    _, parts = _sympy_qq(coeffs).sqf_list()
+    return y_pow + sum(int(mult) * int(fac.count_roots()) for fac, mult in parts)

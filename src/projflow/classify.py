@@ -7,7 +7,6 @@ symmetric families and a catalogue of named flows.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .algebra import (
@@ -29,6 +28,7 @@ from .flowcore import (
     HyperboloidPoint,
     NotLevel0Form,
     check_boundary,
+    exact_isqrt,
     level0_J,
     level_of,
     vector_field,
@@ -687,10 +687,9 @@ def univariate_classify(q):
         return PseudoLog(_compose_chain(_pseudolog_chain(q)))
     if d2 < 0:
         return NonIntegerLevel(d2)
-    num_r = _fraction_sqrt(d2)
-    if num_r is None or num_r.denominator != 1:
+    N = exact_isqrt(d2)
+    if N is None:
         return NonIntegerLevel(d2)
-    N = int(num_r)
     if q.W != 0:
         sigma = q.W
         tau = (N - 1 - q.V) / (2 * q.W)
@@ -704,24 +703,6 @@ def univariate_classify(q):
         return {"kind": "level", "N": N, "family": "kapa",
                 "kappa": q.U / N}
     return NonIntegerLevel(d2)
-
-
-def _fraction_sqrt(fr):
-    fr = Fraction(fr)
-    if fr < 0:
-        return None
-    n = _isqrt(fr.numerator)
-    d = _isqrt(fr.denominator)
-    if n is None or d is None:
-        return None
-    return Fraction(n, d)
-
-
-def _isqrt(n):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 # -- univariate families ---------------------------------------------------

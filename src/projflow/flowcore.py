@@ -416,7 +416,7 @@ def _linear_form_pair(ratio):
     return None
 
 
-def _exact_isqrt(fr):
+def exact_isqrt(fr):
     """Integer n >= 0 with n^2 == fr, or None."""
     if fr < 0 or fr.denominator != 1:
         return None
@@ -444,7 +444,7 @@ def level_of(vf):
         # every linear-form representation has a = d; not a flow field
         return LevelResult.indeterminate()
     value = ((a + d) ** 2 - 4 * b * c) / (a - d) ** 2
-    n = _exact_isqrt(value)
+    n = exact_isqrt(value)
     if n is None or n == 0:
         return LevelResult.non_integer_square(value)
     return LevelResult.level(n)

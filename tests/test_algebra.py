@@ -1,4 +1,3 @@
-import math
 import time
 from fractions import Fraction
 
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from projflow import algebra
 from projflow.algebra import (
     AlgebraError,
     IdenticallySingular,
@@ -156,30 +154,6 @@ def test_factorization_reassembles(p):
     assert prod * rem == ph
 
 
-def test_prs_remainders_are_primitive(monkeypatch):
-    # every pseudo-remainder the gcd divides by is free of integer content
-    seen = []
-    prem = algebra._prem
-
-    def recording(a, b, k):
-        seen.append(b)
-        return prem(a, b, k)
-
-    monkeypatch.setattr(algebra, "_prem", recording)
-    g = 3 * X * Y + 2 * Y + 5
-    p = g * (X ** 3 * Y + 4 * X * X + 7 * Y * Y + X + 1)
-    q = g * (2 * X ** 3 + 3 * X * Y * Y + 5 * X - 6 * Y + 2)
-    assert poly_gcd(p, q) == g
-    assert len(seen) > 2
-    for b in seen:
-        coeffs = [c for part in b.values() for c in part.terms.values()]
-        assert all(c.denominator == 1 for c in coeffs)
-        content = 0
-        for c in coeffs:
-            content = math.gcd(content, c.numerator)
-        assert content == 1
-
-
 # -- the integer kernel against sympy's QQ rings ---------------------------
 
 _RINGS = {n: ring("x,y,z"[: 2 * n - 1], QQ)[0] for n in (1, 2, 3)}
@@ -277,3 +251,86 @@ def test_eval_hom_and_subs_polys_match_sympy(sub):
     assert got == _from_ring(hom, denom.nvars)
     assert P.subs_polys(args) == _from_ring(plain, denom.nvars)
     assert all(type(v) is Fraction for v in got.terms.values())
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(p, q) in 1 to 3 variables, homogeneous or not, sharing a factor and
+    carrying monomial and rational content; one side may be constant or
+    zero."""
+    n = draw(st.integers(1, 3))
+    hom = draw(st.booleans())
+
+    def part():
+        p = draw(rational_polys(n))
+        if hom and not p.is_zero():
+            d = p.total_degree()
+            p = Poly(n, {e[:-1] + (e[-1] + d - sum(e),): c
+                         for e, c in p.terms.items()})
+        return p
+
+    def content():
+        mono = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        scale = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        return Poly(n, {mono: scale})
+
+    g = part()
+    p = g * part() * content()
+    kind = draw(st.sampled_from(("poly", "poly", "const", "zero")))
+    if kind == "poly":
+        q = g * part() * content()
+    elif kind == "const":
+        q = Poly.const(n, Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 5))))
+    else:
+        q = Poly.zero(n)
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+@given(gcd_pairs())
+@settings(max_examples=150, deadline=2000)
+def test_poly_gcd_matches_sympy(pair):
+    p, q = pair
+    expected = _from_ring(_to_ring(p).gcd(_to_ring(q)), p.nvars).unit_normal()
+    g = poly_gcd(p, q)
+    assert g == expected
+    assert all(type(v) is Fraction for v in g.terms.values())
+
+
+def test_poly_gcd_hard_three_variable_pair():
+    # a pair on which a recursive primitive PRS ran past 30 s
+    x, y, z = (Poly.var(i, 3) for i in range(3))
+    F = Fraction
+    a = 2 * x ** 3 * y ** 2 * z - F(1, 2) * x ** 2 * z ** 2 - F(5, 3) * y * z ** 2 \
+        - 4 * x * y ** 3 * z ** 3
+    b = -7 * x * y ** 3 + 2 * x ** 2 * y ** 3 * z ** 2 - F(3, 4) * x ** 3 * y ** 2 * z \
+        + x ** 3 * z ** 3
+    g = x ** 3 * z ** 2 + F(3, 2) * y ** 2 * z + 9 * x ** 2 * y ** 2 * z
+    assert poly_gcd(a * g, b * g) == g.unit_normal()
+
+
+@st.composite
+def binary_forms(draw):
+    """y^k times rational linear factors with multiplicity, times quadratics
+    x^2 - c y^2 whose roots are irrational (c > 0 not a square) or complex."""
+    p = Y ** draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(1, 4))
+        p = p * (b * X - a * Y) ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.sampled_from((2, 3, 5, -1, -3)))
+        p = p * (X * X - c * Y * Y) ** draw(st.integers(1, 2))
+    return p * Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+
+
+@given(binary_forms())
+@settings(max_examples=60, deadline=2000)
+def test_count_real_projective_roots_matches_sympy(p):
+    import sympy
+
+    x = sympy.Symbol("x")
+    k = min(e[1] for e in p.terms)
+    dehom = sum(sympy.Rational(c.numerator, c.denominator) * x ** e[0]
+                for e, c in p.terms.items())
+    n = count_real_projective_roots(p)
+    assert type(n) is int
+    assert n == k + len(sympy.real_roots(sympy.Poly(dehom, x)))

@@ -77,8 +77,7 @@ def test_canonicalize_certificate():
 def _seeded_conjugates(rng):
     """(N, h, h^-1 o phi_N o h) for N in {1, -1, 2} and two maps (P, Q; L)
     of degree 1 and two of degree 2, with coefficients in {-1, 0, 1}: the
-    draw of test_flowcore.test_vector_field_routes_agree.  (Other draws of
-    degree 2 can take minutes in conjugate_flow's gcd.)"""
+    draw of test_flowcore.test_vector_field_routes_agree."""
     out = []
     for deg in (1, 1, 2, 2):
         while True:
@@ -99,8 +98,8 @@ def _seeded_conjugates(rng):
 def test_conjugation_certificate_check():
     # (f, ell, N) with ell^-1 o f o ell == phi_N
     cases = [(e.flow, canonicalize(e.flow).ell, e.level) for e in zoo()]
-    cases += [(f, h.inverse(), N)
-              for N, h, f in _seeded_conjugates(random.Random(2))]
+    cases += [(f, h.inverse(), N) for seed in (2, 7)
+              for N, h, f in _seeded_conjugates(random.Random(seed))]
     assert {N for _, _, N in cases} >= {0, 1, -1, 2, 3}
     # the shear commutes with phi_N only at level 0
     shear = HomBir.linear(LinearMap2(1, 1, 0, 1))
@@ -109,6 +108,17 @@ def test_conjugation_certificate_check():
         assert _conjugates_to(f, ell, target), (f, N)
         sheared = ell.compose(shear)
         assert _conjugates_to(f, sheared, target) == (N == 0), (f, N)
+
+
+def test_canonicalize_degree2_conjugate_of_phi3():
+    # its conjugate_flow once ran for minutes in the gcd of RatFn.subs
+    h = HomBir(X * X + 2 * X * Y - 2 * Y * Y, 2 * X * X - 2 * X * Y + 2 * Y * Y,
+               LinearMap2(1, -2, 2, -2))
+    f = conjugate_flow(canonical_flow(3), h)
+    res = canonicalize(f)
+    assert isinstance(res, RationalFlow)
+    assert abs(res.level) == 3
+    assert _conjugates_to(f, res.ell, canonical_flow(res.level))
 
 
 def test_canonicalize_coordinates():
