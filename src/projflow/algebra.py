@@ -713,8 +713,10 @@ class RatFn:
         ds = self.den.to_string(names)
         if len(self.num.terms) > 1:
             ns = "(%s)" % ns
+        # a/x^2 reads back as written, a/x*y as (a/x)*y
         simple_den = (len(self.den.terms) == 1
-                      and self.den.leading_coeff() == 1)
+                      and self.den.leading_coeff() == 1
+                      and sum(map(bool, self.den.leading_term()[0])) == 1)
         if not simple_den:
             ds = "(%s)" % ds
         return "%s/%s" % (ns, ds)

@@ -1,9 +1,12 @@
 """Classification of 2-dimensional rational projective flows over Q.
 
-Pipeline: degenerate detection, denominator reduction for vector fields,
-the quadratic-form case analysis, the univariate normal form, canonical
-conjugators, orbit invariants, the level-N coordinate maps, duality,
-symmetric families and a catalogue of named flows.
+One pipeline, ``classify_vf``, classifies a vector field by its level,
+univariate normal form, canonical conjugator and orbit invariant;
+``canonicalize`` runs it on the field of a flow and certifies the result.
+Degenerate detection, denominator reduction and the quadratic-form case
+analysis name the obstruction of a field with no rational univariate form.
+Also: the level-N coordinate maps, duality, symmetric families and a
+catalogue of named flows.
 """
 from __future__ import annotations
 
@@ -26,10 +29,8 @@ from .flowcore import (
     VectorField,
     LevelResult,
     HyperboloidPoint,
-    NotLevel0Form,
     check_boundary,
     exact_isqrt,
-    level0_J,
     level_of,
     vector_field,
     verify_pde,
@@ -37,7 +38,6 @@ from .flowcore import (
 from .birmap import (
     HomBir,
     conjugate_flow,
-    conjugate_vf,
     conjugate_vf_linear,
     conjugate_vf_radial,
 )
@@ -210,57 +210,61 @@ def _quad_uvw(vf):
                   w.terms.get((0, 2), Fraction(0)))
 
 
-def _apply_piece(uvw, piece):
-    """Conjugate the univariate field by one HomBir piece, exactly."""
-    out = conjugate_vf(uvw.vector_field(), piece)
-    q = _quad_uvw(out)
-    if q is None:
-        raise VerificationFailed("chain piece left the univariate form")
-    return q
+class _Chain:
+    """A HomBir ``ell`` followed by pieces that act on a univariate triple
+    ``q``.  Each move composes ``ell`` with one piece and updates (U, V, W)
+    by its exact formula; ``conjugate_vf`` is the long way round."""
+
+    def __init__(self, q, ell):
+        self.q, self.ell = q, ell
+
+    def _apply(self, piece, U, V, W):
+        self.ell = self.ell.compose(piece)
+        self.q = QuadVF(U, V, W)
+
+    def shear(self, b):
+        """x -> x + b y."""
+        U, V, W = self.q.triple()
+        self._apply(HomBir.linear(LinearMap2(1, b, 0, 1)),
+                    U, 2 * b * U + V, U * b * b + V * b + W + b)
+
+    def involution(self):
+        """``HomBir.involution_i()``."""
+        U, V, W = self.q.triple()
+        self._apply(HomBir.involution_i(), -W, -V - 2, -U)
+
+    def x_scale(self, p):
+        """x -> p x."""
+        U, V, W = self.q.triple()
+        self._apply(HomBir.linear(LinearMap2(p, 0, 0, 1)), p * U, V, W / p)
 
 
-def _shear(b):
-    return HomBir.linear(LinearMap2(1, Fraction(b), 0, 1))
-
-
-def _chain_to_canonical(uvw, N):
-    """HomBir pieces taking (U,V,W).(-y^2) to ((N-1)xy).(-y^2)."""
-    pieces = []
-    cur = uvw
-    inv = HomBir.involution_i()
-    if cur.W != 0:
-        if cur.U != 0:
-            b = (N - 1 - cur.V) / (2 * cur.U)
+def _chain_to_canonical(uvw, N, ell):
+    """ell composed with the pieces taking (U,V,W).(-y^2) to
+    ((N-1)xy).(-y^2)."""
+    ch = _Chain(uvw, ell)
+    if ch.q.W != 0:
+        if ch.q.U != 0:
+            ch.shear((N - 1 - ch.q.V) / (2 * ch.q.U))
         else:
-            b = -cur.W / (cur.V + 1)
-        pieces.append(_shear(b))
-        cur = _apply_piece(cur, pieces[-1])
-    if cur.W != 0:
+            ch.shear(-ch.q.W / (ch.q.V + 1))
+    if ch.q.W != 0:
         raise VerificationFailed("shear did not clear W")
-    if cur.V == N - 1:
-        if cur.U != 0:
-            for piece in (inv, _shear(Fraction(-cur.U, N)), inv):
-                pieces.append(piece)
-                cur = _apply_piece(cur, piece)
-    elif cur.V == -N - 1:
-        pieces.append(inv)
-        cur = _apply_piece(cur, inv)
-        if cur.W != 0:
-            b = -cur.W / (cur.V + 1)
-            pieces.append(_shear(b))
-            cur = _apply_piece(cur, pieces[-1])
+    if ch.q.V == N - 1:
+        if ch.q.U != 0:
+            b = Fraction(-ch.q.U, N)
+            ch.involution()
+            ch.shear(b)
+            ch.involution()
+    elif ch.q.V == -N - 1:
+        ch.involution()
+        if ch.q.W != 0:
+            ch.shear(-ch.q.W / (ch.q.V + 1))
     else:
         raise VerificationFailed("delta does not match the level")
-    if cur.triple() != (0, N - 1, 0):
-        raise VerificationFailed("canonical chain failed: %r" % (cur,))
-    return pieces
-
-
-def _compose_chain(pieces):
-    ell = HomBir.identity()
-    for piece in pieces:
-        ell = ell.compose(piece)
-    return ell
+    if ch.q.triple() != (0, N - 1, 0):
+        raise VerificationFailed("canonical chain failed: %r" % (ch.q,))
+    return ch.ell
 
 
 # -- degenerate flows ------------------------------------------------------
@@ -486,9 +490,17 @@ def _raise_nrr(poly):
 
 def step2_obstruction(vf):
     """Quadratic-form field with r = 0: rational only for w = z x^2 or
-    w = z y^2; otherwise the flow is exp/tan-type."""
+    w = z y^2; otherwise the flow is exp/tan-type.  A field (w, r) with w
+    and r proportional is first taken to r = 0 by a linear change."""
     if not vf.r.is_zero():
-        raise AlgebraError("expected r = 0")
+        if vf.w.is_zero():
+            vf = conjugate_vf_linear(vf, LinearMap2.swap())
+        else:
+            lam = vf.r / vf.w
+            if not (lam.num.is_constant() and lam.den.is_constant()):
+                raise AlgebraError("expected r = 0 or r proportional to w")
+            vf = conjugate_vf_linear(
+                vf, LinearMap2(1, 0, lam.constant_value(), 1))
     q = vf.w
     if q.is_zero():
         return Identity()
@@ -684,7 +696,7 @@ def univariate_classify(q):
     """Level and family parameters for (U x^2 + V x y + W y^2, -y^2)."""
     d2 = q.delta_squared()
     if d2 == 0:
-        return PseudoLog(_compose_chain(_pseudolog_chain(q)))
+        return PseudoLog(_pseudolog_chain(q))
     if d2 < 0:
         return NonIntegerLevel(d2)
     N = exact_isqrt(d2)
@@ -752,15 +764,76 @@ def _univariate_form(vf):
     return q, ell, sol["homogeneous_basis"]
 
 
+def classify_vf(vf):
+    """Classification of a 2-homogenic vector field (w, r).
+
+    Level 0 gives ell from J = w/x; any other field is put in univariate
+    form by the radial map that solves ``solve_differ``, then
+    ``univariate_classify`` reads its level and the chain of shears and
+    involutions takes it to the field of phi_N.  A rational flow has such a
+    form, so Steps I-III (``reduce_denominator_step``, ``step2_obstruction``,
+    ``quadratic_classify``) run only on a field without one, to name its
+    obstruction.
+    """
+    verdict = _classify_by_form(vf)
+    return _name_obstruction(vf) if verdict is None else verdict
+
+
+def _classify_by_form(vf):
+    """The verdict of ``classify_vf`` up to Steps I-III: None when the
+    field has no rational univariate form."""
+    if vf.w.is_zero() and vf.r.is_zero():
+        return Identity()
+    lvl = level_of(vf)
+    if lvl.tag == "NonIntegerSquare" and lvl.value != 0:
+        return NonIntegerLevel(lvl.value)
+    if lvl.tag == "Level" and lvl.n == 0:
+        J = vf.w / _rf(X)  # w = x J and r = y J
+        return RationalFlow(0, HomBir.from_A(_rf(-Y) / J), _rf(X, Y), None)
+    try:
+        q, ell, _basis = _univariate_form(vf)
+    except NoRationalSolution:
+        return None
+    res = univariate_classify(q)
+    if isinstance(res, NonIntegerLevel):
+        return res
+    if isinstance(res, PseudoLog):
+        return PseudoLog(ell.compose(res.ell_to_normal_form))
+    N = res["N"]
+    full = _chain_to_canonical(q, N, ell)
+    coords = HyperboloidPoint(q.U, q.V, q.W, N) if N >= 2 else _phat_from_uvw(q)
+    return RationalFlow(N, full, orbit_invariant(vf, N), coords)
+
+
+def _name_obstruction(vf):
+    """Steps I-III on a field with no rational univariate form: clear its
+    denominator, then read the obstruction off the quadratic form.  Their
+    rational outcomes cannot occur on such a field."""
+    while not (vf.w.den.is_constant() and vf.r.den.is_constant()):
+        step = reduce_denominator_step(vf)
+        if isinstance(step, Obstruction):
+            return NonRational("obstruction", detail=step)
+        vf = step["vf"]
+    out = quadratic_classify(vf.w, vf.r)
+    if isinstance(out, dict) and out["kind"] == "step2":
+        out = step2_obstruction(vf)
+    if not isinstance(out, Verdict):
+        raise VerificationFailed("rational outcome %r without a univariate "
+                                 "form" % (out,))
+    return out
+
+
 def canonicalize(f):
-    """Full classification of a flow; certifies RationalFlow verdicts by a
-    structural conjugation check.
+    """Full classification of a flow: the verdict of ``classify_vf`` on its
+    vector field, with RationalFlow verdicts certified by a structural
+    conjugation check.
 
     A map that satisfies the boundary condition has a 2-homogenic vector
     field whether or not it is a flow.  Before such a map gets any verdict
-    other than RationalFlow, and when one of its certificate checks fails,
-    ``verify_pde`` decides whether it is a flow at all; a non-flow raises
-    AlgebraError("not a flow").
+    other than a certified RationalFlow, and when classifying its field
+    raises, ``verify_pde`` decides whether it is a flow at all; a non-flow
+    raises AlgebraError("not a flow").  That check runs before Steps I-III,
+    which a flow never needs and which are slow on large non-flow fields.
     """
     if not isinstance(f, Flow):
         f = Flow(*f)
@@ -768,57 +841,25 @@ def canonicalize(f):
         return Identity()
     if not check_boundary(f):
         return classify_degenerate(f)
+    vf = vector_field(f)
     try:
-        verdict = _canonicalize_boundary(f)
-    except (VerificationFailed, NotLevel0Form) as exc:
+        verdict = _classify_by_form(vf)
+    except AlgebraError as exc:
         _require_flow(f, exc)
         raise
-    if not isinstance(verdict, RationalFlow):
-        _require_flow(f)
-    return verdict
+    if isinstance(verdict, RationalFlow):
+        if _conjugates_to(f, verdict.ell, canonical_flow(verdict.level)):
+            return verdict
+        exc = VerificationFailed("canonical conjugation check failed")
+        _require_flow(f, exc)
+        raise exc
+    _require_flow(f)
+    return _name_obstruction(vf) if verdict is None else verdict
 
 
 def _require_flow(f, cause=None):
     if not verify_pde(f):
         raise AlgebraError("not a flow: the translation equation fails") from cause
-
-
-def _canonicalize_boundary(f):
-    vf = vector_field(f)
-    lvl = level_of(vf)
-    if lvl.tag == "NonIntegerSquare" and lvl.value != 0:
-        return NonIntegerLevel(lvl.value)
-    if lvl.tag == "Level" and lvl.n == 0:
-        J = level0_J(f)
-        A = _rf(Poly(2, {(0, 1): Fraction(-1)})) / J
-        ell = HomBir.from_A(A)
-        target = canonical_flow(0)
-        if not _conjugates_to(f, ell, target):
-            raise VerificationFailed("level-0 conjugation check failed")
-        return RationalFlow(0, ell, _rf(X, Y), None)
-    try:
-        q, ell, basis = _univariate_form(vf)
-    except NoRationalSolution:
-        return NonRational("no_univariate_form")
-    res = univariate_classify(q)
-    if isinstance(res, NonIntegerLevel):
-        return res
-    if isinstance(res, PseudoLog):
-        return PseudoLog(ell.compose(res.ell_to_normal_form))
-    N = res["N"]
-    pieces = _chain_to_canonical(q, N)
-    full = _compose_chain([ell] + pieces)
-    target = canonical_flow(N)
-    if not _conjugates_to(f, full, target):
-        raise VerificationFailed("canonical conjugation check failed")
-    orbit_W = orbit_invariant(vf, N)
-    if N >= 2:
-        coords = HyperboloidPoint(q.U, q.V, q.W, N)
-    elif N == 1:
-        coords = _phat_from_uvw(q)
-    else:
-        coords = None
-    return RationalFlow(N, full, orbit_W, coords)
 
 
 def _conjugates_to(f, a, target):
@@ -837,28 +878,22 @@ def _conjugates_to(f, a, target):
 
 
 def _pseudolog_chain(q):
-    """Pieces taking a delta = 0 univariate field to (-x^2 - x y, -y^2)."""
-    pieces = []
-    cur = q
-    if cur.U == 0:
-        pieces.append(HomBir.involution_i())
-        cur = _apply_piece(cur, pieces[-1])
-    if cur.U == 0:
+    """The HomBir taking a delta = 0 univariate field to (-x^2 - x y, -y^2)."""
+    ch = _Chain(q, HomBir.identity())
+    if ch.q.U == 0:
+        ch.involution()
+    if ch.q.U == 0:
         raise VerificationFailed("pseudo-log chain: U stayed 0")
-    b = (-1 - cur.V) / (2 * cur.U)
+    b = (-1 - ch.q.V) / (2 * ch.q.U)
     if b != 0:
-        pieces.append(_shear(b))
-        cur = _apply_piece(cur, pieces[-1])
-    if cur.W != 0 or cur.V != -1:
+        ch.shear(b)
+    if ch.q.W != 0 or ch.q.V != -1:
         raise VerificationFailed("pseudo-log chain failed")
-    if cur.U != -1:
-        p = Fraction(-1) / cur.U
-        piece = HomBir.linear(LinearMap2(p, 0, 0, 1))
-        pieces.append(piece)
-        cur = _apply_piece(cur, piece)
-    if cur.triple() != (-1, -1, 0):
+    if ch.q.U != -1:
+        ch.x_scale(Fraction(-1) / ch.q.U)
+    if ch.q.triple() != (-1, -1, 0):
         raise VerificationFailed("pseudo-log normal form not reached")
-    return pieces
+    return ch.ell
 
 
 def orbit_invariant(vf, N):
@@ -874,19 +909,17 @@ def orbit_invariant(vf, N):
     return W.scale_num_monic()
 
 
+def _coords(f, kind, error):
+    """The coordinates ``classify_vf`` gives the field of f, of type kind."""
+    coords = getattr(classify_vf(vector_field(f)), "coords", None)
+    if not isinstance(coords, kind):
+        raise AlgebraError(error)
+    return coords
+
+
 def pN_map(f):
     """The univariate coefficient triple of a level >= 2 flow."""
-    vf = vector_field(f)
-    q, _ell, basis = _univariate_form(vf)
-    res = univariate_classify(q)
-    if not (isinstance(res, dict) and res.get("kind") == "level"):
-        raise AlgebraError("flow is not of integer level >= 2")
-    N = res["N"]
-    if N < 2:
-        raise AlgebraError("pN_map needs level >= 2")
-    if basis is not None:
-        raise VerificationFailed("univariate form is not unique")
-    return HyperboloidPoint(q.U, q.V, q.W, N)
+    return _coords(f, HyperboloidPoint, "pN_map needs level >= 2")
 
 
 def _phat_from_uvw(q):
@@ -903,13 +936,7 @@ def _phat_from_uvw(q):
 
 def phat_map(f):
     """tau (or infinity) for a level-1 flow."""
-    vf = vector_field(f)
-    q, _ell, _basis = _univariate_form(vf)
-    res = univariate_classify(q)
-    if not (isinstance(res, dict) and res.get("kind") == "level"
-            and res["N"] == 1):
-        raise AlgebraError("phat_map needs a level-1 flow")
-    return _phat_from_uvw(q)
+    return _coords(f, PHatValue, "phat_map needs a level-1 flow")
 
 
 def _flow_from_uvw(q, N):

@@ -8,9 +8,9 @@ irrational.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-import time
 from fractions import Fraction
 
 from .algebra import (AlgebraError, IdenticallySingular, NeedsRationalRoot,
@@ -55,9 +55,8 @@ def _coords_repr(coords):
     return {"pN": [str(v) for v in coords.triple()], "N": coords.N}
 
 
-def _verdict_payload(verdict, elapsed):
-    # timings are deliberately omitted: identical inputs must give
-    # byte-identical reports
+def _verdict_payload(verdict):
+    # no timings: identical inputs must give byte-identical reports
     out = {"verdict": verdict.kind}
     if isinstance(verdict, _cl.RationalFlow):
         out["level"] = verdict.level
@@ -125,45 +124,15 @@ def cmd_level(args):
 
 def cmd_classify(args):
     obj = parse_input(_read_input(args))
-    t0 = time.time()
     if isinstance(obj, Flow):
         verdict = _cl.canonicalize(obj)
     else:
-        verdict = _classify_vf(obj)
-    payload = _verdict_payload(verdict, time.time() - t0)
+        verdict = _cl.classify_vf(obj)
+    payload = _verdict_payload(verdict)
     if isinstance(obj, Flow) and isinstance(verdict, _cl.RationalFlow):
         payload["zeros_poles"] = list(zeros_poles(vector_field(obj)))
     _emit(payload, args)
     return 0
-
-
-def _classify_vf(vf):
-    """Classification entry point for a bare vector field."""
-    q = _cl._quad_uvw(vf)
-    if q is not None:
-        res = _cl.univariate_classify(q)
-        if isinstance(res, _cl.Verdict):
-            return res
-        return _cl.RationalFlow(res["N"], None,
-                                _cl.orbit_invariant(vf, res["N"]), None)
-    if vf.w.den.is_constant() and vf.r.den.is_constant():
-        if vf.r.is_zero():
-            out = _cl.step2_obstruction(vf)
-        else:
-            out = _cl.quadratic_classify(vf.w.num, vf.r.num)
-        if isinstance(out, _cl.Verdict):
-            return out
-        if isinstance(out, dict) and out.get("kind") == "level0":
-            return _cl.RationalFlow(0, None, _cl.orbit_invariant(vf, 0), None)
-        if isinstance(out, dict) and "classification" in out:
-            sub = out["classification"]
-            return _cl.RationalFlow(sub["N"], None,
-                                    _cl.orbit_invariant(vf, sub["N"]), None)
-        return _cl.NonRational("unclassified_route", detail=out)
-    step = _cl.reduce_denominator_step(vf)
-    if isinstance(step, dict):
-        return _classify_vf(step["vf"])
-    return _cl.NonRational("obstruction", detail=step)
 
 
 def cmd_orbit(args):
@@ -261,6 +230,7 @@ def cmd_dual(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="projflow",

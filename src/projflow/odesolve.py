@@ -75,13 +75,18 @@ def _clear_denominators(ode):
     return P, Q, R
 
 
-def _factor_irreducible(P):
-    """Irreducible monic factors of a univariate Poly over Q."""
+def _coeffs(P):
+    """Coefficients of a univariate Poly, low to high."""
     coeffs = [Fraction(0)] * (P.total_degree() + 1)
     for e, c in P.terms.items():
         coeffs[e[0]] = c
+    return coeffs
+
+
+def _factor_irreducible(P):
+    """Irreducible monic factors of a univariate Poly over Q."""
     return [(Poly(1, {(k,): c for k, c in enumerate(fac)}), mult)
-            for fac, mult in factor_list_q(coeffs)]
+            for fac, mult in factor_list_q(_coeffs(P))]
 
 
 def _multiplicity(P, pi):
@@ -94,73 +99,26 @@ def _multiplicity(P, pi):
         P, m = P2, m + 1
 
 
-def _poly_mod(a, m):
-    """Remainder of a modulo m (univariate)."""
-    if a.is_zero():
-        return a
-    dm = m.total_degree()
-    lm = m.leading_coeff()
-    r = dict(a.terms)
-    while r:
-        e = max(k[0] for k in r)
-        if e < dm:
-            break
-        c = r[(e,)]
-        for e2, c2 in m.terms.items():
-            k = (e2[0] + e - dm,)
-            s = r.get(k, Fraction(0)) - c / lm * c2
-            if s:
-                r[k] = s
-            else:
-                r.pop(k, None)
-    return Poly(1, r)
-
-
-def _mod_inverse(a, m):
-    """Inverse of a modulo irreducible m, or None if a = 0 mod m."""
-    a = _poly_mod(a, m)
-    if a.is_zero():
-        return None
-    # extended Euclid on coefficient lists
-    r0, r1 = m, a
-    s0, s1 = Poly.zero(1), Poly.const(1, 1)
-    while not r1.is_zero():
-        # divide r0 by r1
-        q = _poly_quo(r0, r1)
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0.total_degree() != 0:
-        return None  # m not irreducible relative to a; caller handles
-    return _poly_mod(s0 * (1 / r0.constant_value()), m)
-
-
-def _poly_quo(a, b):
-    """Univariate polynomial quotient (Euclidean division)."""
-    q = Poly.zero(1)
-    r = a
-    db = b.total_degree()
-    lb = b.leading_coeff()
-    while not r.is_zero() and r.total_degree() >= db:
-        e = r.total_degree()
-        c = r.leading_coeff() / lb
-        mono = Poly(1, {(e - db,): c})
-        q = q + mono
-        r = r - mono * b
-    return q
-
-
 def _indicial_candidate(pi, A, B):
-    """Integer e > 0 with e * A * pi' = B mod pi, else None."""
-    dpi = pi.derivative(0)
-    inv = _mod_inverse(_poly_mod(A * dpi, pi), pi)
-    if inv is None:
+    """Integer e > 0 with e * A * pi' = B mod pi, else None.
+
+    Runs on sympy's dense QQ lists (``dup_rem``, ``dup_invert``); pi is
+    irreducible, so A pi' has an inverse mod pi unless it vanishes there.
+    """
+    from sympy.polys.densearith import dup_mul, dup_rem
+    from sympy.polys.domains import QQ
+    from sympy.polys.euclidtools import dup_invert
+
+    def dup(P):
+        return [QQ(c.numerator, c.denominator) for c in reversed(_coeffs(P))]
+
+    m = dup(pi)
+    a = dup_rem(dup(A * pi.derivative(0)), m, QQ)
+    if not a:
         return None
-    val = _poly_mod(B * inv, pi)
-    if not val.is_constant():
-        return None
-    e = val.constant_value()
-    if e.denominator == 1 and e > 0:
-        return int(e)
+    e = dup_rem(dup_mul(dup(B), dup_invert(a, m, QQ), QQ), m, QQ)
+    if len(e) == 1 and e[0].denominator == 1 and e[0] > 0:
+        return int(e[0])
     return None
 
 

@@ -1,6 +1,9 @@
+import json
+import os
 import random
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from projflow import (
@@ -25,6 +28,7 @@ from projflow import (
     canonicalize,
     classify_degenerate,
     conjugate_flow,
+    conjugate_vf,
     dual,
     kapa,
     lookup,
@@ -42,7 +46,13 @@ from projflow import (
     verify_translation,
     zoo,
 )
-from projflow.classify import _conjugates_to
+from projflow.classify import _Chain, _conjugates_to, _quad_uvw
+from projflow.cli import _coords_repr, main
+from projflow.parser import parse_flow, print_flow, print_vector_field
+
+SCHEMA = json.load(open(
+    os.path.join(os.path.dirname(__file__), "..", "docs",
+                 "report-schema.json")))
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -108,6 +118,49 @@ def test_conjugation_certificate_check():
         assert _conjugates_to(f, ell, target), (f, N)
         sheared = ell.compose(shear)
         assert _conjugates_to(f, sheared, target) == (N == 0), (f, N)
+
+
+def test_flow_and_field_reports_agree(capsys):
+    # classify on a flow and on its vector field: the same report apart from
+    # the flow's zeros_poles, and the zoo's level, invariant and coordinates
+    def report(text):
+        assert main(["classify", text, "--json"]) == 0, text
+        out = json.loads(capsys.readouterr().out)
+        jsonschema.validate(out, SCHEMA)
+        return out
+
+    cases = [(e.flow, e.level, e) for e in zoo()]
+    cases += [(f, abs(N), None) for seed in (2, 7)
+              for N, _h, f in _seeded_conjugates(random.Random(seed))]
+    # the flows of (y^2, 0) and (x^2, 0)
+    cases += [(parse_flow("u = x + y^2; v = y"), 1, None),
+              (parse_flow("u = x/(1 - x); v = y"), 1, None)]
+    for f, level, entry in cases:
+        flow = report(print_flow(f))
+        field = report(print_vector_field(vector_field(f)))
+        assert flow.pop("zeros_poles") is not None, f
+        assert field == flow, f
+        assert (flow["verdict"], flow["level"]) == ("RationalFlow", level), f
+        if entry is not None:
+            assert flow["orbit_W"] == entry.orbit_W.to_string(), entry.name
+            assert flow["coords"] == _coords_repr(entry.coords), entry.name
+
+
+def test_chain_moves_match_conjugate_vf():
+    # each move's formula on (U, V, W) against conjugating the field
+    rng = random.Random(11)
+
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(100):
+        q = QuadVF(frac(), frac(), frac())
+        for move, args in (("shear", (frac(),)), ("involution", ()),
+                           ("x_scale", (frac() or Fraction(1),))):
+            ch = _Chain(q, HomBir.identity())
+            getattr(ch, move)(*args)
+            want = _quad_uvw(conjugate_vf(q.vector_field(), ch.ell))
+            assert want == ch.q, (q, move, args)
 
 
 def test_canonicalize_degree2_conjugate_of_phi3():
@@ -250,6 +303,11 @@ def test_step2_non_rational_branches():
     assert isinstance(res, NonRational) and res.tag == "phi_t"
     res = step2_obstruction(VectorField(X * X - Y * Y, Poly.zero(2)))
     assert isinstance(res, NonRational) and res.tag == "phi_e_prime"
+    # w and r proportional: a linear change first takes r to 0
+    res = step2_obstruction(VectorField(X * Y, X * Y))
+    assert isinstance(res, NonRational) and res.tag == "phi_e_prime"
+    res = step2_obstruction(VectorField(Poly.zero(2), X * Y))
+    assert isinstance(res, NonRational) and res.tag == "phi_e"
 
 
 def test_reduce_denominator_zoo_fields():

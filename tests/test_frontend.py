@@ -46,8 +46,11 @@ def test_grammar_round_trip_zoo():
 
 
 def test_vector_field_round_trip():
-    for name in ("phi_pr", "phi_tor_1", "phi2_3"):
-        vf = lookup(name).vf
+    fields = [lookup(name).vf for name in ("phi_pr", "phi_tor_1", "phi2_3")]
+    # a denominator that is a product of variables is printed in parentheses
+    fields.append(parse_vector_field(
+        "((x^4 + y^4)/(x*y), (x^5 + y^5)/(x^2*y))"))
+    for vf in fields:
         text = print_vector_field(vf)
         again = parse_vector_field(text)
         assert (again.w, again.r) == (vf.w, vf.r)
@@ -105,16 +108,21 @@ def test_cli_classify_non_flows(capsys):
         assert "not a flow" not in out.err and out.out == "", text
 
 
-def test_cli_classify_quadratic_route_fields(capsys):
-    # fields decided by quadratic_classify report their orbit invariant
-    for name in ("Phi_1", "Phi_2", "phi2_2"):
-        entry = lookup(name)
-        assert main(["classify", print_vector_field(entry.vf), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        jsonschema.validate(report, SCHEMA)
-        assert report["verdict"] == "RationalFlow", name
-        assert report["level"] == entry.level, name
-        assert report["orbit_W"] == entry.orbit_W.to_string(), name
+def test_cli_classify_zero_field(capsys):
+    assert main(["classify", "(0, 0)", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": "Identity"}
+
+
+def test_cli_parser_keeps_no_state_between_calls(capsys):
+    from projflow.cli import build_parser
+    assert build_parser() is build_parser()
+    text = "(x*y, -y^2)"
+    assert main(["series", text, "--order", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 3
+    assert main(["level", text]) == 0
+    assert capsys.readouterr().out.startswith("level: Level(2)\n")
+    assert main(["series", text]) == 0
+    assert capsys.readouterr().out.startswith("order: 8\n")
 
 
 def test_parse_negative_exponent():

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from projflow import (
+    AlgebraError,
     CapExceeded,
     LinODE,
     NoRationalSolution,
@@ -12,6 +14,7 @@ from projflow import (
     VerificationFailed,
     dehomogenize,
     differ_ode,
+    divexact,
     homogenize_0,
     orbit_ode_reduce,
     rational_solutions,
@@ -159,6 +162,36 @@ def test_solve_differ_no_rational_solution():
         pass  # acceptable: certified nonexistence
     # either outcome must be consistent: if a solution is returned it solves
     # the equation (checked inside rational_solutions via residual assert)
+
+
+def test_indicial_candidate_solves_its_congruence():
+    # e * A * pi' = B mod pi: B built from a known e, plus a multiple of pi
+    rng = random.Random(5)
+
+    def poly(deg):
+        return Poly(1, {(k,): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for k in range(deg + 1)})
+
+    seen = set()
+    for _ in range(200):
+        pi = T * T - rng.choice((2, 3, 5, -1)) if rng.random() < 0.5 \
+            else T - Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        A, C = poly(rng.randint(0, 3)), poly(rng.randint(0, 2))
+        if A.is_zero():
+            continue
+        try:
+            divexact(A, pi)
+            continue  # A * pi' vanishes mod pi: no inverse
+        except AlgebraError:
+            pass
+        e = Fraction(rng.randint(-2, 4), rng.choice((1, 1, 2)))
+        B = e * A * pi.derivative(0) + pi * C
+        if B.is_zero():
+            continue
+        want = int(e) if e.denominator == 1 and e > 0 else None
+        assert odesolve._indicial_candidate(pi, A, B) == want, (pi, A, B, e)
+        seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_orbit_ode_phi2():
