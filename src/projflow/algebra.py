@@ -153,9 +153,25 @@ class Poly:
             parts.setdefault(sum(e), {})[e] = c
         return {d: Poly(self.nvars, t) for d, t in sorted(parts.items())}
 
+    def _scalar(self):
+        """The value of a constant polynomial, None for any other."""
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            if not any(e):
+                return c
+        return None
+
     # -- arithmetic ------------------------------------------------------
+    # A Poly is never changed after construction, so an operation whose
+    # result equals an operand may return that operand.
     def __add__(self, other):
         other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c
@@ -179,12 +195,19 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c0 = _as_fraction(other)
+        else:
+            other = self._coerce(other)
+            c0 = other._scalar()
+            if c0 is None:
+                c0 = self._scalar()
+                if c0 is not None:
+                    self, other = other, self
+        if c0 is not None:
+            if c0 == 1:
+                return self
             if not c0:
                 return Poly.zero(self.nvars)
             return Poly._of(self.nvars, {e: c * c0 for e, c in self.terms.items()})
-        other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.nvars)
         width = (self.total_degree() + other.total_degree()).bit_length()
         den1, ints1 = _scaled_ints(self, width)
         den2, ints2 = _scaled_ints(other, width)

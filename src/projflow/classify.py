@@ -19,10 +19,8 @@ from .algebra import (
     RatFn,
     VerificationFailed,
     LinearMap2,
-    divexact,
     linear_factors_q,
     poly_gcd,
-    poly_lcm,
 )
 from .flowcore import (
     Flow,
@@ -342,14 +340,6 @@ class Obstruction(Verdict):
         self.reason = reason
 
 
-def _common_form(vf):
-    """(P, Q, D) with w = P/D, r = Q/D and D unit-normal."""
-    D = poly_lcm(vf.w.den, vf.r.den)
-    P = vf.w.num * divexact(D, vf.w.den)
-    Q = vf.r.num * divexact(D, vf.r.den)
-    return P, Q, D
-
-
 def _roots_of(poly):
     """Rational projective roots [(x0, y0), ...] in canonical order."""
     scale, factors, remainder = linear_factors_q(poly)
@@ -365,10 +355,6 @@ def _is_proportional(P, Q):
     if P.is_zero() or Q.is_zero():
         return True
     return (P * Q.leading_coeff() - Q * P.leading_coeff()).is_zero()
-
-
-def _den_degree(vf):
-    return poly_lcm(vf.w.den, vf.r.den).total_degree()
 
 
 def _linear_candidates(P, Q, D):
@@ -416,7 +402,7 @@ def _linear_candidates(P, Q, D):
 
 
 def _radial_candidates(vf1):
-    P1, Q1, D1 = _common_form(vf1)
+    P1, Q1, D1 = vf1.common_form()
     droots, drem = _roots_of(D1)
     bass1 = P1 * Q1.derivative(0) - P1.derivative(0) * Q1
     cross = Y * P1 - X * Q1
@@ -442,7 +428,7 @@ def reduce_denominator_step(vf):
     """One strict reduction of the common-denominator degree, as a pair
     (linear change, radial conjugation); returns the new field and the
     applied pieces."""
-    P, Q, D = _common_form(vf)
+    P, Q, D = vf.common_form()
     if D.total_degree() == 0:
         return AlreadyQuadratic()
     if _is_proportional(P, Q):
@@ -459,11 +445,11 @@ def reduce_denominator_step(vf):
             blocked.append(drem)
         for A in cands:
             vf2 = conjugate_vf_radial(vf1, A)
-            if _den_degree(vf2) < d0:
+            P2, Q2, D2 = vf2.common_form()
+            if D2.total_degree() < d0:
                 return {"vf": vf2, "applied": [(L, A)]}
             # two-stage maneuver: keep degree but introduce a y-factor
-            P2, Q2, D2 = _common_form(vf2)
-            if (_den_degree(vf2) == d0 and not _is_proportional(P2, Q2)
+            if (D2.total_degree() == d0 and not _is_proportional(P2, Q2)
                     and D2.terms and all(k[1] >= 1 for k in D2.terms)
                     and not all(k[1] >= 1 for k in D.terms)):
                 for L2 in _linear_candidates(P2, Q2, D2):
@@ -474,16 +460,10 @@ def reduce_denominator_step(vf):
                     cands2, _rem2 = _radial_candidates(vf3)
                     for A2 in cands2:
                         vf4 = conjugate_vf_radial(vf3, A2)
-                        if _den_degree(vf4) < d0:
+                        if vf4.common_form()[2].total_degree() < d0:
                             return {"vf": vf4,
                                     "applied": [(L, A), (L2, A2)]}
-    _raise_nrr(blocked[0] if blocked else D)
-
-
-def _raise_nrr(poly):
-    err = NeedsRationalRoot("required roots are irrational")
-    err.blocking_poly = poly
-    raise err
+    raise NeedsRationalRoot(blocked[0] if blocked else D)
 
 
 # -- Step II ---------------------------------------------------------------
@@ -551,8 +531,7 @@ def _as_quadratic(p):
         if not p.den.is_constant():
             raise AlgebraError("expected polynomial quadratic form")
         p = p.num * (1 / p.den.constant_value())
-    if not p.is_zero() and (not p.is_homogeneous() if hasattr(p, "is_homogeneous")
-                            else any(sum(k) != 2 for k in p.terms)):
+    if any(sum(e) != 2 for e in p.terms):
         raise AlgebraError("expected a quadratic form")
     return p
 
@@ -566,22 +545,14 @@ def quadratic_classify(P, Q):
         return {"kind": "level0"}
     if _is_proportional(P, Q):
         return {"kind": "step2"}
-    scale, factors, remainder = linear_factors_q(cubic)
+    roots, remainder = _roots_of(cubic)
     if not remainder.is_constant():
-        _raise_nrr(cubic)
-    if len(factors) == 1 and factors[0][1] == 3:
-        return _cube_case(P, Q, factors[0][0])
+        raise NeedsRationalRoot(cubic)
+    if len(roots) == 1 and roots[0][1] == 3:
+        return _cube_case(P, Q, roots[0][0])
     # two distinct root directions give the triangular shape
-    roots = []
-    for fac, mult in factors:
-        b = fac.terms.get((1, 0), Fraction(0))
-        a = -fac.terms.get((0, 1), Fraction(0))
-        roots.append((a, b))
-    for i in range(len(roots)):
-        for j in range(len(roots)):
-            if i == j:
-                continue
-            (a, c), (b, d) = roots[i], roots[j]
+    for (a, c), _m in roots:
+        for (b, d), _m2 in roots:
             if a * d - b * c == 0:
                 continue
             L = LinearMap2(a, b, c, d)
@@ -598,10 +569,10 @@ def quadratic_classify(P, Q):
     raise VerificationFailed("no usable root pair in the cubic")
 
 
-def _cube_case(P, Q, lin):
-    """y P - x Q = s l^3: move l to x and read the shape a x^2 + b x y."""
-    b_ = lin.terms.get((1, 0), Fraction(0))
-    a_ = -lin.terms.get((0, 1), Fraction(0))
+def _cube_case(P, Q, root):
+    """y P - x Q = s l^3 with l vanishing at ``root``: move l to x and read
+    the shape a x^2 + b x y."""
+    a_, b_ = root
     # send the triple-root direction to (0 : 1) so the cubic becomes ~ x^3
     if b_ != 0:
         L = LinearMap2(1, a_, 0, b_)

@@ -96,6 +96,12 @@ class VectorField:
         """x*r - y*w, the obstruction to level 0."""
         return _rx() * self.r - _ry() * self.w
 
+    def common_form(self):
+        """(P, Q, D): polynomials with w = P/D, r = Q/D and D unit-normal."""
+        D = poly_lcm(self.w.den, self.r.den)
+        return (self.w.num * divexact(D, self.w.den),
+                self.r.num * divexact(D, self.r.den), D)
+
 
 class LevelResult:
     """Tagged level outcome."""
@@ -181,25 +187,34 @@ def _lowest_part_ratio(f):
 
 
 def _coord_jets(f, K):
-    """Exact z-expansion of f(xz, yz)/z to K terms for one coordinate.
+    """Exact z-expansion of f(xz, yz)/z to K terms for one coordinate of a
+    map that satisfies the boundary condition.
 
     With f = a/b split into homogeneous parts a_i, b_i and m the lowest
     degree in b, the coefficient of z^(k-1) is
-    (a_(m+k) - sum_(j<k) c_j b_(m+k-j)) / b_m.
+    c_k = (a_(m+k) - sum_(j<k) c_j b_(m+k-j)) / b_m, and c_1 = a_(m+1)/b_m
+    is x or y.  The recurrence runs on the numerators N_k = c_k b_m^(k-1):
+    N_k = a_(m+k) b_m^(k-2) - sum_(j<k) N_j b_(m+k-j) b_m^(k-1-j), so each
+    jet is reduced once, as N_k / b_m^(k-1).
     """
     nparts = f.num.homogeneous_parts()
     dparts = f.den.homogeneous_parts()
     if not nparts:
         raise IdenticallySingular("zero coordinate has no flow expansion")
-    b = min(dparts)
-    Db = RatFn(dparts[b])
-    coeffs = []
-    for k in range(1, K + 1):
-        acc = RatFn(nparts.get(b + k, Poly.zero(2)))
+    m = min(dparts)
+    bm = dparts[m]
+    zero = Poly.zero(2)
+    pows = [Poly.const(2, 1)]  # pows[i] = b_m^i
+    nums = [divexact(nparts.get(m + 1, zero), bm)]
+    for k in range(2, K + 1):
+        pows.append(pows[-1] * bm)
+        acc = nparts.get(m + k, zero) * pows[k - 2]
         for j in range(1, k):
-            acc = acc - coeffs[j - 1] * RatFn(dparts.get(b + k - j, Poly.zero(2)))
-        coeffs.append(acc / Db)
-    return coeffs
+            part = dparts.get(m + k - j)
+            if part is not None:
+                acc = acc - nums[j - 1] * part * pows[k - 1 - j]
+        nums.append(acc)
+    return [RatFn(n, p) for n, p in zip(nums[:K], pows)]
 
 
 def check_boundary(f):
@@ -456,9 +471,7 @@ def zeros_poles(vf):
     """Real projective zeros and poles of the vector field, with multiplicity."""
     if vf.w.is_zero() and vf.r.is_zero():
         return (0, 0)
-    den = poly_lcm(vf.w.den, vf.r.den)
-    n1 = vf.w.num * divexact(den, vf.w.den)
-    n2 = vf.r.num * divexact(den, vf.r.den)
+    n1, n2, den = vf.common_form()
     if n1.is_zero():
         g = n2.unit_normal()
     elif n2.is_zero():

@@ -1,10 +1,14 @@
-"""Formal jet engine: expand flows in z from the vector field recurrence or
-from a closed form, diagonal series, and the denominator-prime diagnostic."""
+"""Formal jet engine: the homogeneous parts of phi(xz, yz)/z, from a flow's
+closed form (``expand_flow``: c_k b_m = a_(m+k) - sum_(j<k) c_j b_(m+k-j)
+per coordinate) or from its vector field (``expand_from_vf``: the Lie
+recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i).  Both recurrences run on
+polynomial numerators over a known denominator and reduce each jet once.
+Also diagonal series and the denominator-prime diagnostic."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, Poly, RatFn
+from .algebra import AlgebraError, RatFn
 from .flowcore import _coord_jets, check_boundary
 
 
@@ -36,34 +40,27 @@ class JetTable:
         return "JetTable(order=%d)" % self.order
 
 
-def _is_poly_vf(vf):
-    return vf.w.is_polynomial() and vf.r.is_polynomial()
-
-
 def expand_from_vf(vf, K):
-    """Jets from the recurrence w^(i+1) = (1/i)(w^(i)_x w + w^(i)_y r)."""
+    """Jets from the Lie recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i.
+
+    With w = P/D and r = Q/D over one denominator and the current jet n/d,
+    the next jet is ((n_x P + n_y Q) d - n (d_x P + d_y Q)) / (i d^2 D):
+    the recurrence runs on polynomials and reduces each jet once.  For a
+    polynomial field D = d = 1.
+    """
     if K < 2:
         raise AlgebraError("order must be >= 2")
-    if _is_poly_vf(vf):
-        w = vf.w.as_poly()
-        r = vf.r.as_poly()
-        u_parts = [Poly.var(0, 2)]
-        v_parts = [Poly.var(1, 2)]
+    P, Q, D = vf.common_form()
+    tables = []
+    for start in (RatFn.var(0, 2), RatFn.var(1, 2)):
+        jets = [start]
         for i in range(1, K):
-            u_parts.append((u_parts[-1].derivative(0) * w
-                            + u_parts[-1].derivative(1) * r) * Fraction(1, i))
-            v_parts.append((v_parts[-1].derivative(0) * w
-                            + v_parts[-1].derivative(1) * r) * Fraction(1, i))
-        return JetTable(K, [RatFn(p) for p in u_parts], [RatFn(p) for p in v_parts])
-    w, r = vf.w, vf.r
-    u_parts = [RatFn.var(0, 2)]
-    v_parts = [RatFn.var(1, 2)]
-    for i in range(1, K):
-        u_parts.append((u_parts[-1].derivative(0) * w
-                        + u_parts[-1].derivative(1) * r) * Fraction(1, i))
-        v_parts.append((v_parts[-1].derivative(0) * w
-                        + v_parts[-1].derivative(1) * r) * Fraction(1, i))
-    return JetTable(K, u_parts, v_parts)
+            n, d = jets[-1].num, jets[-1].den
+            num = ((n.derivative(0) * P + n.derivative(1) * Q) * d
+                   - n * (d.derivative(0) * P + d.derivative(1) * Q))
+            jets.append(RatFn(num * Fraction(1, i), d * d * D))
+        tables.append(jets)
+    return JetTable(K, *tables)
 
 
 def expand_flow(f, K):

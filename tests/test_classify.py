@@ -14,6 +14,7 @@ from projflow import (
     HomBir,
     Identity,
     LinearMap2,
+    NeedsRationalRoot,
     NonIntegerLevel,
     NonRational,
     NonRationalGenus1,
@@ -282,6 +283,29 @@ def test_quadratic_log_obstruction():
     res = quadratic_classify(X * X + 2 * X * Y, -3 * X * Y + Y * Y)
     assert isinstance(res, NonRational)
     assert res.tag == "non_integer_exponent"
+
+
+def test_quadratic_cube_case():
+    # y w - x r = x^3: b = 1 gives the lambda-obstruction, b = 0 a pseudo-log;
+    # linear conjugates move the triple root away from (0 : 1)
+    for (w, r), kind in (((X * X + X * Y, X * Y + Y * Y - X * X), NonRational),
+                         ((X * X, X * Y - X * X), PseudoLog)):
+        for L in (LinearMap2(1, 0, 0, 1), LinearMap2(1, 1, 0, 1),
+                  LinearMap2(2, 1, 1, 1), LinearMap2(0, 1, 1, 3)):
+            vf = conjugate_vf(VectorField(w, r), HomBir.linear(L))
+            res = quadratic_classify(vf.w, vf.r)
+            assert isinstance(res, kind), (w, r, L)
+            if kind is NonRational:
+                assert res.tag == "log_cube"
+
+
+def test_quadratic_classify_input_checks():
+    with pytest.raises(AlgebraError, match="expected a quadratic form"):
+        quadratic_classify(X ** 3, Y ** 3)
+    with pytest.raises(NeedsRationalRoot) as exc:
+        quadratic_classify(X * Y, 3 * Y * Y - X * X)
+    assert exc.value.blocking_poly == X ** 3 - 2 * X * Y * Y
+    assert str(exc.value) == "irrational root required"
 
 
 # -- Step II and denominator reduction -------------------------------------

@@ -2,6 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.fields import field
+from sympy.polys.ring_series import rs_mul, rs_series_inversion
+from sympy.polys.rings import ring
 
 from projflow import (
     AlgebraError,
@@ -14,6 +19,7 @@ from projflow import (
     diagonal_series,
     expand_flow,
     expand_from_vf,
+    kapa,
     prime_growth_diagnostic,
     lookup,
     vector_field,
@@ -21,6 +27,10 @@ from projflow import (
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
+
+# Q(x, y), and power series in z over it
+_F = field("x,y", QQ)[0]
+_RZ, _Z = ring("z", _F.to_domain())
 
 
 def test_exponential_jets():
@@ -131,3 +141,92 @@ def test_prime_growth_integer_coefficients():
 def test_prime_growth_needs_50():
     with pytest.raises(AlgebraError):
         prime_growth_diagnostic([Fraction(1)] * 10)
+
+
+# -- jets against independent references ------------------------------------
+
+def _field_elt(p):
+    return _F.new(_F.ring.from_dict({e: QQ(c.numerator, c.denominator)
+                                     for e, c in p.terms.items()}))
+
+
+def _scaled(p):
+    """p(xz, yz) as a polynomial in z over Q(x, y)."""
+    return _RZ.from_dict({(d,): _field_elt(part)
+                          for d, part in p.homogeneous_parts().items()})
+
+
+def _taylor_jets(f, K):
+    """Coefficients of z^0 .. z^(K-1) in f(xz, yz)/z by sympy's power-series
+    inversion of the denominator."""
+    num, den = _scaled(f.num), _scaled(f.den)
+    m = min(d for (d,) in den.keys())
+    prec = K + m + 1
+    series = rs_mul(num, rs_series_inversion(den.quo(_Z ** m), _Z, prec),
+                    _Z, prec)
+    return [series.coeff(_Z ** (k + m + 1)) for k in range(K)]
+
+
+def _assert_jets(jets, f, K):
+    for parts, coord in ((jets.u_parts, f.u), (jets.v_parts, f.v)):
+        assert len(parts) == K
+        for got, want in zip(parts, _taylor_jets(coord, K)):
+            assert _field_elt(got.num) / _field_elt(got.den) == want
+
+
+def test_flow_jets_match_taylor_coefficients():
+    # lowest denominator parts (x - y)^2, x^2 and x, and a constant one
+    # under a five-part denominator
+    for f in (lookup("Psi").flow, lookup("phi2_3").flow,
+              kapa(3, Fraction(1, 2))):
+        _assert_jets(expand_flow(f, 10), f, 10)
+
+
+def test_field_jets_match_taylor_coefficients():
+    for name in ("Psi", "phi2_3"):
+        entry = lookup(name)
+        _assert_jets(expand_from_vf(entry.vf, 10), entry.flow, 10)
+
+
+def test_phi2_jets_closed_form():
+    # phi_2 = (x + xy, y/(1 + y)): u(xz, yz)/z = x + xyz and
+    # v(xz, yz)/z = sum_k (-1)^k y^(k+1) z^k
+    u = [RatFn(X), RatFn(X * Y)] + [RatFn(Poly.zero(2))] * 148
+    v = [RatFn(Y ** (k + 1) * (-1) ** k) for k in range(150)]
+    f = canonical_flow(2)
+    for jets in (expand_flow(f, 150), expand_from_vf(vector_field(f), 150)):
+        assert (jets.u_parts, jets.v_parts) == (u, v)
+
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def rational_fields(draw):
+    """(field, order): w and r binary forms of degree k + 2 over a product
+    of k = 0, 1 or 2 linear forms, and an order up to 6."""
+    k = draw(st.integers(0, 2))
+    D = Poly.const(2, 1)
+    for _ in range(k):
+        a, b = draw(st.tuples(_small, _small).filter(any))
+        D = D * (a * X + b * Y)
+
+    def form():
+        return sum((draw(_small) * X ** i * Y ** (k + 2 - i)
+                    for i in range(k + 3)), Poly.zero(2))
+
+    return VectorField(RatFn(form(), D), RatFn(form(), D)), draw(st.integers(2, 6))
+
+
+@given(rational_fields())
+@settings(max_examples=40, deadline=None)
+def test_field_jets_satisfy_lie_recurrence(case):
+    # the recurrence i u_(i+1) = u_(i),x w + u_(i),y r in RatFn arithmetic
+    vf, K = case
+    jets = expand_from_vf(vf, K)
+    for parts, start in ((jets.u_parts, RatFn.var(0, 2)),
+                         (jets.v_parts, RatFn.var(1, 2))):
+        assert len(parts) == K and parts[0] == start
+        for i in range(1, K):
+            u = parts[i - 1]
+            assert i * parts[i] == u.derivative(0) * vf.w + u.derivative(1) * vf.r
