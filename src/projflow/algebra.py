@@ -1,28 +1,30 @@
 """Exact sparse polynomial and rational-function arithmetic over Q.
 
-Polynomials are stored as sparse maps from exponent tuples to Fraction
-coefficients.  The canonical monomial order is graded lexicographic with
-x > y (> z).  Rational functions are kept fully reduced, with the
-denominator normalized to primitive integer coefficients and a positive
-graded-lex leading coefficient, so equality is structural.  Reduction
-divides by ``poly_gcd``: sympy's ring gcd over ZZ of the two arguments
-scaled to primitive integer polynomials, put through ``unit_normal``.
-Real projective roots are counted by sympy's square-free split and real-root
-count of the dehomogenized form.
+A polynomial is stored as integer numerators over one denominator: ``ints``
+maps exponent tuples to nonzero ints and ``den`` is a positive int coprime to
+all of them, so equality and hashing are structural.  ``Poly.terms`` is a
+read-only view that builds {exponent tuple: Fraction} afresh on each read.
+The canonical monomial order is graded lexicographic with x > y (> z).
+Rational functions are kept fully reduced, with the denominator normalized
+to primitive integer coefficients and a positive graded-lex leading
+coefficient, so equality is structural.  Reduction divides by ``poly_gcd``:
+sympy's ring gcd over ZZ of the primitive integer forms of the two
+arguments, put through ``unit_normal``.  Real projective roots are counted by
+sympy's square-free split and real-root count of the dehomogenized form.
 
-The inner loops of products and exact division run on Python ints, not on
-Fractions: each operand is scaled once by the lcm of its denominators,
-every exponent tuple is packed into one int (total degree in the top field,
-then one field per variable, so that adding keys multiplies monomials and
-comparing keys compares in graded-lex order), and each output coefficient
-becomes a Fraction once, at the end.  Exact division divides by the
-primitive part of the divisor, so every quotient coefficient is an integer
-(Gauss's lemma), and takes the leading term of the remainder from a heap.
+Products, sums and exact division run on the numerators and multiply or
+take the lcm of the denominators.  Inside a product or a division every
+exponent tuple is packed into one int, with a field width chosen per call
+from the degrees at hand (total degree in the top field, then one field per
+variable, so that adding keys multiplies monomials and comparing keys
+compares in graded-lex order).  Exact division divides by the primitive part
+of the divisor, so every quotient coefficient is an integer (Gauss's lemma),
+and takes the leading term of the remainder from a heap.
 
 Substitution (``Poly.eval_hom``, and through it ``subs_polys`` and
 ``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) by a homogeneous Horner
-scheme on the same packed ints: the arguments and C are scaled once to
-integers, the scalar of every term of P is put over one common denominator,
+scheme on the same packed ints: the arguments and C are put over the lcm L
+of their denominators, so that every term of P has denominator P.den * L^d,
 and the sum is folded variable by variable, so that each step multiplies by
 one argument and each innermost term takes a cached power of C.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
@@ -59,12 +61,11 @@ class NeedsRationalRoot(AlgebraError):
         self.blocking_poly = blocking_poly
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError("expected int or Fraction, got %r" % (c,))
+def _rational(c):
+    """``c`` itself, if it is an int or a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("expected int or Fraction, got %r" % (c,))
+    return c
 
 
 def _grlex_key(exps):
@@ -72,73 +73,88 @@ def _grlex_key(exps):
 
 
 class Poly:
-    """Sparse polynomial in ``nvars`` variables over Q."""
+    """Sparse polynomial in ``nvars`` variables over Q.
 
-    __slots__ = ("nvars", "terms")
+    Stored as ``ints`` / ``den``: ``ints`` maps exponent tuples to nonzero
+    ints and ``den`` is a positive int with gcd(den, *ints.values()) = 1,
+    so equal polynomials have equal fields.
+    """
+
+    __slots__ = ("nvars", "ints", "den")
 
     def __init__(self, nvars, terms=None):
+        terms = {tuple(e): _rational(c) for e, c in (terms or {}).items()}
+        # over the lcm of reduced denominators the numerators are coprime
+        den = lcm(*(c.denominator for c in terms.values()))
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    clean[tuple(exps)] = c
-        self.terms = clean
+        self.ints = {e: c.numerator * (den // c.denominator)
+                     for e, c in terms.items() if c}
+        self.den = den
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def _of(cls, nvars, terms):
-        """A Poly on ``terms`` already in normal form: exponent tuples
-        mapped to nonzero Fractions."""
+    def _of(cls, nvars, ints, den=1):
+        """The Poly ints / den, for ``ints`` mapping exponent tuples to
+        nonzero ints and ``den`` a positive int; reduced to lowest terms."""
+        if den != 1:
+            g = _int_gcd(den, *ints.values())
+            if g != 1:
+                ints = {e: c // g for e, c in ints.items()}
+                den //= g
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.ints = ints
+        p.den = den
         return p
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars, {})
+        return cls._of(nvars, {})
 
     @classmethod
     def const(cls, nvars, c):
-        c = _as_fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        c = _rational(c)
+        return cls._of(nvars, {(0,) * nvars: c.numerator} if c else {},
+                       c.denominator)
 
     @classmethod
     def var(cls, i, nvars):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls._of(nvars, {_ex(nvars, i): 1})
 
     # -- predicates / views ---------------------------------------------
+    @property
+    def terms(self):
+        """{exponent tuple: Fraction coefficient}, built afresh on each read."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.ints.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.ints)
 
     def constant_value(self):
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise AlgebraError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.ints.values())), self.den)
 
     def total_degree(self):
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.ints)
 
     def min_degree(self):
         if self.is_zero():
             return -1
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self.ints)
 
     def leading_term(self):
         """Graded-lex leading (exponents, coefficient)."""
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.ints, key=_grlex_key)
+        return exps, Fraction(self.ints[exps], self.den)
 
     def leading_coeff(self):
         return self.leading_term()[1]
@@ -149,42 +165,51 @@ class Poly:
     def homogeneous_parts(self):
         """Map total degree -> homogeneous Poly part."""
         parts = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             parts.setdefault(sum(e), {})[e] = c
-        return {d: Poly(self.nvars, t) for d, t in sorted(parts.items())}
+        return {d: Poly._of(self.nvars, t, self.den)
+                for d, t in sorted(parts.items())}
 
     def _scalar(self):
-        """The value of a constant polynomial, None for any other."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
+        """(numerator, denominator) of a constant polynomial, None for any
+        other."""
+        if not self.ints:
+            return 0, 1
+        if len(self.ints) == 1:
+            (e, c), = self.ints.items()
             if not any(e):
-                return c
+                return c, self.den
         return None
+
+    def _packed(self, width):
+        """[(packed exponents, int coefficient)]; see ``_pack``."""
+        return [(_pack(e, width), c) for e, c in self.ints.items()]
 
     # -- arithmetic ------------------------------------------------------
     # A Poly is never changed after construction, so an operation whose
     # result equals an operand may return that operand.
     def __add__(self, other):
         other = self._coerce(other)
-        if not other.terms:
+        if not other.ints:
             return self
-        if not self.terms:
+        if not self.ints:
             return other
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        ints = {e: c * s1 for e, c in self.ints.items()}
+        for e, c in other.ints.items():
+            s = ints.get(e, 0) + c * s2
             if s:
-                terms[e] = s
+                ints[e] = s
             else:
-                terms.pop(e, None)
-        return Poly._of(self.nvars, terms)
+                ints.pop(e, None)
+        return Poly._of(self.nvars, ints, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {e: -c for e, c in self.ints.items()},
+                        self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -194,7 +219,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = _as_fraction(other)
+            c0 = other.numerator, other.denominator
         else:
             other = self._coerce(other)
             c0 = other._scalar()
@@ -203,16 +228,18 @@ class Poly:
                 if c0 is not None:
                     self, other = other, self
         if c0 is not None:
-            if c0 == 1:
+            n0, d0 = c0
+            if n0 == d0:
                 return self
-            if not c0:
+            if not n0:
                 return Poly.zero(self.nvars)
-            return Poly._of(self.nvars, {e: c * c0 for e, c in self.terms.items()})
+            return Poly._of(self.nvars, {e: c * n0 for e, c in self.ints.items()},
+                            self.den * d0)
+        nv = self.nvars
         width = (self.total_degree() + other.total_degree()).bit_length()
-        den1, ints1 = _scaled_ints(self, width)
-        den2, ints2 = _scaled_ints(other, width)
-        return _from_ints(self.nvars, width, _mul_ints(ints1, ints2),
-                          den1 * den2)
+        acc = _mul_ints(self._packed(width), other._packed(width))
+        return Poly._of(nv, {_unpack(k, nv, width): c for k, c in acc.items() if c},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -229,13 +256,13 @@ class Poly:
         return result
 
     def derivative(self, i):
-        terms = {}
-        for e, c in self.terms.items():
+        ints = {}
+        for e, c in self.ints.items():
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
-                terms[tuple(e2)] = c * e[i]
-        return Poly(self.nvars, terms)
+                ints[tuple(e2)] = c * e[i]
+        return Poly._of(self.nvars, ints, self.den)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -247,13 +274,13 @@ class Poly:
     # -- evaluation / substitution ---------------------------------------
     def eval(self, point):
         acc = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             t = c
             for i, k in enumerate(e):
                 if k:
                     t *= point[i] ** k
             acc += t
-        return acc
+        return acc / self.den
 
     def subs_polys(self, args):
         """Substitute polynomials for the variables."""
@@ -275,19 +302,11 @@ class Poly:
         allargs = list(args) + [denom]
         # every exponent of every partial sum is at most d * max degree
         width = max(1, d * max(a.total_degree() for a in allargs)).bit_length()
-        dens, ints = zip(*(_scaled_ints(a, width) for a in allargs))
-        # the term c*A^i*B^j*C^k is c/(a^i b^j g^k) times a product of the
-        # integer arguments; put all these scalars over one denominator M
-        scaled = []
-        for e, c in self.terms.items():
-            s = c
-            for den, k in zip(dens, e + (d - sum(e),)):
-                if k and den != 1:
-                    s /= den ** k
-            scaled.append((e, s))
-        M = lcm(*(s.denominator for _, s in scaled))
-        items = sorted(((e, s.numerator * (M // s.denominator))
-                        for e, s in scaled), reverse=True)
+        # over L = lcm of the arguments' denominators, every term of P has
+        # denominator P.den * L^d
+        L = lcm(*(a.den for a in allargs))
+        ints = [[(k, c * (L // a.den)) for k, c in a._packed(width)]
+                for a in allargs]
         cpows = [{0: 1}]
 
         def cpow(k):
@@ -295,40 +314,39 @@ class Poly:
                 cpows.append(_mul_ints(cpows[-1].items(), ints[-1]))
             return cpows[k]
 
-        acc = _horner(items, 0, d, ints[:-1], cpow)
-        return _from_ints(nv, width, acc, M)
+        acc = _horner(sorted(self.ints.items(), reverse=True), 0, d,
+                      ints[:-1], cpow)
+        return Poly._of(nv, {_unpack(k, nv, width): c for k, c in acc.items() if c},
+                        self.den * L ** d)
 
     # -- normalization ----------------------------------------------------
     def content(self):
         """Positive rational c with self/c integer and primitive."""
         if self.is_zero():
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(_int_gcd(*self.ints.values()), self.den)
 
     def unit_normal(self):
         """Primitive integer coefficients, positive graded-lex leading."""
         if self.is_zero():
             return self
-        c = self.content()
-        if self.leading_coeff() < 0:
-            c = -c
-        return self * (1 / c)
+        g = _int_gcd(*self.ints.values())
+        if self.ints[max(self.ints, key=_grlex_key)] < 0:
+            g = -g
+        if g == 1 and self.den == 1:
+            return self
+        return Poly._of(self.nvars, {e: c // g for e, c in self.ints.items()})
 
     def monomial_content(self):
         """Componentwise min exponents across all terms."""
         mins = None
-        for e in self.terms:
+        for e in self.ints:
             mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
         return mins or (0,) * self.nvars
 
     def strip_monomial(self, exps):
         return Poly._of(self.nvars, {tuple(a - b for a, b in zip(e, exps)): c
-                                     for e, c in self.terms.items()})
+                                     for e, c in self.ints.items()}, self.den)
 
     # -- structural --------------------------------------------------------
     def __eq__(self, other):
@@ -336,10 +354,11 @@ class Poly:
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.ints.items())))
 
     def __repr__(self):
         return "Poly(%s)" % self.to_string()
@@ -349,8 +368,8 @@ class Poly:
             return "0"
         names = names or VAR_NAMES[: self.nvars]
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(self.ints, key=_grlex_key, reverse=True):
+            c = Fraction(self.ints[e], self.den)
             mon = "*".join(
                 (names[i] if k == 1 else "%s^%d" % (names[i], k))
                 for i, k in enumerate(e) if k
@@ -395,15 +414,6 @@ def _unpack(k, nvars, width):
     return tuple(out)
 
 
-def _from_ints(nvars, width, acc, den):
-    """The Poly with terms {packed exponents: integer / den}."""
-    if den == 1:
-        return Poly._of(nvars, {_unpack(k, nvars, width): Fraction(c)
-                                for k, c in acc.items() if c})
-    return Poly._of(nvars, {_unpack(k, nvars, width): Fraction(c, den)
-                            for k, c in acc.items() if c})
-
-
 def _mul_ints(terms1, terms2):
     """{packed exponents: int} product of two sequences of (packed
     exponents, int) pairs."""
@@ -445,15 +455,6 @@ def _horner(items, i, k, args, cpow):
     return acc
 
 
-def _scaled_ints(p, width):
-    """(D, [(packed exponents, D*c)]) with D the lcm of p's denominators."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return den, [(_pack(e, width), c.numerator * (den // c.denominator))
-                 for e, c in p.terms.items()]
-
-
 # -- exact division and gcd ----------------------------------------------
 
 def divexact(p, d):
@@ -468,17 +469,14 @@ def divexact(p, d):
         raise AlgebraError("inexact polynomial division")
     # every exponent of the remainder and the quotient is at most deg p
     width = deg.bit_length()
-    pden, pints = _scaled_ints(p, width)
-    dden, dints = _scaled_ints(d, width)
-    g = 0
-    for _, c in dints:
-        g = _int_gcd(g, c)
-    # p/d = (dden / (g pden)) * P/D with P = pints and D = dints/g primitive
+    dints = d._packed(width)
+    g = _int_gcd(*d.ints.values())
+    # p/d = (d.den / (g p.den)) * P/D with P = p.ints, D = d.ints/g primitive
     lt_k, lt_c = max(dints)
     lt_e = _unpack(lt_k, nv, width)
     rest = [(k, c // g) for k, c in dints if k != lt_k]
     lt_c //= g
-    r = dict(pints)
+    r = dict(p._packed(width))
     heap = [-k for k in r]
     heapify(heap)
     out = {}
@@ -491,7 +489,7 @@ def divexact(p, d):
         if rem or any(a < b for a, b in zip(_unpack(k, nv, width), lt_e)):
             raise AlgebraError("inexact polynomial division")
         qk = k - lt_k
-        out[qk] = qc
+        out[_unpack(qk, nv, width)] = qc * d.den
         for k2, c2 in rest:
             k3 = qk + k2
             s = r.get(k3)
@@ -504,15 +502,15 @@ def divexact(p, d):
                     r[k3] = s
                 else:
                     del r[k3]
-    return _from_ints(nv, width, {k: c * dden for k, c in out.items()}, g * pden)
+    return Poly._of(nv, out, g * p.den)
 
 
 def poly_gcd(p, q):
     """GCD with primitive integer coefficients, positive grlex leading.
 
-    Both arguments are scaled to primitive integer polynomials and handed
-    to sympy's ring gcd over ZZ (the heuristic gcd of Char, Geddes and
-    Gonnet, with a PRS fallback)."""
+    The primitive integer forms of both arguments go to sympy's ring gcd
+    over ZZ (the heuristic gcd of Char, Geddes and Gonnet, with a PRS
+    fallback)."""
     if p.is_zero():
         return q.unit_normal()
     if q.is_zero():
@@ -520,8 +518,8 @@ def poly_gcd(p, q):
     if p.is_constant() or q.is_constant():
         return Poly.const(p.nvars, 1)
     R = _zz_ring(p.nvars)
-    g = R.from_dict(_primitive_ints(p)).gcd(R.from_dict(_primitive_ints(q)))
-    return Poly._of(p.nvars, {e: Fraction(int(c)) for e, c in g.items()}).unit_normal()
+    g = R.from_dict(p.unit_normal().ints).gcd(R.from_dict(q.unit_normal().ints))
+    return Poly._of(p.nvars, {e: int(c) for e, c in g.items()}).unit_normal()
 
 
 @cache
@@ -530,13 +528,6 @@ def _zz_ring(nvars):
     from sympy.polys.rings import ring
 
     return ring("x:%d" % nvars, ZZ)[0]
-
-
-def _primitive_ints(p):
-    """{exps: int}: p / p.content(), primitive with integer coefficients."""
-    c = p.content()
-    return {e: v.numerator * (c.denominator // v.denominator) // c.numerator
-            for e, v in p.terms.items()}
 
 
 def poly_lcm(p, q):
@@ -734,10 +725,10 @@ class RatFn:
         if self.den.is_constant() and self.den.constant_value() == 1:
             return ns
         ds = self.den.to_string(names)
-        if len(self.num.terms) > 1:
+        if len(self.num.ints) > 1:
             ns = "(%s)" % ns
         # a/x^2 reads back as written, a/x*y as (a/x)*y
-        simple_den = (len(self.den.terms) == 1
+        simple_den = (len(self.den.ints) == 1
                       and self.den.leading_coeff() == 1
                       and sum(map(bool, self.den.leading_term()[0])) == 1)
         if not simple_den:
@@ -758,10 +749,10 @@ class LinearMap2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
-        self.c = _as_fraction(c)
-        self.d = _as_fraction(d)
+        self.a = Fraction(_rational(a))
+        self.b = Fraction(_rational(b))
+        self.c = Fraction(_rational(c))
+        self.d = Fraction(_rational(d))
         if self.det() == 0:
             raise AlgebraError("singular linear map")
 
@@ -811,7 +802,7 @@ class LinearMap2:
         return None
 
     def __mul__(self, s):
-        s = _as_fraction(s)
+        s = _rational(s)
         return LinearMap2(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def __eq__(self, other):
@@ -855,13 +846,14 @@ def factor_list_q(coeffs):
 
 def _dehomogenize(p):
     """(k, work, coeffs) for a nonzero homogeneous BiPoly p = y^k * work,
-    with ``coeffs`` the coefficients of work(x, 1), low to high."""
+    with ``coeffs`` the integer coefficients of work.den * work(x, 1), low
+    to high."""
     if p.is_zero() or not p.is_homogeneous():
         raise AlgebraError("expected a nonzero homogeneous polynomial")
-    y_pow = min(e[1] for e in p.terms)
+    y_pow = min(e[1] for e in p.ints)
     work = p.strip_monomial((0, y_pow))
-    coeffs = [Fraction(0)] * (work.total_degree() + 1)
-    for e, c in work.terms.items():
+    coeffs = [0] * (work.total_degree() + 1)
+    for e, c in work.ints.items():
         coeffs[e[0]] += c
     return y_pow, work, coeffs
 
@@ -885,7 +877,7 @@ def linear_factors_q(p):
             continue
         # root t = a/b of t + fac[0] -> factor b*x - a*y
         a, b = -fac[0].numerator, fac[0].denominator
-        f = Poly(nv, {_ex(nv, 0): Fraction(b), _ex(nv, 1): Fraction(-a)})
+        f = Poly(nv, {_ex(nv, 0): b, _ex(nv, 1): -a})
         factors.append((f, m))
     rem = work
     for f, m in factors:
@@ -893,13 +885,11 @@ def linear_factors_q(p):
             continue  # the y-power was stripped, not divided
         for _ in range(m):
             rem = divexact(rem, f)
+    factors.sort(key=lambda fm: tuple(sorted(fm[0].ints.items())))
     if rem.is_constant():
-        factors.sort(key=lambda fm: tuple(sorted(fm[0].terms.items())))
         return rem.constant_value(), factors, Poly.const(nv, 1)
     scale = rem.content() if rem.leading_coeff() > 0 else -rem.content()
-    rem = rem * (1 / scale)
-    factors.sort(key=lambda fm: tuple(sorted(fm[0].terms.items())))
-    return scale, factors, rem
+    return scale, factors, rem * (1 / scale)
 
 
 def _ex(nvars, i):

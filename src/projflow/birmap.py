@@ -7,6 +7,7 @@ structural equality coincides with equality of maps.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (
     AlgebraError,
@@ -133,13 +134,9 @@ def _normalize_triple(P, Q, L):
     # normalize L to primitive integer entries, first nonzero positive;
     # replacing L by sL requires Q -> sQ to keep the same map
     entries = (L.a, L.b, L.c, L.d)
-    from math import gcd as _igcd
-    num = 0
-    den = 1
-    for e in entries:
-        num = _igcd(num, e.numerator)
-        den = den * e.denominator // _igcd(den, e.denominator)
-    scale = Fraction(den, num)  # L * scale is primitive integer
+    # L * scale is primitive integer
+    scale = Fraction(lcm(*(e.denominator for e in entries)),
+                     gcd(*(e.numerator for e in entries)))
     first = next(e for e in entries if e != 0)
     if first * scale < 0:
         scale = -scale
@@ -147,12 +144,7 @@ def _normalize_triple(P, Q, L):
         L = L * scale
         Q = Q * scale
     # joint content normalization of the pair, sign fixed by P's leading
-    cp = P.content()
-    cq = Q.content()
-    from math import gcd as _igcd2
-    num = _igcd2(cp.numerator, cq.numerator)
-    den = cp.denominator * cq.denominator // _igcd2(cp.denominator, cq.denominator)
-    c = Fraction(num, den)
+    c = Fraction(gcd(*P.ints.values(), *Q.ints.values()), lcm(P.den, Q.den))
     if P.leading_coeff() < 0:
         c = -c
     if c != 1:

@@ -20,12 +20,10 @@ from .algebra import (
     VerificationFailed,
     LinearMap2,
     linear_factors_q,
-    poly_gcd,
 )
 from .flowcore import (
     Flow,
     VectorField,
-    LevelResult,
     HyperboloidPoint,
     check_boundary,
     exact_isqrt,
@@ -114,13 +112,6 @@ class NonIntegerLevel(Verdict):
 
     def __init__(self, delta_squared):
         self.delta_squared = delta_squared
-
-
-class NeedsRationalRootVerdict(Verdict):
-    kind = "NeedsRationalRoot"
-
-    def __init__(self, blocking_poly):
-        self.blocking_poly = blocking_poly
 
 
 class NonRational(Verdict):

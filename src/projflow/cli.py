@@ -13,14 +13,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import (AlgebraError, IdenticallySingular, NeedsRationalRoot,
-                      Poly)
-from .flowcore import (DegenerateJacobian, Flow, VectorField, check_boundary,
+from .algebra import AlgebraError, IdenticallySingular, NeedsRationalRoot
+from .flowcore import (DegenerateJacobian, Flow, check_boundary,
                        level_of, vector_field, verify_translation, verify_pde,
                        zeros_poles, is_i0_symmetric)
-from .parser import (ParseError, parse_flow, parse_input, parse_vector_field,
+from .parser import (ParseError, parse_flow, parse_input,
                      print_flow, print_vector_field)
-from .series import expand_from_vf, expand_flow, diagonal_series
+from .series import expand_from_vf, diagonal_series
 from . import classify as _cl
 from .render import orbit_points, orbit_svg, vector_field_csv
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
-    NeedsRationalRoot,
     Poly,
     RatFn,
     VerificationFailed,
@@ -226,14 +225,15 @@ def rational_solutions(ode):
     for k in range(ncols):
         mono = x ** k
         img = P * (mono.derivative(0) * den - mono * dden_p) + Q * mono * den
-        images.append(img)
+        images.append(img.terms)
         maxdeg = max(maxdeg, img.total_degree())
     maxdeg = max(maxdeg, rhs_poly.total_degree())
+    rhs_terms = rhs_poly.terms
     rows = []
     rhs = []
     for d in range(maxdeg + 1):
-        rows.append([img.terms.get((d,), Fraction(0)) for img in images])
-        rhs.append(rhs_poly.terms.get((d,), Fraction(0)))
+        rows.append([img.get((d,), Fraction(0)) for img in images])
+        rhs.append(rhs_terms.get((d,), Fraction(0)))
     particular, nullspace = _solve_linear_system(rows, rhs, ncols)
 
     def build(vec):

@@ -12,10 +12,8 @@ from projflow import (
     HomBir,
     LinearMap2,
     NonRationalGenus1,
-    PHatValue,
     Poly,
     PseudoLog,
-    QuadVF,
     RatFn,
     RationalFlow,
     VectorField,

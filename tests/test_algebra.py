@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,23 @@ def test_mul_and_divexact_match_sympy(triple):
             divexact(c, b)
     else:
         assert divexact(c, b) == _from_ring(q, c.nvars)
+
+
+@given(poly_triples(), st.integers(-6, 6), st.integers(1, 5))
+@settings(max_examples=80, deadline=2000)
+def test_results_are_in_normal_form(triple, n, d):
+    # ints / den in lowest terms with den > 0, so that equality is structural
+    a, b, c = triple
+    results = [a + b, a - b, a * b, a * Fraction(n, d), a.derivative(0),
+               a.eval_hom([b, c, a][: a.nvars], c), a.unit_normal(),
+               a.strip_monomial(a.monomial_content())]
+    results += a.homogeneous_parts().values()
+    if not b.is_zero():
+        results.append(divexact(a * b, b))
+    for p in results:
+        assert p.den > 0 and gcd(p.den, *p.ints.values()) == 1
+        assert all(p.ints.values())
+        assert p == Poly(p.nvars, p.terms)
 
 
 @st.composite

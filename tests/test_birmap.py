@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from projflow import (
-    Flow,
     HomBir,
     LinearMap2,
     Poly,

@@ -28,6 +28,7 @@ from projflow import (
     canonical_flow,
     canonicalize,
     classify_degenerate,
+    classify_vf,
     conjugate_flow,
     conjugate_vf,
     dual,
@@ -203,11 +204,13 @@ def test_classify_degenerate_zero_flow():
     assert (res.c, res.A, res.B) == (0, 0, 0)
 
 
-def test_canonicalize_pseudolog():
-    vf = VectorField(-X * X - X * Y, -Y * Y)
-    f = None
-    res = univariate_classify(QuadVF(-1, -1, 0))
+def test_canonicalize_pseudolog(capsys):
+    res = classify_vf(VectorField(-X * X - X * Y, -Y * Y))
     assert isinstance(res, PseudoLog)
+    assert res.ell_to_normal_form == HomBir.identity()
+    assert isinstance(univariate_classify(QuadVF(-1, -1, 0)), PseudoLog)
+    assert main(["classify", "(-x^2 - x*y, -y^2)", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PseudoLog"
 
 
 def test_canonicalize_non_integer_level():

@@ -21,7 +21,6 @@ from projflow import (
     solve_differ,
     vector_field,
     canonical_flow,
-    lookup,
 )
 from projflow import odesolve
 
