@@ -780,17 +780,10 @@ class LinearMap2:
             self.c * other.b + self.d * other.d,
         )
 
-    def apply_point(self, x, y):
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
     def coord_polys(self, nvars=2):
         x = Poly.var(0, nvars)
         y = Poly.var(1, nvars)
         return (x * self.a + y * self.b, x * self.c + y * self.d)
-
-    def coord_ratfns(self, nvars=2):
-        p1, p2 = self.coord_polys(nvars)
-        return (RatFn(p1), RatFn(p2))
 
     def is_identity(self):
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)

@@ -56,10 +56,6 @@ class HomBir:
         return cls(one, one, L)
 
     @classmethod
-    def radial(cls, P, Q):
-        return cls(P, Q, LinearMap2.identity())
-
-    @classmethod
     def from_A(cls, A):
         """Radial map xA, yA for a 0-homogenic rational A."""
         if A.homogeneity_degree() != 0:
@@ -165,25 +161,30 @@ def conjugate_flow(f, a):
 
 
 def conjugate_vf_linear(vf, L):
-    """Vector field of L^{-1} o phi o L."""
-    lx, ly = L.coord_ratfns()
-    wl = vf.w.subs([lx, ly])
-    rl = vf.r.subs([lx, ly])
+    """Vector field of L^{-1} o phi o L: (P, Q, D) o L, then L^{-1} on (P, Q)."""
+    args = L.coord_polys()
+    P, Q, D = (f.subs_polys(args) for f in (vf.P, vf.Q, vf.D))
     li = L.inverse()
-    return VectorField(wl * li.a + rl * li.b, wl * li.c + rl * li.d)
+    return VectorField.of(P * li.a + Q * li.b, P * li.c + Q * li.d, D)
 
 
 def conjugate_vf_radial(vf, A):
-    """Vector field of ell_{P,Q}^{-1} o phi o ell_{P,Q} with A = P/Q."""
+    """Vector field of ell_{P,Q}^{-1} o phi o ell_{P,Q} with A = P/Q.
+
+    The field is (A w - A_y s, A r + A_x s) with s = x r - y w; for A = a/b
+    it has the numerators a b P - (a_y b - a b_y) S and
+    a b Q + (a_x b - a b_x) S over b^2 D, where S = x Q - y P.
+    """
     if isinstance(A, Poly):
         A = RatFn(A)
     if not A.is_zero() and A.homogeneity_degree() != 0:
         raise AlgebraError("A must be 0-homogenic")
-    x, y = RatFn.var(0, 2), RatFn.var(1, 2)
-    s = x * vf.r - y * vf.w
-    w2 = A * vf.w - A.derivative(1) * s
-    r2 = A * vf.r + A.derivative(0) * s
-    return VectorField(w2, r2)
+    a, b = A.num, A.den
+    P, Q, D = vf.P, vf.Q, vf.D
+    S = Poly.var(0, 2) * Q - Poly.var(1, 2) * P
+    ab = a * b
+    Ax, Ay = (a.derivative(i) * b - a * b.derivative(i) for i in (0, 1))
+    return VectorField.of(ab * P - Ay * S, ab * Q + Ax * S, b * b * D)
 
 
 def conjugate_vf(vf, a):

@@ -159,9 +159,8 @@ class QuadVF:
         return (self.V + 1) ** 2 - 4 * self.U * self.W
 
     def vector_field(self):
-        w = Poly(2, {k: c for k, c in (
-            ((2, 0), self.U), ((1, 1), self.V), ((0, 2), self.W)) if c})
-        return VectorField(_rf(w), _rf(Poly(2, {(0, 2): Fraction(-1)})))
+        return VectorField(self.U * X * X + self.V * X * Y + self.W * Y * Y,
+                           -Y * Y)
 
     def __eq__(self, other):
         if isinstance(other, QuadVF):
@@ -184,19 +183,22 @@ def canonical_flow(N):
     return Flow(u, _rf(Y, yp1))
 
 
+_QUADRATIC = ((2, 0), (1, 1), (0, 2))
+
+
+def _coeffs(p, exps=_QUADRATIC):
+    """The coefficients of p at ``exps``, by default those of x^2, xy, y^2.
+
+    A field with a constant denominator has D = 1, so its P and Q are its
+    w and r and their coefficients are read here directly."""
+    return [Fraction(p.ints.get(e, 0), p.den) for e in exps]
+
+
 def _quad_uvw(vf):
     """Read (U, V, W) off a univariate-form vector field, or None."""
-    if not vf.r.den.is_constant() or not vf.w.den.is_constant():
+    if not vf.D.is_constant() or vf.Q != -Y * Y:
         return None
-    r = vf.r.num * vf.r.den.constant_value() ** -1
-    if r.terms != {(0, 2): Fraction(-1)}:
-        return None
-    w = vf.w.num * vf.w.den.constant_value() ** -1
-    if any(k not in ((2, 0), (1, 1), (0, 2)) for k in w.terms):
-        return None
-    return QuadVF(w.terms.get((2, 0), Fraction(0)),
-                  w.terms.get((1, 1), Fraction(0)),
-                  w.terms.get((0, 2), Fraction(0)))
+    return QuadVF(*_coeffs(vf.P))
 
 
 class _Chain:
@@ -336,9 +338,8 @@ def _roots_of(poly):
     scale, factors, remainder = linear_factors_q(poly)
     roots = []
     for fac, mult in factors:
-        b = fac.terms.get((1, 0), Fraction(0))
-        a = -fac.terms.get((0, 1), Fraction(0))
-        roots.append(((a, b), mult))
+        b, a = _coeffs(fac, ((1, 0), (0, 1)))
+        roots.append(((-a, b), mult))
     return roots, remainder
 
 
@@ -393,7 +394,7 @@ def _linear_candidates(P, Q, D):
 
 
 def _radial_candidates(vf1):
-    P1, Q1, D1 = vf1.common_form()
+    P1, Q1, D1 = vf1.P, vf1.Q, vf1.D
     droots, drem = _roots_of(D1)
     bass1 = P1 * Q1.derivative(0) - P1.derivative(0) * Q1
     cross = Y * P1 - X * Q1
@@ -419,7 +420,7 @@ def reduce_denominator_step(vf):
     """One strict reduction of the common-denominator degree, as a pair
     (linear change, radial conjugation); returns the new field and the
     applied pieces."""
-    P, Q, D = vf.common_form()
+    P, Q, D = vf.P, vf.Q, vf.D
     if D.total_degree() == 0:
         return AlreadyQuadratic()
     if _is_proportional(P, Q):
@@ -436,13 +437,13 @@ def reduce_denominator_step(vf):
             blocked.append(drem)
         for A in cands:
             vf2 = conjugate_vf_radial(vf1, A)
-            P2, Q2, D2 = vf2.common_form()
+            P2, Q2, D2 = vf2.P, vf2.Q, vf2.D
             if D2.total_degree() < d0:
                 return {"vf": vf2, "applied": [(L, A)]}
             # two-stage maneuver: keep degree but introduce a y-factor
             if (D2.total_degree() == d0 and not _is_proportional(P2, Q2)
-                    and D2.terms and all(k[1] >= 1 for k in D2.terms)
-                    and not all(k[1] >= 1 for k in D.terms)):
+                    and all(k[1] >= 1 for k in D2.ints)
+                    and not all(k[1] >= 1 for k in D.ints)):
                 for L2 in _linear_candidates(P2, Q2, D2):
                     try:
                         vf3 = conjugate_vf_linear(vf2, L2)
@@ -451,7 +452,7 @@ def reduce_denominator_step(vf):
                     cands2, _rem2 = _radial_candidates(vf3)
                     for A2 in cands2:
                         vf4 = conjugate_vf_radial(vf3, A2)
-                        if vf4.common_form()[2].total_degree() < d0:
+                        if vf4.D.total_degree() < d0:
                             return {"vf": vf4,
                                     "applied": [(L, A), (L2, A2)]}
     raise NeedsRationalRoot(blocked[0] if blocked else D)
@@ -463,24 +464,19 @@ def step2_obstruction(vf):
     """Quadratic-form field with r = 0: rational only for w = z x^2 or
     w = z y^2; otherwise the flow is exp/tan-type.  A field (w, r) with w
     and r proportional is first taken to r = 0 by a linear change."""
-    if not vf.r.is_zero():
-        if vf.w.is_zero():
+    if not vf.Q.is_zero():
+        if vf.P.is_zero():
             vf = conjugate_vf_linear(vf, LinearMap2.swap())
         else:
-            lam = vf.r / vf.w
-            if not (lam.num.is_constant() and lam.den.is_constant()):
+            lam = vf.Q.leading_coeff() / vf.P.leading_coeff()
+            if vf.Q != vf.P * lam:
                 raise AlgebraError("expected r = 0 or r proportional to w")
-            vf = conjugate_vf_linear(
-                vf, LinearMap2(1, 0, lam.constant_value(), 1))
-    q = vf.w
-    if q.is_zero():
+            vf = conjugate_vf_linear(vf, LinearMap2(1, 0, lam, 1))
+    if vf.P.is_zero():
         return Identity()
-    if not q.den.is_constant():
+    if not vf.D.is_constant():
         raise AlgebraError("expected a polynomial quadratic form")
-    w = q.num * (1 / q.den.constant_value())
-    U = w.terms.get((2, 0), Fraction(0))
-    V = w.terms.get((1, 1), Fraction(0))
-    W = w.terms.get((0, 2), Fraction(0))
+    U, V, W = _coeffs(vf.P)
     disc = V * V - 4 * U * W
     if U == 0 and V == 0:
         # w = W y^2:  u = x + W y^2
@@ -510,19 +506,11 @@ _EXCEPTIONAL = {
     (-2, -5): ((-1, -2), 6), (-1, -5): ((-1, -2), 6),
 }
 
-_BASE_ORBITS = {
-    (-2, -2): ("x*y*(x-y)", 3),
-    (-3, -3): ("x*y*(x-y)^2", 4),
-    (-1, -2): ("(3*x-2*y)*x^3*y^2", 6),
-}
-
 
 def _as_quadratic(p):
     if isinstance(p, RatFn):
-        if not p.den.is_constant():
-            raise AlgebraError("expected polynomial quadratic form")
-        p = p.num * (1 / p.den.constant_value())
-    if any(sum(e) != 2 for e in p.terms):
+        p = p.as_poly()
+    if any(sum(e) != 2 for e in p.ints):
         raise AlgebraError("expected a quadratic form")
     return p
 
@@ -542,13 +530,13 @@ def quadratic_classify(P, Q):
     if len(roots) == 1 and roots[0][1] == 3:
         return _cube_case(P, Q, roots[0][0])
     # two distinct root directions give the triangular shape
+    vf = VectorField(P, Q)
     for (a, c), _m in roots:
         for (b, d), _m2 in roots:
             if a * d - b * c == 0:
                 continue
-            L = LinearMap2(a, b, c, d)
-            vf1 = conjugate_vf_linear(VectorField(_rf(P), _rf(Q)), L)
-            res = _triangular_case(vf1, VectorField(_rf(P), _rf(Q)))
+            res = _triangular_case(
+                conjugate_vf_linear(vf, LinearMap2(a, b, c, d)), vf)
             if res is None:
                 continue
             if isinstance(res, dict) and res.get("kind") == "univariate":
@@ -569,15 +557,11 @@ def _cube_case(P, Q, root):
         L = LinearMap2(1, a_, 0, b_)
     else:
         L = LinearMap2(0, a_, 1, 0)
-    vf1 = conjugate_vf_linear(VectorField(_rf(P), _rf(Q)), L)
-    P1 = vf1.w.num * (1 / vf1.w.den.constant_value())
-    Q1 = vf1.r.num * (1 / vf1.r.den.constant_value())
-    cubic1 = Y * P1 - X * Q1
-    if any(k != (3, 0) for k in cubic1.terms):
+    vf1 = conjugate_vf_linear(VectorField(P, Q), L)
+    if any(k != (3, 0) for k in (Y * vf1.P - X * vf1.Q).ints):
         raise VerificationFailed("cube normalization failed")
-    a = P1.terms.get((2, 0), Fraction(0))
-    b = P1.terms.get((1, 1), Fraction(0))
-    if P1.terms.get((0, 2), Fraction(0)) != 0:
+    a, b, c = _coeffs(vf1.P)
+    if c != 0:
         raise VerificationFailed("unexpected y^2 term in the cube case")
     if b != 0:
         return NonRational("log_cube",
@@ -590,17 +574,12 @@ def _cube_case(P, Q, root):
 
 def _triangular_case(vf1, vf0):
     """vf1 = (a'x^2 + b'xy, c'xy + d'y^2) after the root-pair conjugation."""
-    if not (vf1.w.den.is_constant() and vf1.r.den.is_constant()):
+    if not vf1.D.is_constant():
         return None
-    P1 = vf1.w.num * (1 / vf1.w.den.constant_value())
-    Q1 = vf1.r.num * (1 / vf1.r.den.constant_value())
-    if P1.terms.get((0, 2), Fraction(0)) != 0 or \
-            Q1.terms.get((2, 0), Fraction(0)) != 0:
+    a, b, p02 = _coeffs(vf1.P)
+    q20, c, d = _coeffs(vf1.Q)
+    if p02 != 0 or q20 != 0:
         return None
-    a = P1.terms.get((2, 0), Fraction(0))
-    b = P1.terms.get((1, 1), Fraction(0))
-    c = Q1.terms.get((1, 1), Fraction(0))
-    d = Q1.terms.get((0, 2), Fraction(0))
     if c == 0 and d == 0:
         return {"kind": "step2"}
     if a == 0 and b == 0:
@@ -744,13 +723,13 @@ def classify_vf(vf):
 def _classify_by_form(vf):
     """The verdict of ``classify_vf`` up to Steps I-III: None when the
     field has no rational univariate form."""
-    if vf.w.is_zero() and vf.r.is_zero():
+    if vf.P.is_zero() and vf.Q.is_zero():
         return Identity()
     lvl = level_of(vf)
     if lvl.tag == "NonIntegerSquare" and lvl.value != 0:
         return NonIntegerLevel(lvl.value)
     if lvl.tag == "Level" and lvl.n == 0:
-        J = vf.w / _rf(X)  # w = x J and r = y J
+        J = RatFn(vf.P, X * vf.D)  # w = x J and r = y J
         return RationalFlow(0, HomBir.from_A(_rf(-Y) / J), _rf(X, Y), None)
     try:
         q, ell, _basis = _univariate_form(vf)
@@ -771,12 +750,12 @@ def _name_obstruction(vf):
     """Steps I-III on a field with no rational univariate form: clear its
     denominator, then read the obstruction off the quadratic form.  Their
     rational outcomes cannot occur on such a field."""
-    while not (vf.w.den.is_constant() and vf.r.den.is_constant()):
+    while not vf.D.is_constant():
         step = reduce_denominator_step(vf)
         if isinstance(step, Obstruction):
             return NonRational("obstruction", detail=step)
         vf = step["vf"]
-    out = quadratic_classify(vf.w, vf.r)
+    out = quadratic_classify(vf.P, vf.Q)
     if isinstance(out, dict) and out["kind"] == "step2":
         out = step2_obstruction(vf)
     if not isinstance(out, Verdict):
@@ -993,92 +972,85 @@ class ZooEntry:
         return "ZooEntry(%s, level=%d)" % (self.name, self.level)
 
 
-def _W(num, den=None):
-    return _rf(num, den)
-
-
 def zoo():
     """All catalogue flows with their expected invariants."""
     half = Fraction(1, 2)
     entries = []
 
     def add(name, flow, level, orbit, vfpair, coords, zp):
-        w, r = vfpair
-        entries.append(ZooEntry(name, flow, level, orbit,
-                                VectorField(_rf(w) if not isinstance(w, RatFn) else w,
-                                            _rf(r) if not isinstance(r, RatFn) else r),
+        entries.append(ZooEntry(name, flow, level, orbit, VectorField(*vfpair),
                                 coords, zp[0], zp[1]))
 
     xy1 = X + Y + 1
-    add("phi_pr", Flow(_rf(X, xy1), _rf(Y, xy1)), 0, _W(X, Y),
+    add("phi_pr", Flow(_rf(X, xy1), _rf(Y, xy1)), 0, _rf(X, Y),
         (-X * (X + Y), -Y * (X + Y)), None, (1, 0))
     d01 = X * X * Y + X * Y * Y + X * X + Y * Y
     add("phi0_1", Flow(_rf(X * (X * X + Y * Y), d01),
-                       _rf(Y * (X * X + Y * Y), d01)), 0, _W(X, Y),
+                       _rf(Y * (X * X + Y * Y), d01)), 0, _rf(X, Y),
         (_rf(-X * X * Y * (X + Y), X * X + Y * Y),
          _rf(-X * Y * Y * (X + Y), X * X + Y * Y)), None, (3, 0))
     d02 = X * X + Y
-    add("phi0_2", Flow(_rf(X * Y, d02), _rf(Y * Y, d02)), 0, _W(X, Y),
+    add("phi0_2", Flow(_rf(X * Y, d02), _rf(Y * Y, d02)), 0, _rf(X, Y),
         (_rf(-X ** 3, Y), _rf(-X * X)), None, (2, 1))
     d03 = X * Y + X + Y
     add("phi0_3", Flow(_rf(X * (X + Y), d03), _rf(Y * (X + Y), d03)), 0,
-        _W(X, Y),
+        _rf(X, Y),
         (_rf(-X * X * Y, X + Y), _rf(-X * Y * Y, X + Y)), None, (2, 1))
 
     sq = (X - Y) ** 2
-    add("phi_sph_inf", Flow(_rf(sq + X), _rf(sq + Y)), 1, _W(X - Y),
+    add("phi_sph_inf", Flow(_rf(sq + X), _rf(sq + Y)), 1, _rf(X - Y),
         (sq, sq), PHatValue(Fraction(1)), (2, 0))
     dsph = (X + 1) ** 2 + (Y + 1) ** 2
     add("phi_sph_1", Flow(_rf(X * X + Y * Y + 2 * X, dsph),
                           _rf(X * X + Y * Y + 2 * Y, dsph)), 1,
-        _W(X * X + Y * Y, X - Y),
+        _rf(X * X + Y * Y, X - Y),
         (-half * X * X + half * Y * Y - X * Y,
          half * X * X - half * Y * Y - X * Y), PHatValue(Fraction(1)), (0, 0))
-    add("phi_tor_inf", Flow(_rf(X), _rf(Y, Y + 1)), 1, _W(X),
+    add("phi_tor_inf", Flow(_rf(X), _rf(Y, Y + 1)), 1, _rf(X),
         (Poly.zero(2), -Y * Y), PHatValue(Fraction(0)), (2, 0))
     add("phi_tor_1", Flow(_rf(X, X + 1), _rf(Y, Y + 1)), 1,
-        _W(X * Y, X - Y), (-X * X, -Y * Y), PHatValue(Fraction(1)), (0, 0))
+        _rf(X * Y, X - Y), (-X * X, -Y * Y), PHatValue(Fraction(1)), (0, 0))
     n11 = X * X + Y * Y * X + Y ** 3
     add("phi1_1", Flow(_rf(n11 ** 2, (Y * Y + X) * X * X),
                        _rf(Y * n11, X * (Y * Y + X))), 1,
-        _W((X + Y) * Y, X),
+        _rf((X + Y) * Y, X),
         (_rf(Y * Y * (X + 2 * Y), X), _rf(Y ** 4, X * X)),
         PHatValue(Fraction(0)), (2, 2))
-    add("Psi", _Psi(), 1, _W(X * Y, X - Y),
+    add("Psi", _Psi(), 1, _rf(X * Y, X - Y),
         (_rf(X * X * (X + Y) ** 2, (X - Y) ** 2),
          _rf(Y * Y * (X + Y) ** 2, (X - Y) ** 2)),
         PHatValue(Fraction(-1)), (2, 2))
-    add("Phi_1", _Phi(1), 1, _W((X + Y) ** 2, X - Y),
+    add("Phi_1", _Phi(1), 1, _rf((X + Y) ** 2, X - Y),
         (-3 * half * X * X - X * Y + half * Y * Y,
          half * X * X - X * Y - 3 * half * Y * Y),
         PHatValue(Fraction(1)), (1, 0))
-    add("Phi_1_prime", _Phi(-1), 1, _W(X - Y),
+    add("Phi_1_prime", _Phi(-1), 1, _rf(X - Y),
         (-half * (X + Y) ** 2, -half * (X + Y) ** 2),
         PHatValue(Fraction(-1)), (2, 0))
-    add("phi_-1", canonical_flow(-1), 1, _W(Y * Y, X),
+    add("phi_-1", canonical_flow(-1), 1, _rf(Y * Y, X),
         (-2 * X * Y, -Y * Y), PHatValue(None), (1, 0))
 
-    add("phi_2", canonical_flow(2), 2, _W(X * Y),
+    add("phi_2", canonical_flow(2), 2, _rf(X * Y),
         (X * Y, -Y * Y), HyperboloidPoint(0, 1, 0, 2), (1, 0))
     add("phi2_1", Flow(_rf((Y * Y + X) ** 3, X * X),
-                       _rf(Y * (Y * Y + X), X)), 2, _W(Y ** 3, X),
+                       _rf(Y * (Y * Y + X), X)), 2, _rf(Y ** 3, X),
         (_rf(3 * Y * Y), _rf(Y ** 3, X)), HyperboloidPoint(0, 1, 0, 2),
         (2, 1))
     d22 = X * X + X * Y + 2 * X + 1
     add("phi2_2", Flow(_rf(X * xy1, d22), _rf(Y, d22 * xy1)), 2,
-        _W((X + Y) ** 2 * X, Y),
+        _rf((X + Y) ** 2 * X, Y),
         (-X * X + X * Y, -3 * X * Y - Y * Y), HyperboloidPoint(0, 1, 0, 2),
         (0, 0))
     n23 = Y * Y + X
     d23 = X + 2 * X * Y + Y ** 3
     add("phi2_3", Flow(_rf(n23 ** 3, d23 ** 2), _rf(Y * n23, d23)), 2,
-        _W(Y ** 4, X * (X - Y)),
+        _rf(Y ** 4, X * (X - Y)),
         (-4 * X * Y + 3 * Y * Y, _rf(Y ** 3 - 2 * X * Y * Y, X)),
         HyperboloidPoint(-2, 1, 0, 2), (1, 1))
-    add("Phi_2", _Phi(2), 2, _W((X + Y) ** 3, X - Y),
+    add("Phi_2", _Phi(2), 2, _rf((X + Y) ** 3, X - Y),
         (-2 * X * X - X * Y + Y * Y, X * X - X * Y - 2 * Y * Y),
         HyperboloidPoint(-1, -1, 1, 2), (1, 0))
-    add("phi_3", canonical_flow(3), 3, _W(X * Y * Y),
+    add("phi_3", canonical_flow(3), 3, _rf(X * Y * Y),
         (2 * X * Y, -Y * Y), HyperboloidPoint(0, 2, 0, 3), (1, 0))
     return entries
 

@@ -1,5 +1,10 @@
 """Flows and vector fields: translation-equation verification, boundary
-condition, PDE system, level computation, zeros-poles census, symmetry."""
+condition, PDE system, level computation, zeros-poles census, symmetry.
+
+A vector field is stored over one denominator, w = P/D and r = Q/D, in a
+normal form (D unit-normal, gcd(P, Q, D) = 1).  Every operation on fields
+computes on the polynomials P, Q and D and normalizes its result once, with
+``VectorField.of``."""
 from __future__ import annotations
 
 import random
@@ -12,7 +17,6 @@ from .algebra import (
     RatFn,
     count_real_projective_roots,
     poly_gcd,
-    poly_lcm,
     divexact,
 )
 
@@ -66,41 +70,64 @@ class Flow:
 
 
 class VectorField:
-    """The 2-homogenic pair (w, r) = d/dz [phi(xz, yz)/z] at z = 0."""
+    """The 2-homogenic pair (w, r) = d/dz [phi(xz, yz)/z] at z = 0.
 
-    __slots__ = ("w", "r")
+    Stored over one denominator: w = P/D and r = Q/D, with D unit-normal and
+    gcd(P, Q, D) = 1, so equal fields have equal (P, Q, D).  ``w`` and ``r``
+    are reduced afresh on each read.
+    """
+
+    __slots__ = ("P", "Q", "D")
 
     def __init__(self, w, r):
-        if isinstance(w, Poly):
-            w = RatFn(w)
-        if isinstance(r, Poly):
-            r = RatFn(r)
-        for f in (w, r):
-            if not f.is_zero() and f.homogeneity_degree() != 2:
-                raise AlgebraError("vector field coordinates must be 2-homogenic")
-        self.w = w
-        self.r = r
+        w, r = (RatFn(f) if isinstance(f, Poly) else f for f in (w, r))
+        self._set(w.num * r.den, r.num * w.den, w.den * r.den)
+
+    @classmethod
+    def of(cls, P, Q, D):
+        """The field (P/D, Q/D) for polynomials P, Q and D != 0."""
+        vf = object.__new__(cls)
+        vf._set(P, Q, D)
+        return vf
+
+    def _set(self, P, Q, D):
+        if D.is_zero():
+            raise ZeroDivisionError("zero denominator polynomial")
+        if P.is_zero() and Q.is_zero():
+            D = Poly.const(D.nvars, 1)
+        g = poly_gcd(poly_gcd(D, P), Q)
+        if not g.is_constant():
+            P, Q, D = divexact(P, g), divexact(Q, g), divexact(D, g)
+        c = D.content()
+        if D.leading_coeff() < 0:
+            c = -c
+        if c != 1:
+            P, Q, D = P * (1 / c), Q * (1 / c), D * (1 / c)
+        d = D.total_degree() + 2
+        if not (D.is_homogeneous() and all(
+                f.is_zero() or f.is_homogeneous() and f.total_degree() == d
+                for f in (P, Q))):
+            raise AlgebraError("vector field coordinates must be 2-homogenic")
+        self.P, self.Q, self.D = P, Q, D
+
+    @property
+    def w(self):
+        return RatFn(self.P, self.D)
+
+    @property
+    def r(self):
+        return RatFn(self.Q, self.D)
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.w == other.w and self.r == other.r
+        return self.P == other.P and self.Q == other.Q and self.D == other.D
 
     def __hash__(self):
-        return hash((self.w, self.r))
+        return hash((self.P, self.Q, self.D))
 
     def __repr__(self):
         return "VectorField(%s, %s)" % (self.w.to_string(), self.r.to_string())
-
-    def radial_part(self):
-        """x*r - y*w, the obstruction to level 0."""
-        return _rx() * self.r - _ry() * self.w
-
-    def common_form(self):
-        """(P, Q, D): polynomials with w = P/D, r = Q/D and D unit-normal."""
-        D = poly_lcm(self.w.den, self.r.den)
-        return (self.w.num * divexact(D, self.w.den),
-                self.r.num * divexact(D, self.r.den), D)
 
 
 class LevelResult:
@@ -109,17 +136,13 @@ class LevelResult:
     __slots__ = ("tag", "n", "value")
 
     def __init__(self, tag, n=None, value=None):
-        self.tag = tag  # IdentityFlow | Level | NonIntegerSquare | Indeterminate
+        self.tag = tag  # Level | NonIntegerSquare | Indeterminate
         self.n = n
         self.value = value
 
     @classmethod
     def level(cls, n):
         return cls("Level", n=n)
-
-    @classmethod
-    def identity(cls):
-        return cls("IdentityFlow")
 
     @classmethod
     def non_integer_square(cls, value):
@@ -188,14 +211,15 @@ def _lowest_part_ratio(f):
 
 def _coord_jets(f, K):
     """Exact z-expansion of f(xz, yz)/z to K terms for one coordinate of a
-    map that satisfies the boundary condition.
+    map that satisfies the boundary condition, as numerators over powers of
+    one polynomial: returns (nums, pows), the k-th jet being
+    nums[k-1] / pows[k-1] with pows[k-1] = b_m^(k-1).
 
     With f = a/b split into homogeneous parts a_i, b_i and m the lowest
     degree in b, the coefficient of z^(k-1) is
     c_k = (a_(m+k) - sum_(j<k) c_j b_(m+k-j)) / b_m, and c_1 = a_(m+1)/b_m
     is x or y.  The recurrence runs on the numerators N_k = c_k b_m^(k-1):
-    N_k = a_(m+k) b_m^(k-2) - sum_(j<k) N_j b_(m+k-j) b_m^(k-1-j), so each
-    jet is reduced once, as N_k / b_m^(k-1).
+    N_k = a_(m+k) b_m^(k-2) - sum_(j<k) N_j b_(m+k-j) b_m^(k-1-j).
     """
     nparts = f.num.homogeneous_parts()
     dparts = f.den.homogeneous_parts()
@@ -214,7 +238,7 @@ def _coord_jets(f, K):
             if part is not None:
                 acc = acc - nums[j - 1] * part * pows[k - 1 - j]
         nums.append(acc)
-    return [RatFn(n, p) for n, p in zip(nums[:K], pows)]
+    return nums[:K], pows
 
 
 def check_boundary(f):
@@ -363,7 +387,8 @@ def vector_field(f):
     field at z = 0.  Any other map goes through ``_jacobian_field``.
     """
     if check_boundary(f):
-        return VectorField(_coord_jets(f.u, 2)[1], _coord_jets(f.v, 2)[1])
+        (u, (_, bu)), (v, (_, bv)) = _coord_jets(f.u, 2), _coord_jets(f.v, 2)
+        return VectorField.of(u[1] * bv, v[1] * bu, bu * bv)
     return _jacobian_field(f)
 
 
@@ -372,16 +397,12 @@ def _jacobian_field(f):
 
     Works on polynomial numerators throughout: with u = a/b, v = c/d the
     shared denominator b^2 d^2 of the derivative combinations and of J
-    cancels, leaving a single reduction per coordinate.
+    cancels, leaving the field ((E + x J)/J, (F + y J)/J).
     """
     E, F, Jn = _first_derivatives(f)[4:]
     if Jn.is_zero():
         raise DegenerateJacobian("Jacobian vanishes identically")
-    x = Poly.var(0, 2)
-    y = Poly.var(1, 2)
-    w = RatFn(E + x * Jn, Jn)
-    r = RatFn(F + y * Jn, Jn)
-    return VectorField(w, r)
+    return VectorField.of(E + Poly.var(0, 2) * Jn, F + Poly.var(1, 2) * Jn, Jn)
 
 
 def verify_pde(f):
@@ -441,16 +462,22 @@ def exact_isqrt(fr):
 
 
 def level_of(vf):
-    """Level criterion on the vector field."""
-    x, y = _rx(), _ry()
-    S = y * vf.w - x * vf.r
-    if S.is_zero():
+    """Level criterion on the vector field, from S = y w - x r = T/D with
+    T = y P - x Q.
+
+    It reads the ratio of S_x = y w_x - x r_x and S_y = y w_y - x r_y, whose
+    numerators over D^2 are D (y P_i - x Q_i) - D_i T.
+    """
+    P, Q, D = vf.P, vf.Q, vf.D
+    x, y = Poly.var(0, 2), Poly.var(1, 2)
+    T = y * P - x * Q
+    if T.is_zero():
         return LevelResult.level(0)
-    Sx = y * vf.w.derivative(0) - x * vf.r.derivative(0)
-    Sy = y * vf.w.derivative(1) - x * vf.r.derivative(1)
+    Sx, Sy = (D * (y * P.derivative(i) - x * Q.derivative(i))
+              - D.derivative(i) * T for i in (0, 1))
     if Sx.is_zero() or Sy.is_zero():
         return LevelResult.level(1)
-    ratio = Sy / Sx
+    ratio = RatFn(Sy, Sx)
     lf = _linear_form_pair(ratio)
     if lf is None:
         return LevelResult.indeterminate()
@@ -469,9 +496,9 @@ def level_of(vf):
 
 def zeros_poles(vf):
     """Real projective zeros and poles of the vector field, with multiplicity."""
-    if vf.w.is_zero() and vf.r.is_zero():
+    n1, n2, den = vf.P, vf.Q, vf.D
+    if n1.is_zero() and n2.is_zero():
         return (0, 0)
-    n1, n2, den = vf.common_form()
     if n1.is_zero():
         g = n2.unit_normal()
     elif n2.is_zero():

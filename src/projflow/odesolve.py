@@ -257,18 +257,20 @@ def rational_solutions(ode):
 
 # -- the flow-specific equations ------------------------------------------
 
+def _on_y1(p):
+    """2-variable polynomial p(x, y) -> univariate p(x, 1)."""
+    terms = {}
+    for (i, j), c in p.terms.items():
+        terms[(i,)] = terms.get((i,), Fraction(0)) + c
+    return Poly(1, terms)
+
+
 def dehomogenize(f):
     """2-variable rational f(x, y) -> univariate f(x, 1)."""
-    def conv(p):
-        terms = {}
-        for (i, j), c in p.terms.items():
-            terms[(i,)] = terms.get((i,), Fraction(0)) + c
-        return Poly(1, terms)
-    num = conv(f.num)
-    den = conv(f.den)
+    den = _on_y1(f.den)
     if den.is_zero():
         raise AlgebraError("denominator vanishes on y = 1")
-    return RatFn(num, den)
+    return RatFn(_on_y1(f.num), den)
 
 
 def homogenize_0(f, nv=2):
@@ -286,11 +288,11 @@ def homogenize_0(f, nv=2):
 
 
 def differ_ode(vf):
-    """f rho + f' (x rho - w) = -1 on the line y = 1."""
-    wt = dehomogenize(vf.w)
-    rt = dehomogenize(vf.r)
-    x1 = RatFn.var(0, 1)
-    return LinODE(x1 * rt - wt, rt, RatFn.const(-1, 1))
+    """The univariate-form equation f rho + f' (x rho - omega) = -1 for
+    omega = w(x, 1) and rho = r(x, 1), multiplied through by D(x, 1) so that
+    its coefficients are polynomials: f Q + f' (x Q - P) = -D at y = 1."""
+    P, Q, D = (_on_y1(g) for g in (vf.P, vf.Q, vf.D))
+    return LinODE(Poly.var(0, 1) * Q - P, Q, -D)
 
 
 def solve_differ(vf):
@@ -306,10 +308,11 @@ def solve_differ(vf):
 
 
 def orbit_ode_reduce(vf, N):
-    """First-order ODE for w(t) with W = y^N w(x/y) constant on orbits."""
+    """First-order ODE for w(t) with W = y^N w(x/y) constant on orbits:
+    (omega - t rho) w' + N rho w = 0 for omega = w(t, 1) and rho = r(t, 1)
+    of the field, multiplied through by D(t, 1) so that its coefficients are
+    polynomials: (P - t Q) w' + N Q w = 0 at y = 1."""
     if N < 1:
         raise AlgebraError("need N >= 1")
-    wt = dehomogenize(vf.w)
-    rt = dehomogenize(vf.r)
-    x1 = RatFn.var(0, 1)
-    return LinODE(wt - x1 * rt, N * rt, RatFn.const(0, 1))
+    P, Q = _on_y1(vf.P), _on_y1(vf.Q)
+    return LinODE(P - Poly.var(0, 1) * Q, N * Q, 0)

@@ -24,12 +24,12 @@ def _dec(fr, digits=12):
     return out or "0"
 
 
-def _eval(rf, x, y):
-    """Exact value of a RatFn at a rational point, or None at a pole."""
-    den = rf.den.eval((x, y))
+def _field_at(vf, x, y):
+    """Exact (w, r) = (P, Q) / D at a rational point, or None at a pole."""
+    den = vf.D.eval((x, y))
     if den == 0:
         return None
-    return rf.num.eval((x, y)) / den
+    return vf.P.eval((x, y)) / den, vf.Q.eval((x, y)) / den
 
 
 def _grid(rng, n):
@@ -45,11 +45,9 @@ def vector_field_csv(vf, rng=(-2, 2), n=21):
     lines = ["x,y,w,r"]
     for x in _grid(rng, n):
         for y in _grid(rng, n):
-            w = _eval(vf.w, x, y)
-            r = _eval(vf.r, x, y)
-            if w is None or r is None:
-                continue
-            lines.append(",".join(_dec(v) for v in (x, y, w, r)))
+            wr = _field_at(vf, x, y)
+            if wr is not None:
+                lines.append(",".join(_dec(v) for v in (x, y, *wr)))
     return "\n".join(lines) + "\n"
 
 
@@ -118,10 +116,10 @@ def orbit_svg(points, vf=None, rng=(-2, 2), size=480, arrows=11):
     if vf is not None:
         for x in _grid(rng, arrows):
             for y in _grid(rng, arrows):
-                w = _eval(vf.w, x, y)
-                r = _eval(vf.r, x, y)
-                if w is None or r is None or (w == 0 and r == 0):
+                wr = _field_at(vf, x, y)
+                if wr is None or wr == (0, 0):
                     continue
+                w, r = wr
                 # crude exact normalization: scale by span/(arrows*|v|_inf)
                 m = max(abs(w), abs(r))
                 span = (Fraction(rng[1]) - Fraction(rng[0])) / (3 * arrows)

@@ -43,14 +43,14 @@ class JetTable:
 def expand_from_vf(vf, K):
     """Jets from the Lie recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i.
 
-    With w = P/D and r = Q/D over one denominator and the current jet n/d,
+    With the field's stored form w = P/D, r = Q/D and the current jet n/d,
     the next jet is ((n_x P + n_y Q) d - n (d_x P + d_y Q)) / (i d^2 D):
     the recurrence runs on polynomials and reduces each jet once.  For a
     polynomial field D = d = 1.
     """
     if K < 2:
         raise AlgebraError("order must be >= 2")
-    P, Q, D = vf.common_form()
+    P, Q, D = vf.P, vf.Q, vf.D
     tables = []
     for start in (RatFn.var(0, 2), RatFn.var(1, 2)):
         jets = [start]
@@ -67,7 +67,11 @@ def expand_flow(f, K):
     """Exact jets of (u(xz,yz)/z, v(xz,yz)/z) to order K."""
     if not check_boundary(f):
         raise AlgebraError("flow does not satisfy the boundary condition")
-    return JetTable(K, _coord_jets(f.u, K), _coord_jets(f.v, K))
+
+    def jets(g):
+        nums, pows = _coord_jets(g, K)
+        return [RatFn(n, p) for n, p in zip(nums, pows)]
+    return JetTable(K, jets(f.u), jets(f.v))
 
 
 def diagonal_series(jets, direction):

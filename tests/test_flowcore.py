@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from projflow import (
     Flow,
     HomBir,
+    LevelResult,
     LinearMap2,
     VectorField,
     Poly,
@@ -22,12 +23,15 @@ from projflow import (
     compose_flows_level0,
     canonical_flow,
     conjugate_flow,
+    conjugate_vf_linear,
+    conjugate_vf_radial,
     kapa,
     lookup,
+    poly_gcd,
     uniN,
     zoo,
 )
-from projflow.flowcore import _jacobian_field
+from projflow.flowcore import _jacobian_field, _linear_form_pair, exact_isqrt
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -148,3 +152,85 @@ def test_level0_flows_satisfy_translation(a, b):
     f = level0_flow(RatFn(a * X + b * Y))
     assert verify_translation(f)
     assert level_of(vector_field(f)).is_level(0)
+
+
+# -- the stored form (P, Q, D) against RatFn arithmetic on (w, r) ----------
+
+_c = st.integers(-2, 2)
+
+
+def _form(draw, deg):
+    return sum((draw(_c) * X ** i * Y ** (deg - i) for i in range(deg + 1)),
+               Poly.zero(2))
+
+
+@st.composite
+def planted_fields(draw):
+    """(P, Q, D): D a scalar that is not a unit times k = 0, 1 or 2 linear
+    forms, P and Q binary forms of degree k + 2, all three times a planted
+    common factor G."""
+    k = draw(st.integers(0, 2))
+    D = Poly.const(2, draw(st.sampled_from(
+        (Fraction(-2), Fraction(3, 2), Fraction(-1, 3), Fraction(6)))))
+    for _ in range(k):
+        a, b = draw(st.tuples(_c, _c).filter(any))
+        D = D * (a * X + b * Y)
+    G = _form(draw, draw(st.integers(0, 2)))
+    if G.is_zero():
+        G = X - 2 * Y
+    return _form(draw, k + 2) * G, _form(draw, k + 2) * G, D * G
+
+
+@st.composite
+def radial_multipliers(draw):
+    """A 0-homogenic A = a/b with forms a, b of degree 1 or 2."""
+    m = draw(st.integers(1, 2))
+    a, b = _form(draw, m), _form(draw, m)
+    return RatFn(a if not a.is_zero() else X ** m, b if not b.is_zero() else Y ** m)
+
+
+def _level_reference(w, r):
+    """``level_of`` in RatFn arithmetic on w and r."""
+    x, y = RatFn.var(0, 2), RatFn.var(1, 2)
+    if (y * w - x * r).is_zero():
+        return LevelResult.level(0)
+    Sx = y * w.derivative(0) - x * r.derivative(0)
+    Sy = y * w.derivative(1) - x * r.derivative(1)
+    if Sx.is_zero() or Sy.is_zero():
+        return LevelResult.level(1)
+    lf = _linear_form_pair(Sy / Sx)
+    if lf is None or lf[0] == lf[3]:
+        return LevelResult.indeterminate()
+    a, b, c, d = lf
+    value = ((a + d) ** 2 - 4 * b * c) / (a - d) ** 2
+    n = exact_isqrt(value)
+    return LevelResult.level(n) if n else LevelResult.non_integer_square(value)
+
+
+@given(planted_fields(), radial_multipliers(),
+       st.tuples(_c, _c, _c, _c).filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+@settings(max_examples=40, deadline=5000)
+def test_field_normal_form_and_operations(pqd, A, abcd):
+    P, Q, D = pqd
+    w, r = RatFn(P, D), RatFn(Q, D)
+    vf = VectorField.of(P, Q, D)
+    ref = VectorField(w, r)
+    assert vf == ref and hash(vf) == hash(ref)
+    assert (vf.w, vf.r) == (w, r)
+    assert vf.D == vf.D.unit_normal()
+    assert poly_gcd(poly_gcd(vf.D, vf.P), vf.Q) == Poly.const(2, 1)
+    assert level_of(vf) == _level_reference(w, r)
+    # radial conjugation: w2 = A w - A_y s, r2 = A r + A_x s, s = x r - y w
+    s = RatFn.var(0, 2) * r - RatFn.var(1, 2) * w
+    radial = conjugate_vf_radial(vf, A)
+    w2 = A * w - A.derivative(1) * s
+    r2 = A * r + A.derivative(0) * s
+    assert radial == VectorField(w2, r2)
+    assert level_of(radial) == _level_reference(w2, r2)
+    # linear conjugation: (w, r) o L, then L^-1
+    L = LinearMap2(*abcd)
+    lx, ly = (RatFn(p) for p in L.coord_polys())
+    wl, rl = w.subs([lx, ly]), r.subs([lx, ly])
+    li = L.inverse()
+    assert conjugate_vf_linear(vf, L) == VectorField(wl * li.a + rl * li.b,
+                                                     wl * li.c + rl * li.d)

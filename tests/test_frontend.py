@@ -165,6 +165,17 @@ def test_cli_exit_needs_rational_root():
     assert code in (0, 4)  # must not crash; 4 when a root is genuinely needed
 
 
+def test_cli_bare_field_needs_rational_root(capsys):
+    # a field with a squared denominator and no rational univariate form:
+    # denominator reduction (Step I) runs into an irrational root
+    field = ("((x^4 + 2*x^3*y + 2*x^2*y^2)/(x^2 - 2*x*y + y^2), "
+             "(x^2*y^2 + 2*x*y^3 + y^4)/(x^2 - 2*x*y + y^2))")
+    assert main(["classify", field]) == 4
+    out = capsys.readouterr()
+    assert out.err == "needs rational root: irrational root required\n"
+    assert out.out == ""
+
+
 # -- JSON reports ----------------------------------------------------------
 
 def test_cli_json_schema_zoo_sample():

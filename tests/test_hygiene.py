@@ -1,5 +1,6 @@
 """Source hygiene that needs no linter: every module-level import of the
-package is used (``__init__.py`` is exempt: its imports are re-exports)."""
+package is used (``__init__.py`` is exempt: its imports are re-exports), and
+every private module-level name is used somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -22,3 +23,44 @@ def test_no_unused_module_level_imports():
                     if name not in used:
                         unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not unused, unused
+
+
+def _references(node):
+    """Names read under ``node`` as a variable, an attribute or an import."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_no_dead_private_module_names():
+    # a module-level _name is private to the package, so it is dead unless
+    # some module of the package refers to it outside its own definition
+    nodes = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            nodes.append((path.name, node, _references(node)))
+    dead = []
+    for fname, node, _ in nodes:
+        for name in _defined_names(node):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in refs
+                       for _, other, refs in nodes if other is not node):
+                dead.append("%s:%d %s" % (fname, node.lineno, name))
+    assert not dead, dead
