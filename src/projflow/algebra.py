@@ -29,6 +29,12 @@ and the sum is folded variable by variable, so that each step multiplies by
 one argument and each innermost term takes a cached power of C.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
 only compare it by cross-multiplication.
+
+A radial substitution x -> x * T/C, the core of every 1-homogenic birational
+map, is a one-variable problem: p(x T/C, y T/C) = sum_s p_s (T/C)^s over the
+homogeneous parts p_s of p.  ``radial_pullback`` sums C^m * p_s * (T/C)^s by
+Horner's rule in T on the same packed ints, with one product per degree s
+rather than one per monomial group of p.
 """
 from __future__ import annotations
 
@@ -453,6 +459,50 @@ def _horner(items, i, k, args, cpow):
     for _ in range(prev):
         acc = _mul_ints(acc.items(), args[i])
     return acc
+
+
+def radial_pullback(ps, T, C):
+    """[C^m * p(x T/C, y T/C, ...) for p in ps], m the largest total degree
+    of the ``ps``.
+
+    With p_s the homogeneous part of degree s of p, p(x t, y t, ...) is the
+    sum of p_s t^s, so the result is the sum of p_s * T^s * C^(m - s).  It
+    runs by Horner's rule in T on packed ints: acc = acc * T + p_s * C^(m - s)
+    for s from deg p down to 0, with the powers of C shared by all the ``ps``.
+    Using one m for every p keeps their quotients equal to those of the
+    substituted ``ps``.
+    """
+    nv = T.nvars
+    m = max(p.total_degree() for p in ps)
+    if m < 0:
+        return [Poly.zero(nv) for _ in ps]
+    # every term has degree s + s deg T + (m - s) deg C
+    width = max(1, m * (1 + max(T.total_degree(), C.total_degree()))).bit_length()
+    # over L = lcm(T.den, C.den) every T^s C^(m - s) has denominator L^m
+    L = lcm(T.den, C.den)
+    t = [(k, c * (L // T.den)) for k, c in T._packed(width)]
+    cpows = [{0: 1}]
+    cz = [(k, c * (L // C.den)) for k, c in C._packed(width)]
+    out = []
+    for p in ps:
+        parts = {}
+        for e, c in p.ints.items():
+            parts.setdefault(sum(e), []).append((_pack(e, width), c))
+        acc = {}
+        for s in range(p.total_degree(), -1, -1):
+            if acc:
+                acc = _mul_ints(acc.items(), t)
+            part = parts.get(s)
+            if part:
+                while len(cpows) <= m - s:
+                    cpows.append(_mul_ints(cpows[-1].items(), cz))
+                get = acc.get
+                for key, c in _mul_ints(part, cpows[m - s].items()).items():
+                    acc[key] = get(key, 0) + c
+        out.append(Poly._of(nv, {_unpack(k, nv, width): c
+                                 for k, c in acc.items() if c},
+                            p.den * L ** m))
+    return out
 
 
 # -- exact division and gcd ----------------------------------------------

@@ -3,6 +3,13 @@
 An element acts as x -> L(x) * (P/Q)(L(x)), i.e. the linear change first,
 then the radial map (xP/Q, yP/Q).  The stored triple is normalized so that
 structural equality coincides with equality of maps.
+
+Pulling a rational function r back by such a map is a one-variable problem:
+with T = P o L and C = Q o L, r o ell is r o L evaluated at (x T/C, y T/C),
+whose homogeneous parts of degree s each take the factor (T/C)^s.
+``HomBir.pullback_pair`` sums them by Horner's rule in T
+(``algebra.radial_pullback``) instead of substituting both coordinates of
+ell into r.
 """
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ from .algebra import (
     RatFn,
     divexact,
     poly_gcd,
+    radial_pullback,
 )
 from .flowcore import Flow, VectorField
 
@@ -105,6 +113,21 @@ class HomBir:
         t = RatFn(self.P, self.Q).subs([m1, m2])
         return (m1 * t, m2 * t)
 
+    def pullback_pair(self, r):
+        """(N, D) with N/D = r o self, not reduced.
+
+        With T = P o L, C = Q o L and m the larger degree of r's numerator n
+        and denominator d, N = C^m * n(self(x)) and D = C^m * d(self(x)),
+        computed by ``radial_pullback`` on n o L and d o L.
+        """
+        polys = (r.num, r.den, self.P, self.Q)
+        if not self.L.is_identity():
+            args = self.L.coord_polys()
+            polys = [p.subs_polys(args) for p in polys]
+        n, d, T, C = polys
+        N, D = radial_pullback([n, d], T, C)
+        return N, D
+
     def coords(self):
         """Coordinate functions of the map."""
         return self.apply((RatFn.var(0, 2), RatFn.var(1, 2)))
@@ -152,10 +175,9 @@ def _normalize_triple(P, Q, L):
 # -- conjugation actions ---------------------------------------------------
 
 def conjugate_flow(f, a):
-    """a^{-1} o f o a, reduced."""
-    ax, ay = a.coords()
-    fu = f.u.subs([ax, ay])
-    fv = f.v.subs([ax, ay])
+    """a^{-1} o f o a, reduced; f o a by ``HomBir.pullback_pair``."""
+    fu = RatFn(*a.pullback_pair(f.u))
+    fv = RatFn(*a.pullback_pair(f.v))
     bx, by = a.inverse().coords()
     return Flow(bx.subs([fu, fv]), by.subs([fu, fv]))
 

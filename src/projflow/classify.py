@@ -806,12 +806,15 @@ def _require_flow(f, cause=None):
 def _conjugates_to(f, a, target):
     """True iff a^{-1} o f o a == target, checked as f o a == a o target:
     the same identity without composing a^{-1} with the large f o a.
-    Each coordinate of f o a stays an unreduced pair N/D and is compared
-    with the small reduced R = a o target by N * R.den == D * R.num, so the
-    large f o a is never reduced by a gcd."""
+    Each coordinate of f o a is a radial pullback (``HomBir.pullback_pair``):
+    with T = P o L and C = Q o L, C^m times it is a Horner sum in T over the
+    homogeneous parts of that coordinate composed with L.  It stays an
+    unreduced pair N/D and is compared with the small reduced
+    R = a o target by N * R.den == D * R.num, so the large f o a is never
+    reduced by a gcd."""
     ax, ay = a.coords()
     for fc, ac in ((f.u, ax), (f.v, ay)):
-        nn, dd = fc.subs_pair([ax, ay])
+        nn, dd = a.pullback_pair(fc)
         rhs = ac.subs([target.u, target.v])
         if nn * rhs.den != dd * rhs.num:
             return False

@@ -2,8 +2,8 @@
 
 Subcommands: parse, verify, vf, level, classify, orbit, series, zoo,
 symmetric, dual.  Exit codes: 0 success (non-rational verdicts included),
-2 parse error, 3 identically singular input, 4 a required root is
-irrational.
+1 other errors (input too large to process included), 2 parse error,
+3 identically singular input, 4 a required root is irrational.
 """
 from __future__ import annotations
 
@@ -284,6 +284,10 @@ def main(argv=None):
         return 4
     except AlgebraError as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 1
+    except (RecursionError, MemoryError) as exc:
+        sys.stderr.write("error: input too large to process (%s)\n"
+                         % type(exc).__name__)
         return 1
 
 

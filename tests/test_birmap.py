@@ -81,6 +81,30 @@ def test_pointwise_soundness():
             assert got == expect
 
 
+def _rand_dense(rng, deg):
+    """A polynomial of total degree ``deg`` with Fraction coefficients on
+    every degree up to it, not homogeneous."""
+    terms = {(i, s - i): Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+             for s in range(deg + 1) for i in range(s + 1)}
+    terms[(deg, 0)] = Fraction(rng.choice((-2, -1, 1, 2)))
+    return Poly(2, terms)
+
+
+def test_pullback_pair_matches_subs():
+    # r o a by the radial pullback equals the bivariate substitution of a's
+    # coordinates, for maps of degree 0-3 with identity, swap and random L
+    rng = random.Random(11)
+    for deg in range(4):
+        for L in (LinearMap2.identity(), SWAP, LinearMap2(2, -1, 1, 3)):
+            a = HomBir(_rand_poly(rng, deg), _rand_poly(rng, deg), L)
+            for dn, dd in ((3, 1), (1, 4), (0, 2), (None, 2)):
+                num = Poly.zero(2) if dn is None else _rand_dense(rng, dn)
+                r = RatFn(num, _rand_dense(rng, dd))
+                N, D = a.pullback_pair(r)
+                assert RatFn(N, D) == r.subs(list(a.coords())), (a, r)
+                assert N.is_zero() == (dn is None)
+
+
 def test_involution_i_plus_example():
     a = HomBir(X, Y, SWAP)
     u, v = a.coords()

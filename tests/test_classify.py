@@ -122,6 +122,33 @@ def test_conjugation_certificate_check():
         assert _conjugates_to(f, sheared, target) == (N == 0), (f, N)
 
 
+def _bump(r):
+    """r with 1 added to the leading coefficient of its numerator."""
+    e, c = r.num.leading_term()
+    return RatFn(r.num + Poly(2, {e: Fraction(1)}), r.den)
+
+
+def test_conjugates_to_rejects_one_coefficient_perturbations():
+    # the radial-pullback certificate accepts seeded conjugates, among them
+    # one by a degree-3 map with a non-identity linear part, and rejects
+    # a one-coefficient change of u and, separately, of v
+    ell3 = HomBir(X ** 3 - 2 * X * Y ** 2 + Y ** 3,
+                  X ** 3 + X ** 2 * Y - 3 * Y ** 3, LinearMap2(1, 2, -1, 1))
+    assert ell3.degree() == 3 and not ell3.L.is_identity()
+    cases = [(f, h.inverse(), N)
+             for N, h, f in _seeded_conjugates(random.Random(13))]
+    cases.append((conjugate_flow(canonical_flow(2), ell3.inverse()), ell3, 2))
+    outcomes = []
+    for f, ell, N in cases:
+        target = canonical_flow(N)
+        outcomes.append(_conjugates_to(f, ell, target))
+        assert outcomes[-1], (f, N)
+        for g in (Flow(_bump(f.u), f.v), Flow(f.u, _bump(f.v))):
+            outcomes.append(_conjugates_to(g, ell, target))
+            assert not outcomes[-1], (g, N)
+    assert set(outcomes) == {True, False}
+
+
 def test_flow_and_field_reports_agree(capsys):
     # classify on a flow and on its vector field: the same report apart from
     # the flow's zeros_poles, and the zoo's level, invariant and coordinates

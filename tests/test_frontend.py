@@ -161,8 +161,24 @@ def test_cli_exit_singular():
 
 def test_cli_exit_needs_rational_root():
     # cubic with an irrational factorization obstruction
-    code, _, err = run_cli("classify", "(x^2 - 2*y^2 + x*y, -y^2 + x^2)")
-    assert code in (0, 4)  # must not crash; 4 when a root is genuinely needed
+    code, out, err = run_cli("classify", "(x^2 - 2*y^2 + x*y, -y^2 + x^2)")
+    assert code == 4
+    assert err == "needs rational root: irrational root required\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_cli_resource_errors_exit_1(monkeypatch, capsys, exc):
+    # input too large to process ends in one line and exit 1, no traceback
+    def explode(text):
+        raise exc("too deep" if exc is RecursionError else "")
+
+    monkeypatch.setattr("projflow.cli.parse_input", explode)
+    assert main(["classify", "(x^2, y^2)"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ("error: input too large to process (%s)\n"
+                       % exc.__name__)
+    assert out.out == ""
 
 
 def test_cli_bare_field_needs_rational_root(capsys):
