@@ -7,10 +7,14 @@ read-only view that builds {exponent tuple: Fraction} afresh on each read.
 The canonical monomial order is graded lexicographic with x > y (> z).
 Rational functions are kept fully reduced, with the denominator normalized
 to primitive integer coefficients and a positive graded-lex leading
-coefficient, so equality is structural.  Reduction divides by ``poly_gcd``:
-sympy's ring gcd over ZZ of the primitive integer forms of the two
-arguments, put through ``unit_normal``.  Real projective roots are counted by
-sympy's square-free split and real-root count of the dehomogenized form.
+coefficient, so equality is structural.  Reduction divides by ``poly_gcd``,
+whose result is put through ``unit_normal`` whatever its route.  A binary
+form is a polynomial in x/y, so a pair in one variable, or a pair of forms
+in two, takes sympy's dense univariate ``dup_gcd`` over ZZ: gcd(p, q) is
+y^min(k_p, k_q) times the gcd of p(x, 1) and q(x, 1) homogenized, for k the
+power of y in each form.  Every other pair takes sympy's ring gcd over ZZ of
+the primitive integer forms.  Real projective roots are counted by sympy's
+square-free split and real-root count of the dehomogenized form.
 
 Products, sums and exact division run on the numerators and multiply or
 take the lcm of the denominators.  Inside a product or a division every
@@ -558,18 +562,46 @@ def divexact(p, d):
 def poly_gcd(p, q):
     """GCD with primitive integer coefficients, positive grlex leading.
 
-    The primitive integer forms of both arguments go to sympy's ring gcd
-    over ZZ (the heuristic gcd of Char, Geddes and Gonnet, with a PRS
-    fallback)."""
+    Two kinds of pair are univariate and go to sympy's dense ``dup_gcd``
+    over ZZ:
+
+    - polynomials in one variable, as their integer coefficient lists;
+    - forms in two variables, homogeneous of any degrees.  With p = y^k_p *
+      p~ and y not dividing p~, gcd(p, q) = y^min(k_p, k_q) * G, where G is
+      gcd(p~(x, 1), q~(x, 1)) homogenized to its own degree.
+
+    Every other pair goes as primitive integer forms to sympy's ring gcd
+    over ZZ.  Both gcds are the heuristic gcd of Char, Geddes and Gonnet
+    with a PRS fallback, and the result is put through ``unit_normal``, so
+    the route does not show in it."""
     if p.is_zero():
         return q.unit_normal()
     if q.is_zero():
         return p.unit_normal()
     if p.is_constant() or q.is_constant():
         return Poly.const(p.nvars, 1)
+    if p.nvars == 1:
+        g = _dup_gcd(_int_coeffs(p), _int_coeffs(q))
+        return Poly._of(1, {(i,): c for i, c in enumerate(g) if c}).unit_normal()
+    if p.nvars == 2 and p.is_homogeneous() and q.is_homogeneous():
+        kp, _, cp = _dehomogenize(p)
+        kq, _, cq = _dehomogenize(q)
+        g = _dup_gcd(cp, cq)
+        m, k = len(g) - 1, min(kp, kq)
+        return Poly._of(2, {(i, m - i + k): c for i, c in enumerate(g) if c}
+                        ).unit_normal()
     R = _zz_ring(p.nvars)
     g = R.from_dict(p.unit_normal().ints).gcd(R.from_dict(q.unit_normal().ints))
     return Poly._of(p.nvars, {e: int(c) for e, c in g.items()}).unit_normal()
+
+
+def _dup_gcd(f, g):
+    """sympy's dense gcd over ZZ of two integer coefficient lists, each
+    low to high with a nonzero last entry; the result is low to high too."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
+    return dup_gcd(f[::-1], g[::-1], ZZ)[::-1]
 
 
 @cache
@@ -895,10 +927,17 @@ def _dehomogenize(p):
         raise AlgebraError("expected a nonzero homogeneous polynomial")
     y_pow = min(e[1] for e in p.ints)
     work = p.strip_monomial((0, y_pow))
-    coeffs = [0] * (work.total_degree() + 1)
-    for e, c in work.ints.items():
-        coeffs[e[0]] += c
-    return y_pow, work, coeffs
+    return y_pow, work, _int_coeffs(work)
+
+
+def _int_coeffs(p):
+    """Integer coefficients of p.den * p(x, 1), low to high, for p in x
+    alone or a form in x, y that y does not divide, so that no two terms of
+    p share a power of x."""
+    coeffs = [0] * (p.total_degree() + 1)
+    for e, c in p.ints.items():
+        coeffs[e[0]] = c
+    return coeffs
 
 
 def linear_factors_q(p):

@@ -13,6 +13,7 @@ from .algebra import (
     Poly,
     RatFn,
     VerificationFailed,
+    _int_coeffs,
     divexact,
     factor_list_q,
     poly_gcd,
@@ -76,10 +77,7 @@ def _clear_denominators(ode):
 
 def _coeffs(P):
     """Coefficients of a univariate Poly, low to high."""
-    coeffs = [Fraction(0)] * (P.total_degree() + 1)
-    for e, c in P.terms.items():
-        coeffs[e[0]] = c
-    return coeffs
+    return [Fraction(c, P.den) for c in _int_coeffs(P)]
 
 
 def _factor_irreducible(P):

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
+from projflow import algebra
 from projflow.algebra import (
     AlgebraError,
     IdenticallySingular,
@@ -326,6 +328,81 @@ def test_poly_gcd_hard_three_variable_pair():
         + x ** 3 * z ** 3
     g = x ** 3 * z ** 2 + F(3, 2) * y ** 2 * z + 9 * x ** 2 * y ** 2 * z
     assert poly_gcd(a * g, b * g) == g.unit_normal()
+
+
+_x = Poly.var(0, 1)
+F = Fraction
+
+# (p, q, expected gcd, whether the pair takes the dense univariate gcd)
+_GCD_ROUTE_CASES = [
+    # forms made of monomials: only the powers of x and y are shared
+    (Y ** 3, X * Y ** 2, Y ** 2, True),
+    (X ** 3, X ** 2 * Y, X ** 2, True),
+    (X ** 2 * Y ** 5, 7 * X ** 4 * Y ** 3, X ** 2 * Y ** 3, True),
+    # forms whose dehomogenization is a constant
+    (2 * Y ** 4, -Y ** 2, Y ** 2, True),
+    (F(3, 4) * Y ** 2, X * Y + Y ** 2, Y, True),
+    # negative leading coefficients and rational content
+    (-F(3, 2) * (X - 2 * Y) * (X + 3 * Y) * (2 * X + Y) * Y,
+     -F(5, 7) * (X - 2 * Y) * (X + 3 * Y) ** 2 * Y ** 3,
+     (X - 2 * Y) * (X + 3 * Y) * Y, True),
+    (-6 * (3 * X ** 2 - 2 * X * Y + 5 * Y ** 2) * X,
+     F(-4, 9) * (3 * X ** 2 - 2 * X * Y + 5 * Y ** 2) * (X - Y),
+     3 * X ** 2 - 2 * X * Y + 5 * Y ** 2, True),
+    # one form and one non-homogeneous polynomial: the ring gcd
+    ((X + Y) * (X - Y), (X + Y) * (X + 1), X + Y, False),
+    (-Y ** 2 * (2 * X - Y), Y * (2 * X - Y) * (X * Y + 3),
+     Y * (2 * X - Y), False),
+    # one variable, with a zero constant term
+    (_x ** 2 * (2 * _x - 3), -F(4, 3) * _x * (2 * _x - 3) * (_x + 1),
+     _x * (2 * _x - 3), True),
+    (-_x ** 3 + 2 * _x, F(1, 2) * _x ** 2, _x, True),
+]
+
+
+@pytest.mark.parametrize("p, q, expected, dense", _GCD_ROUTE_CASES)
+def test_poly_gcd_route_and_normal_form(monkeypatch, p, q, expected, dense):
+    calls = []
+    dup_gcd = algebra._dup_gcd
+
+    def recording(f, g):
+        calls.append((f, g))
+        return dup_gcd(f, g)
+
+    monkeypatch.setattr(algebra, "_dup_gcd", recording)
+    ring_gcd = _from_ring(_to_ring(p).gcd(_to_ring(q)), p.nvars).unit_normal()
+    assert ring_gcd == expected.unit_normal()
+    assert poly_gcd(p, q) == ring_gcd
+    assert poly_gcd(q, p) == ring_gcd
+    assert bool(calls) == dense
+
+
+def _planted_pair(nvars, seed):
+    """(a * g, b * g, g) for g a seeded dense polynomial of degree 102 times
+    x * y^2 (x alone in one variable), and a, b coprime products of three
+    linear factors each, with rational content; a also carries one more y,
+    so the two powers of y differ."""
+    rng = random.Random(seed)
+    if nvars == 1:
+        x, y, planted = _x, Poly.const(1, 1), _x
+    else:
+        x, y, planted = X, Y, X * Y ** 2
+    g = sum((rng.randint(-3, 3) * x ** i * y ** (102 - i) for i in range(102)),
+            rng.choice((-2, -1, 1, 2)) * x ** 102)
+    g = g * planted
+    roots = rng.sample(range(-9, 10), 6)
+    a = F(-3, 5) * y * (x - roots[0] * y) * (x - roots[1] * y) * (x - roots[2] * y)
+    b = F(7, 2) * (x - roots[3] * y) * (x - roots[4] * y) * (x - roots[5] * y)
+    return a * g, b * g, g
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_poly_gcd_planted_factor_of_high_degree(nvars, seed):
+    p, q, g = _planted_pair(nvars, seed)
+    assert p.total_degree() >= 100 and q.total_degree() >= 100
+    assert poly_gcd(p, q) == g.unit_normal()
+    assert poly_gcd(q, p) == g.unit_normal()
 
 
 @st.composite
