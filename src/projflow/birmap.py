@@ -9,7 +9,14 @@ with T = P o L and C = Q o L, r o ell is r o L evaluated at (x T/C, y T/C),
 whose homogeneous parts of degree s each take the factor (T/C)^s.
 ``HomBir.pullback_pair`` sums them by Horner's rule in T
 (``algebra.radial_pullback``) instead of substituting both coordinates of
-ell into r.
+ell into r; ``conjugate_flow`` takes f o ell this way.
+
+Pushing a small map t forward, ell o t o ell^{-1}, needs no inversion: the
+radial part x * P/Q has 0-homogenic P/Q, so its inverse is x * Q/P and
+ell^{-1}(x) = L^{-1}(x) * Q/P.  ``HomBir.push_forward`` builds the result
+from the terms of ell and t alone, which is how the conjugation
+certificate of ``classify.canonicalize`` avoids substituting into the large
+conjugate f.
 """
 from __future__ import annotations
 
@@ -127,6 +134,31 @@ class HomBir:
         n, d, T, C = polys
         N, D = radial_pullback([n, d], T, C)
         return N, D
+
+    def push_forward(self, t):
+        """(N1, N2, D) with (N1/D, N2/D) = self o t o self^{-1}, not reduced.
+
+        self^{-1}(x) = L^{-1}(x) * Q(x)/P(x), because the radial part
+        x * P/Q has 0-homogenic P/Q and so the inverse x * Q/P.  The
+        coordinates of t at L^{-1} * Q/P, over one denominator E, give
+        numerators (M1, M2) after L; the radial part then gives
+        Ni = Mi * P(M1, M2) and D = E * Q(M1, M2), the powers of E
+        cancelling in P/Q.  Every step works on t's and self's own terms.
+        D is zero when self o t o self^{-1} is undefined.
+        """
+        lx, ly = self.L.inverse().coord_polys()
+        args = [RatFn(lx * self.Q, self.P, reduce=False),
+                RatFn(ly * self.Q, self.P, reduce=False)]
+        (a1, b1), (a2, b2) = (c.subs_pair(args) for c in (t.u, t.v))
+        if b1 == b2:
+            E = b1
+        else:
+            E = b1 * b2
+            a1, a2 = a1 * b2, a2 * b1
+        L = self.L
+        M = [a1 * L.a + a2 * L.b, a1 * L.c + a2 * L.d]
+        PM = self.P.subs_polys(M)
+        return M[0] * PM, M[1] * PM, E * self.Q.subs_polys(M)
 
     def coords(self):
         """Coordinate functions of the map."""

@@ -19,6 +19,7 @@ from .algebra import (
     RatFn,
     VerificationFailed,
     LinearMap2,
+    divexact,
     linear_factors_q,
 )
 from .flowcore import (
@@ -804,19 +805,26 @@ def _require_flow(f, cause=None):
 
 
 def _conjugates_to(f, a, target):
-    """True iff a^{-1} o f o a == target, checked as f o a == a o target:
-    the same identity without composing a^{-1} with the large f o a.
-    Each coordinate of f o a is a radial pullback (``HomBir.pullback_pair``):
-    with T = P o L and C = Q o L, C^m times it is a Horner sum in T over the
-    homogeneous parts of that coordinate composed with L.  It stays an
-    unreduced pair N/D and is compared with the small reduced
-    R = a o target by N * R.den == D * R.num, so the large f o a is never
-    reduced by a gcd."""
-    ax, ay = a.coords()
-    for fc, ac in ((f.u, ax), (f.v, ay)):
-        nn, dd = a.pullback_pair(fc)
-        rhs = ac.subs([target.u, target.v])
-        if nn * rhs.den != dd * rhs.num:
+    """True iff a^{-1} o f o a == target, checked as f == a o target o a^{-1}.
+
+    With a = rho o L and rho(x) = x * P/Q, P/Q is 0-homogenic, so
+    rho^{-1}(x) = x * Q/P and a^{-1}(x) = L^{-1}(x) * Q/P: the right side is
+    built from a's and target's own terms (``HomBir.push_forward``) as an
+    unreduced (N1, N2, D), and f never enters a substitution.  Each
+    coordinate n/d of f is then tested by h = D / d, exact when n/d is in
+    lowest terms, and N == h * n; when the division is inexact the test is
+    n * D == d * N.  Both tests are exact, and a vanishing D fails."""
+    N1, N2, D = a.push_forward(target)
+    if D.is_zero():
+        return False
+    for fc, N in ((f.u, N1), (f.v, N2)):
+        try:
+            h = divexact(D, fc.den)
+        except AlgebraError:
+            if fc.num * D != fc.den * N:
+                return False
+            continue
+        if N != h * fc.num:
             return False
     return True
 

@@ -257,10 +257,10 @@ def rational_solutions(ode):
 
 def _on_y1(p):
     """2-variable polynomial p(x, y) -> univariate p(x, 1)."""
-    terms = {}
-    for (i, j), c in p.terms.items():
-        terms[(i,)] = terms.get((i,), Fraction(0)) + c
-    return Poly(1, terms)
+    ints = {}
+    for (i, _), c in p.ints.items():
+        ints[(i,)] = ints.get((i,), 0) + c
+    return Poly._of(1, {e: c for e, c in ints.items() if c}, p.den)
 
 
 def dehomogenize(f):
@@ -274,14 +274,11 @@ def dehomogenize(f):
 def homogenize_0(f, nv=2):
     """Univariate f(t) -> 0-homogenic A(x, y) = f(x/y)."""
     k = max(f.num.total_degree(), f.den.total_degree())
-    x = Poly.var(0, nv)
-    y = Poly.var(1, nv)
+    pad = (0,) * (nv - 2)
 
     def conv(p):
-        acc = Poly.zero(nv)
-        for (i,), c in p.terms.items():
-            acc = acc + x ** i * y ** (k - i) * c
-        return acc
+        return Poly._of(nv, {(i, k - i) + pad: c
+                             for (i,), c in p.ints.items()}, p.den)
     return RatFn(conv(f.num), conv(f.den))
 
 

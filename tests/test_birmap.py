@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from projflow import (
+    Flow,
     HomBir,
     LinearMap2,
     Poly,
@@ -103,6 +104,29 @@ def test_pullback_pair_matches_subs():
                 N, D = a.pullback_pair(r)
                 assert RatFn(N, D) == r.subs(list(a.coords())), (a, r)
                 assert N.is_zero() == (dn is None)
+
+
+def test_push_forward_matches_composition():
+    # a o t o a^-1 built from a's and t's own terms equals the composition
+    # of coordinates, for maps of degree 0-2 with identity, swap and random
+    # L, on canonical flows (shared and distinct denominators) and dense t;
+    # a constant t whose image a kills gives D = 0
+    rng = random.Random(17)
+    zero = Flow(RatFn(Poly.zero(2)), RatFn(Poly.zero(2)))
+    for deg in range(3):
+        for L in (LinearMap2.identity(), SWAP, LinearMap2(2, -1, 1, 3)):
+            a = HomBir(_rand_poly(rng, deg), _rand_poly(rng, deg), L)
+            ts = [canonical_flow(N) for N in (0, 2, -1)]
+            ts.append(Flow(RatFn(_rand_dense(rng, 2), _rand_dense(rng, 1)),
+                           RatFn(_rand_dense(rng, 1), _rand_dense(rng, 2))))
+            ax, ay = a.coords()
+            bx, by = a.inverse().coords()
+            for t in ts:
+                N1, N2, D = a.push_forward(t)
+                inner = [t.u.subs([bx, by]), t.v.subs([bx, by])]
+                assert RatFn(N1, D) == ax.subs(inner), (a, t)
+                assert RatFn(N2, D) == ay.subs(inner), (a, t)
+            assert a.push_forward(zero)[2].is_zero() == (a.degree() > 0)
 
 
 def test_involution_i_plus_example():

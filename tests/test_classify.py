@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projflow import (
     AlgebraError,
@@ -48,6 +49,8 @@ from projflow import (
     verify_translation,
     zoo,
 )
+from projflow import classify as classify_module
+from projflow.algebra import divexact
 from projflow.classify import _Chain, _conjugates_to, _quad_uvw
 from projflow.cli import _coords_repr, main
 from projflow.parser import parse_flow, print_flow, print_vector_field
@@ -122,31 +125,82 @@ def test_conjugation_certificate_check():
         assert _conjugates_to(f, sheared, target) == (N == 0), (f, N)
 
 
-def _bump(r):
-    """r with 1 added to the leading coefficient of its numerator."""
-    e, c = r.num.leading_term()
-    return RatFn(r.num + Poly(2, {e: Fraction(1)}), r.den)
+def _bump(p):
+    """p with 1 added to its leading coefficient."""
+    e, c = p.leading_term()
+    return p + Poly(2, {e: Fraction(1)})
 
 
-def test_conjugates_to_rejects_one_coefficient_perturbations():
-    # the radial-pullback certificate accepts seeded conjugates, among them
-    # one by a degree-3 map with a non-identity linear part, and rejects
-    # a one-coefficient change of u and, separately, of v
+def test_conjugates_to_rejects_one_coefficient_perturbations(monkeypatch):
+    # the certificate, f == ell o phi_N o ell^-1 built from ell's own terms,
+    # accepts seeded conjugates, among them one by a degree-3 map with a
+    # non-identity linear part, and rejects a one-coefficient change of the
+    # numerator or the denominator of u and, separately, of v; a coordinate
+    # stored unreduced, with a planted common factor, is accepted through
+    # the cross-multiplication fallback
+    divisions = []
+
+    def spy(p, d):
+        try:
+            q = divexact(p, d)
+        except AlgebraError:
+            divisions.append("inexact")
+            raise
+        divisions.append("exact")
+        return q
+
+    monkeypatch.setattr(classify_module, "divexact", spy)
     ell3 = HomBir(X ** 3 - 2 * X * Y ** 2 + Y ** 3,
                   X ** 3 + X ** 2 * Y - 3 * Y ** 3, LinearMap2(1, 2, -1, 1))
     assert ell3.degree() == 3 and not ell3.L.is_identity()
     cases = [(f, h.inverse(), N)
              for N, h, f in _seeded_conjugates(random.Random(13))]
     cases.append((conjugate_flow(canonical_flow(2), ell3.inverse()), ell3, 2))
+    g = X + 3 * Y + 5
     outcomes = []
     for f, ell, N in cases:
         target = canonical_flow(N)
         outcomes.append(_conjugates_to(f, ell, target))
         assert outcomes[-1], (f, N)
-        for g in (Flow(_bump(f.u), f.v), Flow(f.u, _bump(f.v))):
-            outcomes.append(_conjugates_to(g, ell, target))
-            assert not outcomes[-1], (g, N)
+        u, v = f.u, f.v
+        planted = (Flow(RatFn(g * u.num, g * u.den, reduce=False), v),
+                   Flow(u, RatFn(g * v.num, g * v.den, reduce=False)))
+        for h in planted:
+            assert _conjugates_to(h, ell, target), (h, N)
+        bumped = (RatFn(_bump(u.num), u.den), RatFn(u.num, _bump(u.den)),
+                  RatFn(_bump(v.num), v.den), RatFn(v.num, _bump(v.den)))
+        for i, c in enumerate(bumped):
+            h = Flow(c, v) if i < 2 else Flow(u, c)
+            outcomes.append(_conjugates_to(h, ell, target))
+            assert not outcomes[-1], (h, N)
     assert set(outcomes) == {True, False}
+    assert set(divisions) == {"exact", "inexact"}
+
+
+@st.composite
+def _conjugated_levels(draw):
+    """(N, h) for N in {0, +-1, 2} and a map h = (P, Q; L) of degree at
+    most 2 with coefficients in [-2, 2] and L invertible."""
+    deg = draw(st.integers(0, 2))
+    coeff = st.integers(-2, 2)
+    P, Q = (sum((draw(coeff) * X ** i * Y ** (deg - i)
+                 for i in range(deg + 1)), Poly.zero(2)) for _ in range(2))
+    assume(not P.is_zero() and not Q.is_zero())
+    a, b, c, d = (draw(coeff) for _ in range(4))
+    assume(a * d != b * c)
+    N = draw(st.sampled_from((0, 1, -1, 2)))
+    return N, HomBir(P, Q, LinearMap2(a, b, c, d))
+
+
+@given(_conjugated_levels())
+@settings(max_examples=40, deadline=5000)
+def test_random_conjugates_canonicalize_to_their_level(case):
+    # h^-1 o phi_N o h classifies at level |N| with a passing certificate
+    N, h = case
+    f = conjugate_flow(canonical_flow(N), h)
+    res = canonicalize(f)
+    assert isinstance(res, RationalFlow) and res.level == abs(N), (N, h)
+    assert _conjugates_to(f, res.ell, canonical_flow(res.level)), (N, h)
 
 
 def test_flow_and_field_reports_agree(capsys):
