@@ -347,13 +347,6 @@ class Poly:
             return self
         return Poly._of(self.nvars, {e: c // g for e, c in self.ints.items()})
 
-    def monomial_content(self):
-        """Componentwise min exponents across all terms."""
-        mins = None
-        for e in self.ints:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins or (0,) * self.nvars
-
     def strip_monomial(self, exps):
         return Poly._of(self.nvars, {tuple(a - b for a, b in zip(e, exps)): c
                                      for e, c in self.ints.items()}, self.den)

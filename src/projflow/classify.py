@@ -284,7 +284,11 @@ def _split_inverse(coord):
 
 def classify_degenerate(f):
     """Structure of a translation-equation solution failing the boundary
-    condition: A R/(cR+1) . B R/(cR+1) with R 1-homogenic, R(A, B) = 1."""
+    condition: A R/(cR+1) . B R/(cR+1) with R 1-homogenic, R(A, B) = 1.
+
+    Every solution failing the boundary condition has this form, so for
+    such a map ``verify_translation`` returns whether this succeeds; any
+    other map raises NotDegenerate."""
     if check_boundary(f):
         raise NotDegenerate("boundary condition holds")
     if f.u.is_zero() and f.v.is_zero():

@@ -1,5 +1,7 @@
-"""Flows and vector fields: translation-equation verification, boundary
-condition, PDE system, level computation, zeros-poles census, symmetry.
+"""Flows and vector fields: the translation equation (decided by the PDE
+system, or for a map failing the boundary condition by its degenerate form),
+boundary condition, PDE system, level computation, zeros-poles census,
+symmetry.
 
 A vector field is stored over one denominator, w = P/D and r = Q/D, in a
 normal form (D unit-normal, gcd(P, Q, D) = 1).  Every operation on fields
@@ -7,7 +9,6 @@ computes on the polynomials P, Q and D and normalizes its result once, with
 ``VectorField.of``."""
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .algebra import (
@@ -256,105 +257,45 @@ def check_boundary(f):
 
 # -- translation equation --------------------------------------------------
 
-def _poly_scale_z(p):
-    """Bivariate p(x, y) -> trivariate p(xz, yz)."""
-    terms = {}
-    for (i, j), c in p.terms.items():
-        terms[(i, j, i + j)] = c
-    return Poly(3, terms)
-
-
-def _poly_to3(p):
-    return Poly(3, {(i, j, 0): c for (i, j), c in p.terms.items()})
-
-
-def _pair_normalize(num, den):
-    """Cheap normalization of an unreduced trivariate pair."""
-    if num.is_zero():
-        return num, Poly.const(3, 1)
-    mn = num.monomial_content()
-    md = den.monomial_content()
-    common = tuple(min(a, b) for a, b in zip(mn, md))
-    if any(common):
-        num = num.strip_monomial(common)
-        den = den.strip_monomial(common)
-    c = den.content()
-    if den.leading_coeff() < 0:
-        c = -c
-    if c != 1:
-        num = num * (1 / c)
-        den = den * (1 / c)
-    return num, den
-
-
-def _sample_check(f, trials=6, seed=20240814):
-    """Fast numeric pre-check of the translation equation on random points."""
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(200):
-        if hits >= trials:
-            return True
-        x0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        y0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        z0 = Fraction(rng.randint(1, 9), rng.randint(10, 23))
-        try:
-            u1 = f.u.eval((x0 * z0, y0 * z0))
-            v1 = f.v.eval((x0 * z0, y0 * z0))
-            s = (1 - z0) / z0
-            lhs_u = (1 - z0) * f.u.eval((x0, y0))
-            lhs_v = (1 - z0) * f.v.eval((x0, y0))
-            rhs_u = f.u.eval((u1 * s, v1 * s))
-            rhs_v = f.v.eval((u1 * s, v1 * s))
-        except ZeroDivisionError:
-            continue
-        if lhs_u != rhs_u or lhs_v != rhs_v:
+def _identically_singular(f):
+    """True iff phi(phi(xz, yz) (1-z)/z) is nowhere defined.  The inner
+    argument ranges over the cone on phi's image, the plane unless phi maps
+    into one line t (A, B); then iff some coordinate's denominator vanishes
+    on that line, that is, each of its homogeneous parts is 0 at (A, B)."""
+    if f.u.is_zero():
+        line = (0, 1)
+    elif f.v.is_zero():
+        line = (1, 0)
+    else:  # reduced v = k u has the denominator of u
+        k = f.v.num.leading_coeff() / f.u.num.leading_coeff()
+        if (f.v.num, f.v.den) != (f.u.num * k, f.u.den):
             return False
-        hits += 1
-    return True
-
-
-def _verify_compose(f):
-    """The translation equation by composing phi with itself in three
-    variables: a numeric pre-check on sample points, then exact equality of
-    the two sides as trivariate fractions."""
-    if not _sample_check(f):
-        return False
-    z = Poly.var(2, 3)
-    one = Poly.const(3, 1)
-    # phi(xz, yz) as unreduced trivariate pairs
-    n1, d1 = _pair_normalize(_poly_scale_z(f.u.num), _poly_scale_z(f.u.den))
-    n2, d2 = _pair_normalize(_poly_scale_z(f.v.num), _poly_scale_z(f.v.den))
-    if d1.is_zero() or d2.is_zero():
-        raise IdenticallySingular("inner substitution degenerates")
-    # arguments X = n1 (1-z) / (z d1), Y = n2 (1-z) / (z d2); common denominator
-    omz = one - z
-    A = n1 * omz * d2
-    B = n2 * omz * d1
-    C = z * d1 * d2
-    args = [RatFn(A, C, reduce=False), RatFn(B, C, reduce=False)]
-    for coord in (f.u, f.v):
-        rn, rd = _pair_normalize(*coord.subs_pair(args))
-        ln = _poly_to3(coord.num) * omz
-        ld = _poly_to3(coord.den)
-        if ln * rd != rn * ld:
-            return False
-    return True
+        line = (1, k)
+    return any(all(p.eval(line) == 0 for p in c.den.homogeneous_parts().values())
+               for c in (f.u, f.v))
 
 
 def verify_translation(f):
     """Exact check of (1-z) phi(x, y) = phi(phi(xz, yz) (1-z)/z).
 
-    The zero map fails.  A map that satisfies the boundary condition
-    lim phi(xz, yz)/z = (x, y) satisfies the translation equation iff it
-    satisfies the PDE system, so ``verify_pde`` decides it.  Any other map
-    (the degenerate solutions R*A/(cR+1) and non-flows) is decided by
-    composing phi with itself in three variables.
+    For a map with the boundary condition lim phi(xz, yz)/z = (x, y) it is
+    equivalent to the PDE system, so ``verify_pde`` decides.  By the paper's
+    classification, every solution failing the boundary condition (the zero
+    flow and the singular flows) has the degenerate form A R/(cR+1),
+    B R/(cR+1) with R 1-homogenic and R(A, B) = 1, so ``classify_degenerate``
+    decides any other map.  A map for which the composition is nowhere
+    defined raises IdenticallySingular.
     """
-    if f.u.is_zero() and f.v.is_zero():
-        return False  # the zero map trivially fails the boundary-normalized form
     if check_boundary(f):
         return verify_pde(f)
-    return _verify_compose(f)
+    from .classify import NotDegenerate, classify_degenerate
+    try:
+        classify_degenerate(f)
+    except NotDegenerate:
+        if _identically_singular(f):
+            raise IdenticallySingular("substitution denominator vanishes")
+        return False
+    return True
 
 
 # -- vector field ----------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from projflow import (
     Flow,
     HomBir,
+    IdenticallySingular,
     LinearMap2,
     NonRationalGenus1,
     Poly,
@@ -42,8 +43,9 @@ from projflow import (
     zeros_poles,
     zoo,
 )
-from projflow.flowcore import _verify_compose
 from projflow.odesolve import homogenize_0
+
+from compose_reference import verify_compose
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -126,20 +128,21 @@ def _mutants():
 
 def test_criterion_4_pde_equivalence():
     # verify_translation decides boundary-satisfying maps by verify_pde, so
-    # three-variable composition is the independent side of the comparison
+    # three-variable composition (the reference in tests/compose_reference)
+    # is the independent side of the comparison
     for entry in zoo():
         assert verify_pde(entry.flow) is True, entry.name
-        assert _verify_compose(entry.flow) is True, entry.name
+        assert verify_compose(entry.flow) is True, entry.name
     for i, f in enumerate(_mutants()):
         assert verify_translation(f) is False, i
         assert verify_pde(f) is False, i
-        assert _verify_compose(f) is False, i
+        assert verify_compose(f) is False, i
 
 
 def _perturbed(f, rng):
-    """f with one coefficient of one of its four polynomials moved by 1."""
+    """f with one coefficient of one of its nonzero polynomials moved by 1."""
     parts = [f.u.num, f.u.den, f.v.num, f.v.den]
-    k = rng.randrange(4)
+    k = rng.choice([i for i, p in enumerate(parts) if not p.is_zero()])
     mono = rng.choice(sorted(parts[k].terms))
     step = rng.choice((1, -1))
     moved = parts[k] + Poly(2, {mono: Fraction(step)})
@@ -170,6 +173,31 @@ def _small_conjugates(rng, count):
     return out
 
 
+def _form(rng, deg):
+    """A nonzero binary form of degree deg with coefficients in [-2, 2]."""
+    while True:
+        p = sum((rng.randint(-2, 2) * X ** i * Y ** (deg - i)
+                 for i in range(deg + 1)), Poly.zero(2))
+        if not p.is_zero():
+            return p
+
+
+def _degenerate(rng, deg):
+    """A degenerate solution A R/(cR+1), B R/(cR+1) with R = n/d
+    1-homogenic, d of degree deg, normalized so that R(A, B) = 1."""
+    while True:
+        A, B = rng.choice([(0, 1), (1, 0)] + [
+            (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2))
+            for _ in range(3)])
+        n, d = _form(rng, deg + 1), _form(rng, deg)
+        rn, rd = n.eval((A, B)), d.eval((A, B))
+        if rn != 0 and rd != 0:
+            break
+    R = _rf(n * (rd / rn), d)
+    den = R * rng.randint(-2, 2) + 1
+    return Flow(R * A / den, R * B / den)
+
+
 def test_criterion_4_routes_agree():
     rng = random.Random(20121004)
     flows = _small_conjugates(rng, 6)
@@ -182,15 +210,55 @@ def test_criterion_4_routes_agree():
             flows.append(kapa(N, kappa))
     cases = [(f, True) for f in flows]
     cases += [(_perturbed(f, rng), None) for f in flows for _ in range(4)]
+    cases += [(_degenerate(rng, deg), True) for deg in (0, 1, 1, 2)]
     seen = set()
     for f, expected in cases:
         verdict = verify_translation(f)
-        assert verdict == _verify_compose(f), f
+        assert verdict == verify_compose(f), f
         if expected is not None:
             assert verdict is expected, f
         seen.add((check_boundary(f), verdict))
-    # both routes ran, and the PDE route rejected some maps
-    assert {(True, True), (True, False), (False, False)} <= seen
+    # both routes ran, each accepted and rejected maps
+    assert {(True, True), (True, False), (False, True), (False, False)} <= seen
+
+
+def _outcome(check, f):
+    try:
+        return check(f)
+    except IdenticallySingular:
+        return IdenticallySingular
+
+
+def _singular_on_a_line(rng):
+    """A map into one line through 0 whose denominator vanishes on it."""
+    den = _form(rng, 1) + rng.randint(0, 2)
+    if rng.random() < 0.3:  # into the line x = 0
+        v = _rf(_form(rng, 2), X * den)
+        return Flow(v * 0, v)
+    k = rng.randint(-2, 2)  # into the line y = kx
+    u = _rf(_form(rng, 2), (Y - k * X) * den)
+    return Flow(u, u * k)
+
+
+def test_criterion_4_non_boundary_maps_match_composition():
+    # verify_translation decides a map that fails the boundary condition by
+    # its degenerate form; composition decides it independently
+    rng = random.Random(20121005)
+    flows = [_degenerate(rng, deg) for deg in (0, 1, 2) for _ in range(4)]
+    assert all(verify_translation(f) is True for f in flows)
+    maps = list(flows)
+    maps += [_perturbed(f, rng) for f in flows for _ in range(2)]
+    maps += [Flow(f.u, _rf(2 * Y)) for f in flows if not f.u.is_zero()]
+    maps += [_singular_on_a_line(rng) for _ in range(6)]
+    maps += _mutants()
+    seen = set()
+    for f in maps:
+        if check_boundary(f):
+            continue
+        verdict = _outcome(verify_translation, f)
+        assert verdict == _outcome(verify_compose, f), f
+        seen.add(verdict)
+    assert seen == {True, False, IdenticallySingular}
 
 
 # -- 5. series consistency -------------------------------------------------

@@ -146,6 +146,13 @@ def test_cli_exit_ok():
     assert "true" in out.lower()
 
 
+def test_cli_verify_zero_flow():
+    # the paper lists the zero map among the solutions
+    code, out, err = run_cli("verify", "u = 0; v = 0")
+    assert (code, err) == (0, "")
+    assert out == "translation_equation: True\npde: True\n"
+
+
 def test_cli_exit_parse_error():
     code, _, err = run_cli("parse", "u = 0.5*x; v = y")
     assert code == 2
