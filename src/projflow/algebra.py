@@ -897,19 +897,20 @@ def _sympy_qq(coeffs):
 
 def factor_list_q(coeffs):
     """Irreducible factors over Q of the univariate polynomial with
-    coefficients ``coeffs`` (low to high), by sympy's ``factor_list``.
+    coefficients ``coeffs`` (low to high, a nonzero last entry), by sympy's
+    dense ``dup_factor_list`` over QQ.
 
     Returns [(monic factor coefficients low to high, multiplicity)].
     """
-    import sympy
+    from sympy.polys.densetools import dup_monic
+    from sympy.polys.domains import QQ
+    from sympy.polys.factortools import dup_factor_list
 
-    _, factors = _sympy_qq(coeffs).factor_list()
-    out = []
-    for fac, mult in factors:
-        monic = [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-                 for c in reversed(fac.monic().all_coeffs())]
-        out.append((monic, int(mult)))
-    return out
+    _, factors = dup_factor_list(
+        [QQ(c.numerator, c.denominator) for c in reversed(coeffs)], QQ)
+    return [([Fraction(int(c.numerator), int(c.denominator))
+              for c in reversed(dup_monic(fac, QQ))], mult)
+            for fac, mult in factors]
 
 
 def _dehomogenize(p):

@@ -40,6 +40,7 @@ from .birmap import (
 )
 from .odesolve import (
     NoRationalSolution,
+    dehomogenize,
     homogenize_0,
     orbit_ode_reduce,
     rational_solutions,
@@ -291,6 +292,12 @@ def classify_degenerate(f):
     other map raises NotDegenerate."""
     if check_boundary(f):
         raise NotDegenerate("boundary condition holds")
+    return _degenerate_form(f)
+
+
+def _degenerate_form(f):
+    """``classify_degenerate`` on a map its caller has already found to
+    fail the boundary condition."""
     if f.u.is_zero() and f.v.is_zero():
         return Degenerate(_rf(Y), Fraction(0), Fraction(0), Fraction(0))
     base = f.v if f.u.is_zero() else f.u
@@ -697,17 +704,15 @@ def kapa(N, kappa):
 # -- main pipeline ---------------------------------------------------------
 
 def _univariate_form(vf):
-    """(QuadVF, ell, family_basis) via the radial conjugation from the
-    univariate-form equation."""
-    sol = solve_differ(vf)
-    f1 = sol["particular"]
-    A = homogenize_0(f1)
+    """(QuadVF, ell) via the radial conjugation from the univariate-form
+    equation."""
+    A = homogenize_0(solve_differ(vf)["particular"])
     ell = HomBir.from_A(A)
     out = conjugate_vf_radial(vf, A)
     q = _quad_uvw(out)
     if q is None:
         raise VerificationFailed("radial conjugation missed the normal form")
-    return q, ell, sol["homogeneous_basis"]
+    return q, ell
 
 
 def classify_vf(vf):
@@ -727,7 +732,11 @@ def classify_vf(vf):
 
 def _classify_by_form(vf):
     """The verdict of ``classify_vf`` up to Steps I-III: None when the
-    field has no rational univariate form."""
+    field has no rational univariate form.
+
+    A RationalFlow of level N >= 1 takes its orbit invariant from its
+    conjugator: phi_N's invariant x y^(N-1) carried by ell^{-1}
+    (``_transported_invariant``), not from the orbit equation."""
     if vf.P.is_zero() and vf.Q.is_zero():
         return Identity()
     lvl = level_of(vf)
@@ -737,7 +746,7 @@ def _classify_by_form(vf):
         J = RatFn(vf.P, X * vf.D)  # w = x J and r = y J
         return RationalFlow(0, HomBir.from_A(_rf(-Y) / J), _rf(X, Y), None)
     try:
-        q, ell, _basis = _univariate_form(vf)
+        q, ell = _univariate_form(vf)
     except NoRationalSolution:
         return None
     res = univariate_classify(q)
@@ -748,7 +757,25 @@ def _classify_by_form(vf):
     N = res["N"]
     full = _chain_to_canonical(q, N, ell)
     coords = HyperboloidPoint(q.U, q.V, q.W, N) if N >= 2 else _phat_from_uvw(q)
-    return RationalFlow(N, full, orbit_invariant(vf, N), coords)
+    return RationalFlow(N, full, _transported_invariant(vf, N, full), coords)
+
+
+def _transported_invariant(vf, N, ell):
+    """The orbit invariant of vf, which ell conjugates to the field of
+    phi_N (N >= 1): phi_N's invariant x y^(N-1) composed with ell^{-1}.
+
+    With ell = (P, Q; L), ell^{-1}(x) = L^{-1}(x) * Q/P as in
+    ``HomBir.push_forward``, so W = lx ly^(N-1) Q^N / P^N for
+    (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  W is
+    checked exactly against the orbit equation ``orbit_ode_reduce``: its
+    solutions form one line, so W is then the invariant ``orbit_invariant``
+    returns."""
+    lx, ly = ell.L.inverse().coord_polys()
+    W = RatFn(lx * ly ** (N - 1) * ell.Q ** N, ell.P ** N).scale_num_monic()
+    if not orbit_ode_reduce(vf, N).residual(dehomogenize(W)).is_zero():
+        raise VerificationFailed("transported invariant does not solve the "
+                                 "orbit equation")
+    return W
 
 
 def _name_obstruction(vf):
@@ -786,7 +813,7 @@ def canonicalize(f):
     if f.is_identity():
         return Identity()
     if not check_boundary(f):
-        return classify_degenerate(f)
+        return _degenerate_form(f)
     vf = vector_field(f)
     try:
         verdict = _classify_by_form(vf)
@@ -854,7 +881,12 @@ def _pseudolog_chain(q):
 
 def orbit_invariant(vf, N):
     """Homogeneous degree-N invariant constant on orbits, normalized to a
-    unit-normal denominator and monic numerator."""
+    unit-normal denominator and monic numerator, from the rational solution
+    of the orbit equation ``orbit_ode_reduce``.
+
+    ``classify_vf`` reaches it only for a NonRationalGenus1 field, which has
+    no conjugator; a RationalFlow carries phi_N's invariant through its
+    conjugator instead (``_transported_invariant``)."""
     if N == 0:
         return _rf(X, Y)
     sol = rational_solutions(orbit_ode_reduce(vf, N))
@@ -915,7 +947,7 @@ def dual(f):
     """Reflection of the univariate coefficients through the hyperboloid
     center, transported back; an involution on level-N flows, N >= 2."""
     vf = vector_field(f)
-    q, ell, _basis = _univariate_form(vf)
+    q, ell = _univariate_form(vf)
     res = univariate_classify(q)
     if not (isinstance(res, dict) and res.get("kind") == "level"):
         raise AlgebraError("dual needs an integer-level flow")

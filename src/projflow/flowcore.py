@@ -288,9 +288,9 @@ def verify_translation(f):
     """
     if check_boundary(f):
         return verify_pde(f)
-    from .classify import NotDegenerate, classify_degenerate
+    from .classify import NotDegenerate, _degenerate_form
     try:
-        classify_degenerate(f)
+        _degenerate_form(f)
     except NotDegenerate:
         if _identically_singular(f):
             raise IdenticallySingular("substitution denominator vanishes")

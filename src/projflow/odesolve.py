@@ -170,16 +170,18 @@ def _nullspace(reduced, pivots, ncols):
 
 
 def rational_solutions(ode):
-    """All rational solutions: {'particular': f | None, 'homogeneous_basis': g | None}.
+    """All rational solutions as {'particular': f | None,
+    'homogeneous_basis': g | None}.
 
-    The solution set is particular + span(basis); None components certify
-    nonexistence via the indicial/degree bounds.
+    The solution set is particular + span(g): f is one solution and g spans
+    those of the homogeneous equation p f' + q f = 0, with a monic
+    numerator.  A None component certifies, through the indicial and degree
+    bounds, that no rational solution of that kind exists.
     """
     P, Q, R = _clear_denominators(ode)
     x = Poly.var(0, 1)
     # denominator bound
     den = Poly.const(1, 1)
-    blocked = []
     for pi, p0 in _factor_irreducible(P):
         if pi.total_degree() == 0:
             continue
@@ -192,8 +194,6 @@ def rational_solutions(ode):
             _, pcof = _multiplicity(P, pi)
             cand = _indicial_candidate(pi, pcof, Q if q0 == 0 else qcof)
             e = max(q0, cand if cand is not None else 0)
-            if cand is None:
-                blocked.append(pi)
         for _ in range(e):
             den = den * pi
     dden = den.total_degree()
@@ -249,8 +249,7 @@ def rational_solutions(ode):
         basis = build(real_null[0]).scale_num_monic()
         if not (ode.p * basis.derivative(0) + ode.q * basis).is_zero():
             raise VerificationFailed("homogeneous solution does not solve the ODE")
-    return {"particular": part, "homogeneous_basis": basis,
-            "blocked_poles": blocked, "degree_bound": M}
+    return {"particular": part, "homogeneous_basis": basis}
 
 
 # -- the flow-specific equations ------------------------------------------

@@ -26,6 +26,7 @@ from projflow import (
     RatFn,
     RationalFlow,
     VectorField,
+    VerificationFailed,
     canonical_flow,
     canonicalize,
     classify_degenerate,
@@ -50,8 +51,14 @@ from projflow import (
     zoo,
 )
 from projflow import classify as classify_module
+from projflow import odesolve as odesolve_module
 from projflow.algebra import divexact
-from projflow.classify import _Chain, _conjugates_to, _quad_uvw
+from projflow.classify import (
+    _Chain,
+    _conjugates_to,
+    _quad_uvw,
+    _transported_invariant,
+)
 from projflow.cli import _coords_repr, main
 from projflow.parser import parse_flow, print_flow, print_vector_field
 
@@ -443,6 +450,75 @@ def test_orbit_invariant_zoo():
     for entry in zoo():
         assert orbit_invariant(entry.vf, entry.level) == entry.orbit_W, \
             entry.name
+
+
+# h^-1 o phi_N o h for levels past the seeded draws, by maps of degree 1
+# and 2 with small coefficients
+_HIGH_LEVEL_MAPS = (
+    HomBir(X + Y, X - 2 * Y, LinearMap2(1, 1, 0, 1)),
+    HomBir(X * X + X * Y - Y * Y, X * X + 2 * Y * Y, LinearMap2(0, 1, 1, -1)),
+)
+
+
+@pytest.fixture(scope="module")
+def transport_cases():
+    """(vf, RationalFlow verdict) from the pipeline on the fields of the
+    seed-2 and seed-7 ``_seeded_conjugates`` and of conjugates of phi_N for
+    N in {3, -3, 4, 5}."""
+    flows = [f for seed in (2, 7)
+             for _N, _h, f in _seeded_conjugates(random.Random(seed))]
+    flows += [conjugate_flow(canonical_flow(N), h)
+              for N in (3, -3, 4, 5) for h in _HIGH_LEVEL_MAPS]
+    out = []
+    for f in flows:
+        vf = vector_field(f)
+        res = classify_vf(vf)
+        assert isinstance(res, RationalFlow), f
+        out.append((vf, res))
+    assert {res.level for _, res in out} >= {1, 2, 3, 4, 5}
+    return out
+
+
+def test_transported_invariant_matches_orbit_equation(transport_cases):
+    # phi_N's invariant carried by ell^-1 is the invariant the orbit
+    # equation gives, normalization included
+    for vf, res in transport_cases:
+        assert res.orbit_W == orbit_invariant(vf, res.level), vf
+
+
+def test_transported_invariant_rejects_wrong_conjugator(transport_cases,
+                                                       monkeypatch):
+    # a shear does not commute with phi_N for N >= 1, so x y^(N-1) carried
+    # by (ell o shear)^-1 is no invariant of the field
+    shear = HomBir.linear(LinearMap2(1, 1, 0, 1))
+    for vf, res in transport_cases:
+        with pytest.raises(VerificationFailed):
+            _transported_invariant(vf, res.level, res.ell.compose(shear))
+    # and the pipeline runs the check on the conjugator it builds
+    chain = classify_module._chain_to_canonical
+    monkeypatch.setattr(classify_module, "_chain_to_canonical",
+                        lambda q, N, ell: chain(q, N, ell).compose(shear))
+    with pytest.raises(VerificationFailed):
+        classify_vf(transport_cases[0][0])
+
+
+def test_canonicalize_solves_one_ode(monkeypatch):
+    # the univariate form is the only rational_solutions call of a rational
+    # flow of level >= 1; its invariant comes from the conjugator
+    calls = []
+    solve = odesolve_module.rational_solutions
+
+    def counted(ode):
+        calls.append(ode)
+        return solve(ode)
+
+    monkeypatch.setattr(odesolve_module, "rational_solutions", counted)
+    monkeypatch.setattr(classify_module, "rational_solutions", counted)
+    for N, h in ((1, _HIGH_LEVEL_MAPS[0]), (3, _HIGH_LEVEL_MAPS[1])):
+        calls.clear()
+        res = canonicalize(conjugate_flow(canonical_flow(N), h))
+        assert isinstance(res, RationalFlow) and res.level == N
+        assert len(calls) == 1, (N, calls)
 
 
 def test_pN_map():
