@@ -33,12 +33,6 @@ and the sum is folded variable by variable, so that each step multiplies by
 one argument and each innermost term takes a cached power of C.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
 only compare it by cross-multiplication.
-
-A radial substitution x -> x * T/C, the core of every 1-homogenic birational
-map, is a one-variable problem: p(x T/C, y T/C) = sum_s p_s (T/C)^s over the
-homogeneous parts p_s of p.  ``radial_pullback`` sums C^m * p_s * (T/C)^s by
-Horner's rule in T on the same packed ints, with one product per degree s
-rather than one per monomial group of p.
 """
 from __future__ import annotations
 
@@ -458,54 +452,18 @@ def _horner(items, i, k, args, cpow):
     return acc
 
 
-def radial_pullback(ps, T, C):
-    """[C^m * p(x T/C, y T/C, ...) for p in ps], m the largest total degree
-    of the ``ps``.
-
-    With p_s the homogeneous part of degree s of p, p(x t, y t, ...) is the
-    sum of p_s t^s, so the result is the sum of p_s * T^s * C^(m - s).  It
-    runs by Horner's rule in T on packed ints: acc = acc * T + p_s * C^(m - s)
-    for s from deg p down to 0, with the powers of C shared by all the ``ps``.
-    Using one m for every p keeps their quotients equal to those of the
-    substituted ``ps``.
-    """
-    nv = T.nvars
-    m = max(p.total_degree() for p in ps)
-    if m < 0:
-        return [Poly.zero(nv) for _ in ps]
-    # every term has degree s + s deg T + (m - s) deg C
-    width = max(1, m * (1 + max(T.total_degree(), C.total_degree()))).bit_length()
-    # over L = lcm(T.den, C.den) every T^s C^(m - s) has denominator L^m
-    L = lcm(T.den, C.den)
-    t = [(k, c * (L // T.den)) for k, c in T._packed(width)]
-    cpows = [{0: 1}]
-    cz = [(k, c * (L // C.den)) for k, c in C._packed(width)]
-    out = []
-    for p in ps:
-        parts = {}
-        for e, c in p.ints.items():
-            parts.setdefault(sum(e), []).append((_pack(e, width), c))
-        acc = {}
-        for s in range(p.total_degree(), -1, -1):
-            if acc:
-                acc = _mul_ints(acc.items(), t)
-            part = parts.get(s)
-            if part:
-                while len(cpows) <= m - s:
-                    cpows.append(_mul_ints(cpows[-1].items(), cz))
-                get = acc.get
-                for key, c in _mul_ints(part, cpows[m - s].items()).items():
-                    acc[key] = get(key, 0) + c
-        out.append(Poly._of(nv, {_unpack(k, nv, width): c
-                                 for k, c in acc.items() if c},
-                            p.den * L ** m))
-    return out
-
-
 # -- exact division and gcd ----------------------------------------------
 
 def divexact(p, d):
     """Exact polynomial division p / d; raises if not exact."""
+    q = _quotient(p, d)
+    if q is None:
+        raise AlgebraError("inexact polynomial division")
+    return q
+
+
+def _quotient(p, d):
+    """p / d when d divides p, else None."""
     if d.is_zero():
         raise AlgebraError("division by zero polynomial")
     if p.is_zero():
@@ -513,7 +471,7 @@ def divexact(p, d):
     nv = p.nvars
     deg = p.total_degree()
     if d.total_degree() > deg:
-        raise AlgebraError("inexact polynomial division")
+        return None
     # every exponent of the remainder and the quotient is at most deg p
     width = deg.bit_length()
     dints = d._packed(width)
@@ -534,7 +492,7 @@ def divexact(p, d):
             continue  # cancelled after it was queued
         qc, rem = divmod(c, lt_c)
         if rem or any(a < b for a, b in zip(_unpack(k, nv, width), lt_e)):
-            raise AlgebraError("inexact polynomial division")
+            return None
         qk = k - lt_k
         out[_unpack(qk, nv, width)] = qc * d.den
         for k2, c2 in rest:
@@ -718,9 +676,19 @@ class RatFn:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
+    def reciprocal(self):
+        """den/num without a gcd: the pair is already coprime, so only the
+        content and sign of num move to the new numerator."""
+        if self.is_zero():
+            raise ZeroDivisionError("reciprocal of zero rational function")
+        c = self.num.content()
+        if self.num.leading_coeff() < 0:
+            c = -c
+        return RatFn(self.den * (1 / c), self.num * (1 / c), reduce=False)
+
     def __pow__(self, n):
         if n < 0:
-            return RatFn(self.den, self.num) ** (-n)
+            return self.reciprocal() ** (-n)
         return RatFn(self.num ** n, self.den ** n)
 
     def derivative(self, i):
@@ -855,9 +823,9 @@ class LinearMap2:
             self.c * other.b + self.d * other.d,
         )
 
-    def coord_polys(self, nvars=2):
-        x = Poly.var(0, nvars)
-        y = Poly.var(1, nvars)
+    def coord_polys(self):
+        x = Poly.var(0, 2)
+        y = Poly.var(1, 2)
         return (x * self.a + y * self.b, x * self.c + y * self.d)
 
     def is_identity(self):

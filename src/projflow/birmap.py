@@ -4,13 +4,6 @@ An element acts as x -> L(x) * (P/Q)(L(x)), i.e. the linear change first,
 then the radial map (xP/Q, yP/Q).  The stored triple is normalized so that
 structural equality coincides with equality of maps.
 
-Pulling a rational function r back by such a map is a one-variable problem:
-with T = P o L and C = Q o L, r o ell is r o L evaluated at (x T/C, y T/C),
-whose homogeneous parts of degree s each take the factor (T/C)^s.
-``HomBir.pullback_pair`` sums them by Horner's rule in T
-(``algebra.radial_pullback``) instead of substituting both coordinates of
-ell into r; ``conjugate_flow`` takes f o ell this way.
-
 Pushing a small map t forward, ell o t o ell^{-1}, needs no inversion: the
 radial part x * P/Q has 0-homogenic P/Q, so its inverse is x * Q/P and
 ell^{-1}(x) = L^{-1}(x) * Q/P.  ``HomBir.push_forward`` builds the result
@@ -30,7 +23,6 @@ from .algebra import (
     RatFn,
     divexact,
     poly_gcd,
-    radial_pullback,
 )
 from .flowcore import Flow, VectorField
 
@@ -40,7 +32,7 @@ class HomBir:
 
     __slots__ = ("P", "Q", "L")
 
-    def __init__(self, P, Q, L=None, _normalized=False):
+    def __init__(self, P, Q, L=None):
         if L is None:
             L = LinearMap2.identity()
         if isinstance(P, int):
@@ -53,8 +45,7 @@ class HomBir:
             raise AlgebraError("P and Q must be homogeneous")
         if P.total_degree() != Q.total_degree():
             raise AlgebraError("P and Q must have equal degree")
-        if not _normalized:
-            P, Q, L = _normalize_triple(P, Q, L)
+        P, Q, L = _normalize_triple(P, Q, L)
         self.P = P
         self.Q = Q
         self.L = L
@@ -62,13 +53,11 @@ class HomBir:
     # -- constructors ---------------------------------------------------
     @classmethod
     def identity(cls):
-        one = Poly.const(2, 1)
-        return cls(one, one, LinearMap2.identity())
+        return cls(1, 1)
 
     @classmethod
     def linear(cls, L):
-        one = Poly.const(2, 1)
-        return cls(one, one, L)
+        return cls(1, 1, L)
 
     @classmethod
     def from_A(cls, A):
@@ -121,19 +110,13 @@ class HomBir:
         return (m1 * t, m2 * t)
 
     def pullback_pair(self, r):
-        """(N, D) with N/D = r o self, not reduced.
-
-        With T = P o L, C = Q o L and m the larger degree of r's numerator n
-        and denominator d, N = C^m * n(self(x)) and D = C^m * d(self(x)),
-        computed by ``radial_pullback`` on n o L and d o L.
-        """
-        polys = (r.num, r.den, self.P, self.Q)
+        """(N, D) with N/D = r o self, not reduced: r at L(x) * T/C with
+        T = P o L and C = Q o L, by ``RatFn.subs_pair``."""
+        ls = self.L.coord_polys()
+        T, C = self.P, self.Q
         if not self.L.is_identity():
-            args = self.L.coord_polys()
-            polys = [p.subs_polys(args) for p in polys]
-        n, d, T, C = polys
-        N, D = radial_pullback([n, d], T, C)
-        return N, D
+            T, C = T.subs_polys(ls), C.subs_polys(ls)
+        return r.subs_pair([RatFn(l * T, C, reduce=False) for l in ls])
 
     def push_forward(self, t):
         """(N1, N2, D) with (N1/D, N2/D) = self o t o self^{-1}, not reduced.
@@ -279,12 +262,10 @@ def classify_involution(a):
     if lam is None or lam == 0:
         return InvolutionClass("NotInvolution")
     plus = lam > 0
-    lx, ly = a.L.coord_polys()
-    PL = a.P.subs_polys([lx, ly])
+    PL = a.P.subs_polys(a.L.coord_polys())
     # Q must be a scalar multiple of P o L; determine the sign
     if PL.is_zero():
         return InvolutionClass("NotInvolution")
-    ratio = None
     lt_e, lt_c = PL.leading_term()
     qc = a.Q.terms.get(lt_e)
     if qc is None:

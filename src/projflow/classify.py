@@ -264,23 +264,22 @@ def _chain_to_canonical(uvw, N, ell):
 
 def _split_inverse(coord):
     """For w = B R/(cR+1) != 0 return (c/B, B*R) from 1/w."""
-    h = RatFn(coord.den, coord.num)
+    h = coord.reciprocal()
     n, d = h.num, h.den
     if n.total_degree() == d.total_degree():
-        parts_n = n.homogeneous_parts()
-        parts_d = d.homogeneous_parts()
         top = n.total_degree()
-        ratio = _rf(parts_n[top], parts_d[top])
-        if not ratio.num.is_constant() or not ratio.den.is_constant():
+        tn, td = n.homogeneous_parts()[top], d.homogeneous_parts()[top]
+        k = tn.leading_coeff() / td.leading_coeff()
+        if tn != td * k:
             raise NotDegenerate("top-degree ratio is not constant")
-        k = ratio.num.constant_value() / ratio.den.constant_value()
-        rest = h - RatFn.const(k, 2)
+        # gcd(n - k d, d) = gcd(n, d) = 1, and d is already normalized
+        rest = RatFn(n - d * k, d, reduce=False)
     else:
         k = Fraction(0)
         rest = h
     if rest.is_zero() or rest.homogeneity_degree() != -1:
         raise NotDegenerate("no 1-homogenic core")
-    return k, RatFn(rest.den, rest.num)
+    return k, rest.reciprocal()
 
 
 def classify_degenerate(f):

@@ -14,6 +14,7 @@ from .algebra import (
     RatFn,
     VerificationFailed,
     _int_coeffs,
+    _quotient,
     divexact,
     factor_list_q,
     poly_gcd,
@@ -86,14 +87,12 @@ def _factor_irreducible(P):
             for fac, mult in factor_list_q(_coeffs(P))]
 
 
-def _multiplicity(P, pi):
+def _multiplicity(Q, pi):
+    """(m, Q / pi^m) for the largest m with pi^m dividing Q != 0."""
     m = 0
-    while True:
-        try:
-            P2 = divexact(P, pi)
-        except AlgebraError:
-            return m, P
-        P, m = P2, m + 1
+    while (q := _quotient(Q, pi)) is not None:
+        Q, m = q, m + 1
+    return m, Q
 
 
 def _indicial_candidate(pi, A, B):
@@ -191,8 +190,8 @@ def rational_solutions(ode):
         elif p0 - 1 > q0:
             e = q0
         else:
-            _, pcof = _multiplicity(P, pi)
-            cand = _indicial_candidate(pi, pcof, Q if q0 == 0 else qcof)
+            # p0 is pi's multiplicity in P, so this division is exact
+            cand = _indicial_candidate(pi, divexact(P, pi ** p0), qcof)
             e = max(q0, cand if cand is not None else 0)
         for _ in range(e):
             den = den * pi
@@ -202,7 +201,7 @@ def rational_solutions(ode):
     lcP = P.leading_coeff()
     lcQ = Q.leading_coeff() if not Q.is_zero() else Fraction(0)
     delta = max(dP - 1, dQ) + dden
-    cands = []
+    cands = [-1]
     rhs_poly = R * den * den
     if not rhs_poly.is_zero():
         cands.append(rhs_poly.total_degree() - delta)
@@ -212,7 +211,7 @@ def rational_solutions(ode):
         mstar = Fraction(dden) - lcQ / lcP
         if mstar.denominator == 1 and mstar >= 0:
             cands.append(int(mstar))
-    M = max(cands) if cands else -1
+    M = max(cands)
     if M > DEGREE_CAP:
         raise CapExceeded("numerator degree bound %d exceeds cap" % M)
     # operator T(n) = P (n' den - n den') + Q n den, solve T(n) = R den^2
@@ -270,14 +269,13 @@ def dehomogenize(f):
     return RatFn(_on_y1(f.num), den)
 
 
-def homogenize_0(f, nv=2):
+def homogenize_0(f):
     """Univariate f(t) -> 0-homogenic A(x, y) = f(x/y)."""
     k = max(f.num.total_degree(), f.den.total_degree())
-    pad = (0,) * (nv - 2)
 
     def conv(p):
-        return Poly._of(nv, {(i, k - i) + pad: c
-                             for (i,), c in p.ints.items()}, p.den)
+        return Poly._of(2, {(i, k - i): c for (i,), c in p.ints.items()},
+                        p.den)
     return RatFn(conv(f.num), conv(f.den))
 
 

@@ -254,6 +254,26 @@ def substitutions(draw):
     return P, args, draw(kernel_polys(nv))
 
 
+@given(kernel_polys(2), kernel_polys(2), kernel_polys(2), st.integers(1, 3))
+@settings(max_examples=80, deadline=2000)
+def test_reciprocal_matches_swapped_reduction(a, b, g, n):
+    # a reduced pair with rational content, either sign, constants and a
+    # cancelled common factor g; its gcd-free reciprocal and its powers
+    # equal the reduced swap structurally
+    if b.is_zero() or g.is_zero():
+        return
+    r = RatFn(a * g, b * g)
+    if r.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            r.reciprocal()
+        return
+    swapped = RatFn(r.den, r.num)
+    inv = r.reciprocal()
+    assert (inv.num, inv.den) == (swapped.num, swapped.den)
+    assert inv.den.den == 1 and inv.den.leading_coeff() > 0
+    assert r ** -n == swapped ** n
+
+
 @given(substitutions())
 @settings(max_examples=80, deadline=2000)
 def test_eval_hom_and_subs_polys_match_sympy(sub):

@@ -521,6 +521,28 @@ def test_canonicalize_solves_one_ode(monkeypatch):
         assert len(calls) == 1, (N, calls)
 
 
+def test_rational_solutions_makes_no_failing_division(monkeypatch):
+    # multiplicities are found by a division that reports failure without
+    # raising, so canonicalize of the seeded conjugates runs no exact
+    # division inside rational_solutions that fails
+    failed = []
+    div = odesolve_module.divexact
+
+    def spied(p, d):
+        try:
+            return div(p, d)
+        except AlgebraError:
+            failed.append((p, d))
+            raise
+
+    monkeypatch.setattr(odesolve_module, "divexact", spied)
+    cases = [f for seed in (3, 5)
+             for _, _, f in _seeded_conjugates(random.Random(seed))]
+    for f in cases:
+        assert isinstance(canonicalize(f), RationalFlow)
+    assert not failed, failed
+
+
 def test_pN_map():
     p = pN_map(canonical_flow(3))
     assert (p.X, p.Y, p.Z, p.N) == (0, 2, 0, 3)

@@ -1,10 +1,12 @@
 """Source hygiene that needs no linter: every module-level import of the
-package is used (``__init__.py`` is exempt: its imports are re-exports), and
-every private module-level name is used somewhere in the package."""
+package is used (``__init__.py`` is exempt: its imports are re-exports),
+every private module-level name is used somewhere in the package, and every
+private parameter is passed somewhere in the package or its tests."""
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "projflow"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_unused_module_level_imports():
@@ -64,3 +66,24 @@ def test_no_dead_private_module_names():
                        for _, other, refs in nodes if other is not node):
                 dead.append("%s:%d %s" % (fname, node.lineno, name))
     assert not dead, dead
+
+
+def test_private_parameters_are_passed():
+    # a _name parameter is an internal knob; one that no call in the
+    # package or its tests passes by keyword only ever takes its default
+    passed = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call):
+                passed.update(k.arg for k in n.keywords if k.arg)
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = n.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.arg.startswith("_") and arg.arg not in passed:
+                    unpassed.append("%s:%d %s(%s)" % (path.name, n.lineno,
+                                                      n.name, arg.arg))
+    assert not unpassed, unpassed

@@ -163,6 +163,18 @@ def test_solve_differ_no_rational_solution():
     # the equation (checked inside rational_solutions via residual assert)
 
 
+def test_negative_degree_bound_certifies_no_solution():
+    # dP - 1 = dQ with a non-integer m*, no pole allowed and a constant
+    # right side: every degree candidate is below -1, so no numerator exists
+    for ode in (LinODE(2 * T ** 4 + 3 * T ** 3 + T * T - 3 * T + 3,
+                       Fraction(-3, 2) * T ** 3 + Fraction(1, 2) * T * T
+                       + T - 1, 2),
+                LinODE(Fraction(-1, 2) * T * T - 3 * T,
+                       -T ** 3 - Fraction(1, 2) * T * T + T + 1, -1)):
+        assert rational_solutions(ode) == {"particular": None,
+                                           "homogeneous_basis": None}
+
+
 def test_indicial_candidate_solves_its_congruence():
     # e * A * pi' = B mod pi: B built from a known e, plus a multiple of pi
     rng = random.Random(5)
