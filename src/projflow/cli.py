@@ -14,9 +14,8 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraError, IdenticallySingular, NeedsRationalRoot
-from .flowcore import (DegenerateJacobian, Flow, check_boundary,
-                       level_of, vector_field, verify_translation, verify_pde,
-                       zeros_poles, is_i0_symmetric)
+from .flowcore import (DegenerateJacobian, Flow, level_of, vector_field,
+                       verify_translation, zeros_poles, is_i0_symmetric)
 from .parser import (ParseError, parse_flow, parse_input,
                      print_flow, print_vector_field)
 from .series import expand_from_vf, diagonal_series
@@ -97,11 +96,10 @@ def cmd_parse(args):
 
 def cmd_verify(args):
     f = parse_flow(_read_input(args))
-    pde = verify_pde(f)
-    # given the boundary condition, verify_translation would decide by the
-    # same PDE system
-    ok = pde if check_boundary(f) else verify_translation(f)
-    _emit({"translation_equation": ok, "pde": pde}, args)
+    # verify_translation is verify_pde, except that it raises on a map for
+    # which the composition is nowhere defined
+    ok = verify_translation(f)
+    _emit({"translation_equation": ok, "pde": ok}, args)
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Flows and vector fields: the translation equation (decided by the PDE
-system, or for a map failing the boundary condition by its degenerate form),
-boundary condition, PDE system, level computation, zeros-poles census,
+"""Flows and vector fields: the translation equation (for a map with the
+boundary condition the first-order PDE Dphi (x - V) = phi on its jet field
+V, else its degenerate form), level computation, zeros-poles census,
 symmetry.
 
 A vector field is stored over one denominator, w = P/D and r = Q/D, in a
@@ -19,6 +19,7 @@ from .algebra import (
     count_real_projective_roots,
     poly_gcd,
     divexact,
+    _quotient,
 )
 
 
@@ -276,60 +277,72 @@ def _identically_singular(f):
 
 
 def verify_translation(f):
-    """Exact check of (1-z) phi(x, y) = phi(phi(xz, yz) (1-z)/z).
+    """Exact check of (1-z) phi(x, y) = phi(phi(xz, yz) (1-z)/z), decided
+    by ``verify_pde``.  A rejected map for which the composition is nowhere
+    defined raises IdenticallySingular."""
+    if verify_pde(f):
+        return True
+    if _identically_singular(f):
+        raise IdenticallySingular("substitution denominator vanishes")
+    return False
 
-    For a map with the boundary condition lim phi(xz, yz)/z = (x, y) it is
-    equivalent to the PDE system, so ``verify_pde`` decides.  By the paper's
-    classification, every solution failing the boundary condition (the zero
-    flow and the singular flows) has the degenerate form A R/(cR+1),
-    B R/(cR+1) with R 1-homogenic and R(A, B) = 1, so ``classify_degenerate``
-    decides any other map.  A map for which the composition is nowhere
-    defined raises IdenticallySingular.
+
+def verify_pde(f):
+    """The translation equation: Dphi (x - V) = phi, with V = (P/D, Q/D)
+    the jet field, for a map with the boundary condition.  By the paper's
+    classification every solution failing it (the zero and singular flows)
+    has the degenerate form A R/(cR+1), B R/(cR+1), R 1-homogenic, R(A, B) = 1.
+
+    A flow F(x, t) = phi(xt)/t has F_t = D_x F V (differentiate F(F(x, s), t)
+    = F(x, s + t) at s = 0), the PDE at t = 1.  Conversely the PDE at xt and
+    V 2-homogenic give F_t = D_x F V, with F(x, 0) = x: F is the flow of V.
+    With X = x D - P, Y = y D - Q, a coordinate n/d satisfies the PDE iff
+    d (X n_x + Y n_y - n D) == n (X d_x + Y d_y), tested through the
+    quotient by d when it is exact (always, for a flow in lowest terms).
     """
-    if check_boundary(f):
-        return verify_pde(f)
-    from .classify import NotDegenerate, _degenerate_form
-    try:
-        _degenerate_form(f)
-    except NotDegenerate:
-        if _identically_singular(f):
-            raise IdenticallySingular("substitution denominator vanishes")
-        return False
+    if not check_boundary(f):
+        from .classify import NotDegenerate, _degenerate_form
+        try:
+            _degenerate_form(f)
+        except NotDegenerate:
+            return False
+        return True
+    P, Q, D = _jet_field(f)
+    X, Y = Poly.var(0, 2) * D - P, Poly.var(1, 2) * D - Q
+    for g in (f.u, f.v):
+        n, d = g.num, g.den
+        A = X * n.derivative(0) + Y * n.derivative(1) - n * D
+        B = X * d.derivative(0) + Y * d.derivative(1)
+        h = _quotient(B, d)
+        if not (A == n * h if h is not None else d * A == n * B):
+            return False
     return True
 
 
 # -- vector field ----------------------------------------------------------
 
-def _first_derivatives(f):
-    """Polynomial numerators of the first derivatives of u = a/b, v = c/d.
-
-    u_x = UX/b^2, u_y = UY/b^2, v_x = VX/d^2, v_y = VY/d^2; over b^2 d^2,
-    E is the numerator of v u_y - u v_y, F that of u v_x - v u_x and J that
-    of the Jacobian.  Returns (UX, UY, VX, VY, E, F, J).
-    """
-    a, b = f.u.num, f.u.den
-    c, d = f.v.num, f.v.den
-    UX = a.derivative(0) * b - a * b.derivative(0)
-    UY = a.derivative(1) * b - a * b.derivative(1)
-    VX = c.derivative(0) * d - c * d.derivative(0)
-    VY = c.derivative(1) * d - c * d.derivative(1)
-    E = c * UY * d - a * VY * b
-    F = a * VX * b - c * UX * d
-    J = UX * VY - UY * VX
-    return UX, UY, VX, VY, E, F, J
+def _jet_field(f):
+    """Unreduced (P, Q, D) with (w, r) = (P/D, Q/D) the second jets
+    (a_(m+2) - x b_(m+1))/b_m of a map with the boundary condition
+    (``_coord_jets``), over the larger b_m when one divides the other."""
+    (u, (_, bu)), (v, (_, bv)) = _coord_jets(f.u, 2), _coord_jets(f.v, 2)
+    if (h := _quotient(bv, bu)) is not None:
+        return u[1] * h, v[1], bv
+    if (h := _quotient(bu, bv)) is not None:
+        return u[1], v[1] * h, bu
+    return u[1] * bv, v[1] * bu, bu * bv
 
 
 def vector_field(f):
     """The vector field (w, r) = d/dz [phi(xz, yz)/z] at z = 0.
 
     A map that satisfies the boundary condition has (w, r) as the second
-    jet of its z-expansion, (a_(m+2) - x b_(m+1))/b_m per coordinate
-    (``_coord_jets``); on a map that is not a flow this is its tangent
-    field at z = 0.  Any other map goes through ``_jacobian_field``.
+    jet of its z-expansion (``_jet_field``); on a map that is not a flow
+    this is its tangent field at z = 0.  Any other map goes through
+    ``_jacobian_field``.
     """
     if check_boundary(f):
-        (u, (_, bu)), (v, (_, bv)) = _coord_jets(f.u, 2), _coord_jets(f.v, 2)
-        return VectorField.of(u[1] * bv, v[1] * bu, bu * bv)
+        return VectorField.of(*_jet_field(f))
     return _jacobian_field(f)
 
 
@@ -337,37 +350,19 @@ def _jacobian_field(f):
     """(w, r) = ((v u_y - u v_y)/J + x, (u v_x - v u_x)/J + y).
 
     Works on polynomial numerators throughout: with u = a/b, v = c/d the
-    shared denominator b^2 d^2 of the derivative combinations and of J
-    cancels, leaving the field ((E + x J)/J, (F + y J)/J).
+    first derivatives are over b^2 and d^2, and the shared denominator
+    b^2 d^2 of E = v u_y - u v_y, F = u v_x - v u_x and J cancels, leaving
+    the field ((E + x J)/J, (F + y J)/J).
     """
-    E, F, Jn = _first_derivatives(f)[4:]
-    if Jn.is_zero():
+    a, b, c, d = f.u.num, f.u.den, f.v.num, f.v.den
+    UX, UY = (a.derivative(i) * b - a * b.derivative(i) for i in (0, 1))
+    VX, VY = (c.derivative(i) * d - c * d.derivative(i) for i in (0, 1))
+    J = UX * VY - UY * VX
+    if J.is_zero():
         raise DegenerateJacobian("Jacobian vanishes identically")
-    return VectorField.of(E + Poly.var(0, 2) * Jn, F + Poly.var(1, 2) * Jn, Jn)
-
-
-def verify_pde(f):
-    """The second-order PDE system equivalent to the translation equation
-    (given the boundary condition).
-
-    Works entirely with polynomial numerators over the common denominator
-    to avoid expensive rational-function reduction.
-    """
-    a, b = f.u.num, f.u.den
-    c, d = f.v.num, f.v.den
-    x = Poly.var(0, 2)
-    y = Poly.var(1, 2)
-    UX, UY, VX, VY, E, F, J = _first_derivatives(f)
-    for num, den, WX, WY in ((a, b, UX, UY), (c, d, VX, VY)):
-        # second-derivative numerators over den^3
-        XX = WX.derivative(0) * den - 2 * WX * den.derivative(0)
-        XY = WX.derivative(1) * den - 2 * WX * den.derivative(1)
-        YY = WY.derivative(1) * den - 2 * WY * den.derivative(1)
-        lhs = (x * XX + y * XY) * E + (y * YY + x * XY) * F
-        rhs = 2 * (num * den - x * WX - y * WY) * J * den
-        if lhs != rhs:
-            return False
-    return True
+    E = c * UY * d - a * VY * b
+    F = a * VX * b - c * UX * d
+    return VectorField.of(E + Poly.var(0, 2) * J, F + Poly.var(1, 2) * J, J)
 
 
 # -- level -----------------------------------------------------------------

@@ -25,6 +25,7 @@ from projflow import (
     conjugate_flow,
     conjugate_vf_linear,
     conjugate_vf_radial,
+    expand_flow,
     kapa,
     lookup,
     poly_gcd,
@@ -32,6 +33,9 @@ from projflow import (
     zoo,
 )
 from projflow.flowcore import _jacobian_field, _linear_form_pair, exact_isqrt
+
+from pde_reference import pde_second_order
+from test_acceptance import _perturbed
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -85,6 +89,32 @@ def _seeded_conjugates(rng):
                 break
         out.append(conjugate_flow(canonical_flow(rng.choice((1, -1, 2))), h))
     return out
+
+
+def test_pde_matches_second_order_reference():
+    # verify_pde checks the first-order PDE on the jet field; the
+    # second-order system (tests/pde_reference) decides boundary maps
+    # independently.  Unreduced copies of the flows take the
+    # cross-multiplied branch: d need not divide X d_x + Y d_y there.
+    rng = random.Random(12)
+    g = X + 3 * Y + 5
+    # the lowest denominator parts x and y of its jets divide neither way
+    maps = [Flow(RatFn(X * X, X + Y * Y), RatFn(Y * Y, Y + X * X))]
+    for f in _seeded_conjugates(rng):
+        unreduced = Flow(*(RatFn(c.num * g, c.den * g, reduce=False)
+                           for c in (f.u, f.v)))
+        maps += [f, unreduced] + [_perturbed(f, rng) for _ in range(3)]
+    seen = set()
+    for m in maps:
+        if check_boundary(m):
+            verdict = verify_pde(m)
+            assert verdict is pde_second_order(m), m
+            seen.add(verdict)
+            # the field they read is the second jet on each branch
+            jets = expand_flow(m, 2)
+            assert vector_field(m) == VectorField(jets.u_parts[1],
+                                                  jets.v_parts[1]), m
+    assert seen == {True, False}
 
 
 def test_vector_field_routes_agree():

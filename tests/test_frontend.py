@@ -153,6 +153,15 @@ def test_cli_verify_zero_flow():
     assert out == "translation_equation: True\npde: True\n"
 
 
+@pytest.mark.parametrize("text", ["u = 2*x; v = 2*y", "u = x^2; v = x^2"])
+def test_cli_verify_non_boundary_non_flow(text):
+    # the PDE route decides a map failing the boundary condition by its
+    # degenerate form, so it agrees with the translation equation
+    code, out, err = run_cli("verify", text)
+    assert (code, err) == (0, "")
+    assert out == "translation_equation: False\npde: False\n"
+
+
 def test_cli_exit_parse_error():
     code, _, err = run_cli("parse", "u = 0.5*x; v = y")
     assert code == 2
