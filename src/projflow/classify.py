@@ -26,11 +26,14 @@ from .flowcore import (
     Flow,
     VectorField,
     HyperboloidPoint,
+    NotDegenerate,
     check_boundary,
     exact_isqrt,
     level_of,
     vector_field,
-    verify_pde,
+    _degenerate_form,
+    _jet_field,
+    _pde_holds,
 )
 from .birmap import (
     HomBir,
@@ -59,10 +62,6 @@ def _rf(p, q=None):
     if isinstance(q, Poly):
         q = RatFn(q)
     return p / q
-
-
-class NotDegenerate(AlgebraError):
-    pass
 
 
 # -- verdicts --------------------------------------------------------------
@@ -262,26 +261,6 @@ def _chain_to_canonical(uvw, N, ell):
 
 # -- degenerate flows ------------------------------------------------------
 
-def _split_inverse(coord):
-    """For w = B R/(cR+1) != 0 return (c/B, B*R) from 1/w."""
-    h = coord.reciprocal()
-    n, d = h.num, h.den
-    if n.total_degree() == d.total_degree():
-        top = n.total_degree()
-        tn, td = n.homogeneous_parts()[top], d.homogeneous_parts()[top]
-        k = tn.leading_coeff() / td.leading_coeff()
-        if tn != td * k:
-            raise NotDegenerate("top-degree ratio is not constant")
-        # gcd(n - k d, d) = gcd(n, d) = 1, and d is already normalized
-        rest = RatFn(n - d * k, d, reduce=False)
-    else:
-        k = Fraction(0)
-        rest = h
-    if rest.is_zero() or rest.homogeneity_degree() != -1:
-        raise NotDegenerate("no 1-homogenic core")
-    return k, rest.reciprocal()
-
-
 def classify_degenerate(f):
     """Structure of a translation-equation solution failing the boundary
     condition: A R/(cR+1) . B R/(cR+1) with R 1-homogenic, R(A, B) = 1.
@@ -291,44 +270,7 @@ def classify_degenerate(f):
     other map raises NotDegenerate."""
     if check_boundary(f):
         raise NotDegenerate("boundary condition holds")
-    return _degenerate_form(f)
-
-
-def _degenerate_form(f):
-    """``classify_degenerate`` on a map its caller has already found to
-    fail the boundary condition."""
-    if f.u.is_zero() and f.v.is_zero():
-        return Degenerate(_rf(Y), Fraction(0), Fraction(0), Fraction(0))
-    base = f.v if f.u.is_zero() else f.u
-    k, S = _split_inverse(base)          # S = (A or B) * R
-    # normalize R to a primitive representative; constants go into A, B
-    R = RatFn(S.num.unit_normal(), S.den.unit_normal())
-    scale = S / R
-    if not (scale.num.is_constant() and scale.den.is_constant()):
-        raise NotDegenerate("inconsistent homogeneous core")
-    coef = scale.num.constant_value() / scale.den.constant_value()
-    if f.u.is_zero():
-        A, B = Fraction(0), coef
-    else:
-        A = coef
-        if f.v.is_zero():
-            B = Fraction(0)
-        else:
-            ratio = f.v / f.u
-            if not (ratio.num.is_constant() and ratio.den.is_constant()):
-                raise NotDegenerate("coordinate ratio is not constant")
-            B = A * ratio.num.constant_value() / ratio.den.constant_value()
-    c = k * (B if f.u.is_zero() else A)
-    # verify the representation and the normalization R(A, B) = 1
-    Rn, Rd = R.num, R.den
-    rAB_n = Rn.eval((A, B))
-    rAB_d = Rd.eval((A, B))
-    if rAB_d == 0 or rAB_n / rAB_d != 1:
-        raise NotDegenerate("R(A, B) != 1")
-    den = R * c + 1
-    if Flow(R * A / den, R * B / den) != f:
-        raise NotDegenerate("not of the degenerate product form")
-    return Degenerate(R, c, A, B)
+    return Degenerate(*_degenerate_form(f))
 
 
 # -- Step I: denominator reduction ----------------------------------------
@@ -801,36 +743,37 @@ def canonicalize(f):
     conjugation check.
 
     A map that satisfies the boundary condition has a 2-homogenic vector
-    field whether or not it is a flow.  Before such a map gets any verdict
-    other than a certified RationalFlow, and when classifying its field
-    raises, ``verify_pde`` decides whether it is a flow at all; a non-flow
-    raises AlgebraError("not a flow").  That check runs before Steps I-III,
-    which a flow never needs and which are slow on large non-flow fields.
+    field whether or not it is a flow.  Before such a map gets a verdict
+    other than a certified RationalFlow, or when classifying its field
+    raises, the PDE of ``verify_pde`` on that field decides if it is a flow;
+    a non-flow raises AlgebraError("not a flow").  That runs before Steps
+    I-III, which a flow never needs and which are slow on large non-flows.
     """
     if not isinstance(f, Flow):
         f = Flow(*f)
     if f.is_identity():
         return Identity()
-    if not check_boundary(f):
-        return _degenerate_form(f)
-    vf = vector_field(f)
+    field = _jet_field(f)
+    if field is None:
+        return Degenerate(*_degenerate_form(f))
+    vf = VectorField.of(*field)
     try:
         verdict = _classify_by_form(vf)
     except AlgebraError as exc:
-        _require_flow(f, exc)
+        _require_flow(f, vf, exc)
         raise
     if isinstance(verdict, RationalFlow):
         if _conjugates_to(f, verdict.ell, canonical_flow(verdict.level)):
             return verdict
         exc = VerificationFailed("canonical conjugation check failed")
-        _require_flow(f, exc)
+        _require_flow(f, vf, exc)
         raise exc
-    _require_flow(f)
+    _require_flow(f, vf)
     return _name_obstruction(vf) if verdict is None else verdict
 
 
-def _require_flow(f, cause=None):
-    if not verify_pde(f):
+def _require_flow(f, vf, cause=None):
+    if not _pde_holds(f, vf.P, vf.Q, vf.D):
         raise AlgebraError("not a flow: the translation equation fails") from cause
 
 

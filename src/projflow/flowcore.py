@@ -1,7 +1,7 @@
-"""Flows and vector fields: the translation equation (for a map with the
-boundary condition the first-order PDE Dphi (x - V) = phi on its jet field
-V, else its degenerate form), level computation, zeros-poles census,
-symmetry.
+"""Flows and vector fields: the jets of phi(xz, yz)/z, whose recurrence
+decides the boundary condition; the translation equation (for a map with it
+the first-order PDE Dphi (x - V) = phi on its jet field V, else its
+degenerate form); level computation, zeros-poles census, symmetry.
 
 A vector field is stored over one denominator, w = P/D and r = Q/D, in a
 normal form (D unit-normal, gcd(P, Q, D) = 1).  Every operation on fields
@@ -28,6 +28,10 @@ class DegenerateJacobian(AlgebraError):
 
 
 class NotLevel0Form(AlgebraError):
+    pass
+
+
+class NotDegenerate(AlgebraError):
     pass
 
 
@@ -194,44 +198,30 @@ class HyperboloidPoint:
         return "HyperboloidPoint(%s, %s, %s; N=%d)" % (self.X, self.Y, self.Z, self.N)
 
 
-# -- boundary condition ----------------------------------------------------
+# -- boundary condition and jets ------------------------------------------
 
-def _lowest_part_ratio(f):
-    """For rational f: lowest z-order and part of f(xz, yz).
+def _coord_jets(g, lin, K):
+    """Exact z-expansion of g(xz, yz)/z to K terms for a coordinate g with
+    the boundary condition lim g(xz, yz)/z = lin (x or y), as numerators
+    over powers of one polynomial: returns (nums, pows), the k-th jet being
+    nums[k-1] / pows[k-1] with pows[k-1] = b_m^(k-1); None without it.
 
-    f(xz, yz) = z^k * (P_a / Q_b) * (1 + O(z)) with homogeneous P_a, Q_b.
-    Returns (k, P_a, Q_b).
-    """
-    nparts = f.num.homogeneous_parts()
-    dparts = f.den.homogeneous_parts()
-    if not nparts:
-        return (None, Poly.zero(2), Poly.const(2, 1))
-    a = min(nparts)
-    b = min(dparts)
-    return (a - b, nparts[a], dparts[b])
-
-
-def _coord_jets(f, K):
-    """Exact z-expansion of f(xz, yz)/z to K terms for one coordinate of a
-    map that satisfies the boundary condition, as numerators over powers of
-    one polynomial: returns (nums, pows), the k-th jet being
-    nums[k-1] / pows[k-1] with pows[k-1] = b_m^(k-1).
-
-    With f = a/b split into homogeneous parts a_i, b_i and m the lowest
-    degree in b, the coefficient of z^(k-1) is
-    c_k = (a_(m+k) - sum_(j<k) c_j b_(m+k-j)) / b_m, and c_1 = a_(m+1)/b_m
-    is x or y.  The recurrence runs on the numerators N_k = c_k b_m^(k-1):
+    With g = a/b split into homogeneous parts a_i, b_i and m the lowest
+    degree in b, the condition is that a has no part below m + 1 and
+    a_(m+1) = lin b_m.  The coefficient of z^(k-1) is then
+    c_k = (a_(m+k) - sum_(j<k) c_j b_(m+k-j)) / b_m, c_1 = lin, and on the
+    numerators N_k = c_k b_m^(k-1) the recurrence is
     N_k = a_(m+k) b_m^(k-2) - sum_(j<k) N_j b_(m+k-j) b_m^(k-1-j).
     """
-    nparts = f.num.homogeneous_parts()
-    dparts = f.den.homogeneous_parts()
-    if not nparts:
-        raise IdenticallySingular("zero coordinate has no flow expansion")
+    nparts = g.num.homogeneous_parts()
+    dparts = g.den.homogeneous_parts()
     m = min(dparts)
     bm = dparts[m]
+    if min(nparts, default=m) != m + 1 or nparts[m + 1] != lin * bm:
+        return None
     zero = Poly.zero(2)
     pows = [Poly.const(2, 1)]  # pows[i] = b_m^i
-    nums = [divexact(nparts.get(m + 1, zero), bm)]
+    nums = [lin]
     for k in range(2, K + 1):
         pows.append(pows[-1] * bm)
         acc = nparts.get(m + k, zero) * pows[k - 2]
@@ -243,17 +233,32 @@ def _coord_jets(f, K):
     return nums[:K], pows
 
 
+def _flow_jets(f, K):
+    """``_coord_jets`` of both coordinates, or None when f fails the
+    boundary condition."""
+    u = _coord_jets(f.u, Poly.var(0, 2), K)
+    v = u and _coord_jets(f.v, Poly.var(1, 2), K)
+    return (u, v) if v else None
+
+
 def check_boundary(f):
-    """True iff lim_{z->0} phi(xz, yz)/z = (x, y), by exact expansion."""
-    x = Poly.var(0, 2)
-    y = Poly.var(1, 2)
-    for coord, lin in ((f.u, x), (f.v, y)):
-        k, p, q = _lowest_part_ratio(coord)
-        if k is None or k != 1:
-            return False
-        if p != lin * q:
-            return False
-    return True
+    """True iff lim_{z->0} phi(xz, yz)/z = (x, y), by ``_coord_jets``."""
+    return _flow_jets(f, 1) is not None
+
+
+def _jet_field(f):
+    """Unreduced (P, Q, D) with (w, r) = (P/D, Q/D) the second jets
+    (a_(m+2) - x b_(m+1))/b_m of f, over the larger b_m when one divides the
+    other; None when f fails the boundary condition."""
+    jets = _flow_jets(f, 2)
+    if jets is None:
+        return None
+    (u, (_, bu)), (v, (_, bv)) = jets
+    if (h := _quotient(bv, bu)) is not None:
+        return u[1] * h, v[1], bv
+    if (h := _quotient(bu, bv)) is not None:
+        return u[1], v[1] * h, bu
+    return u[1] * bv, v[1] * bu, bu * bv
 
 
 # -- translation equation --------------------------------------------------
@@ -288,26 +293,31 @@ def verify_translation(f):
 
 
 def verify_pde(f):
-    """The translation equation: Dphi (x - V) = phi, with V = (P/D, Q/D)
-    the jet field, for a map with the boundary condition.  By the paper's
-    classification every solution failing it (the zero and singular flows)
-    has the degenerate form A R/(cR+1), B R/(cR+1), R 1-homogenic, R(A, B) = 1.
+    """The translation equation: Dphi (x - V) = phi (``_pde_holds``) on the
+    jet field V of a map with the boundary condition (``_jet_field``).  By
+    the paper's classification every solution failing it (the zero and
+    singular flows) has the degenerate form of ``_degenerate_form``.
 
     A flow F(x, t) = phi(xt)/t has F_t = D_x F V (differentiate F(F(x, s), t)
     = F(x, s + t) at s = 0), the PDE at t = 1.  Conversely the PDE at xt and
     V 2-homogenic give F_t = D_x F V, with F(x, 0) = x: F is the flow of V.
-    With X = x D - P, Y = y D - Q, a coordinate n/d satisfies the PDE iff
-    d (X n_x + Y n_y - n D) == n (X d_x + Y d_y), tested through the
-    quotient by d when it is exact (always, for a flow in lowest terms).
     """
-    if not check_boundary(f):
-        from .classify import NotDegenerate, _degenerate_form
-        try:
-            _degenerate_form(f)
-        except NotDegenerate:
-            return False
-        return True
-    P, Q, D = _jet_field(f)
+    field = _jet_field(f)
+    if field is not None:
+        return _pde_holds(f, *field)
+    try:
+        _degenerate_form(f)
+    except NotDegenerate:
+        return False
+    return True
+
+
+def _pde_holds(f, P, Q, D):
+    """Dphi (x - V) = phi for V = (P/D, Q/D): with X = x D - P, Y = y D - Q,
+    a coordinate n/d satisfies it iff d (X n_x + Y n_y - n D) == n (X d_x +
+    Y d_y), tested through the quotient by d when it is exact (always, for a
+    flow in lowest terms).  Both sides are linear in (P, Q, D) together, so
+    every representative of the field gives the same answer."""
     X, Y = Poly.var(0, 2) * D - P, Poly.var(1, 2) * D - Q
     for g in (f.u, f.v):
         n, d = g.num, g.den
@@ -319,19 +329,65 @@ def verify_pde(f):
     return True
 
 
+# -- degenerate flows ------------------------------------------------------
+
+def _split_inverse(coord):
+    """For w = B R/(cR+1) != 0 return (c/B, B*R) from 1/w."""
+    h = coord.reciprocal()
+    n, d = h.num, h.den
+    if n.total_degree() == d.total_degree():
+        top = n.total_degree()
+        tn, td = n.homogeneous_parts()[top], d.homogeneous_parts()[top]
+        k = tn.leading_coeff() / td.leading_coeff()
+        if tn != td * k:
+            raise NotDegenerate("top-degree ratio is not constant")
+        # gcd(n - k d, d) = gcd(n, d) = 1, and d is already normalized
+        rest = RatFn(n - d * k, d, reduce=False)
+    else:
+        k = Fraction(0)
+        rest = h
+    if rest.is_zero() or rest.homogeneity_degree() != -1:
+        raise NotDegenerate("no 1-homogenic core")
+    return k, rest.reciprocal()
+
+
+def _degenerate_form(f):
+    """(R, c, A, B) with f = A R/(cR+1), B R/(cR+1), R 1-homogenic and
+    R(A, B) = 1, for a map that fails the boundary condition; raises
+    NotDegenerate when f has no such form."""
+    if f.u.is_zero() and f.v.is_zero():
+        return _ry(), Fraction(0), Fraction(0), Fraction(0)
+    base = f.v if f.u.is_zero() else f.u
+    k, S = _split_inverse(base)          # S = (A or B) * R
+    # normalize R to a primitive representative; constants go into A, B
+    R = RatFn(S.num.unit_normal(), S.den.unit_normal())
+    scale = S / R
+    if not (scale.num.is_constant() and scale.den.is_constant()):
+        raise NotDegenerate("inconsistent homogeneous core")
+    coef = scale.num.constant_value() / scale.den.constant_value()
+    if f.u.is_zero():
+        A, B = Fraction(0), coef
+    else:
+        A = coef
+        if f.v.is_zero():
+            B = Fraction(0)
+        else:
+            ratio = f.v / f.u
+            if not (ratio.num.is_constant() and ratio.den.is_constant()):
+                raise NotDegenerate("coordinate ratio is not constant")
+            B = A * ratio.num.constant_value() / ratio.den.constant_value()
+    c = k * (B if f.u.is_zero() else A)
+    # verify the representation and the normalization R(A, B) = 1
+    rAB_n, rAB_d = R.num.eval((A, B)), R.den.eval((A, B))
+    if rAB_d == 0 or rAB_n / rAB_d != 1:
+        raise NotDegenerate("R(A, B) != 1")
+    den = R * c + 1
+    if Flow(R * A / den, R * B / den) != f:
+        raise NotDegenerate("not of the degenerate product form")
+    return R, c, A, B
+
+
 # -- vector field ----------------------------------------------------------
-
-def _jet_field(f):
-    """Unreduced (P, Q, D) with (w, r) = (P/D, Q/D) the second jets
-    (a_(m+2) - x b_(m+1))/b_m of a map with the boundary condition
-    (``_coord_jets``), over the larger b_m when one divides the other."""
-    (u, (_, bu)), (v, (_, bv)) = _coord_jets(f.u, 2), _coord_jets(f.v, 2)
-    if (h := _quotient(bv, bu)) is not None:
-        return u[1] * h, v[1], bv
-    if (h := _quotient(bu, bv)) is not None:
-        return u[1], v[1] * h, bu
-    return u[1] * bv, v[1] * bu, bu * bv
-
 
 def vector_field(f):
     """The vector field (w, r) = d/dz [phi(xz, yz)/z] at z = 0.
@@ -341,8 +397,9 @@ def vector_field(f):
     this is its tangent field at z = 0.  Any other map goes through
     ``_jacobian_field``.
     """
-    if check_boundary(f):
-        return VectorField.of(*_jet_field(f))
+    field = _jet_field(f)
+    if field is not None:
+        return VectorField.of(*field)
     return _jacobian_field(f)
 
 

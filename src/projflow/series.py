@@ -1,6 +1,7 @@
 """Formal jet engine: the homogeneous parts of phi(xz, yz)/z, from a flow's
 closed form (``expand_flow``: c_k b_m = a_(m+k) - sum_(j<k) c_j b_(m+k-j)
-per coordinate) or from its vector field (``expand_from_vf``: the Lie
+per coordinate, the recurrence that also decides the boundary condition
+c_1 = x, y) or from its vector field (``expand_from_vf``: the Lie
 recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i).  Both recurrences run on
 polynomial numerators over a known denominator and reduce each jet once.
 Also diagonal series and the denominator-prime diagnostic."""
@@ -9,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraError, RatFn
-from .flowcore import _coord_jets, check_boundary
+from .flowcore import _flow_jets
 
 
 class PoleAtDirection(AlgebraError):
@@ -65,13 +66,11 @@ def expand_from_vf(vf, K):
 
 def expand_flow(f, K):
     """Exact jets of (u(xz,yz)/z, v(xz,yz)/z) to order K."""
-    if not check_boundary(f):
+    jets = _flow_jets(f, K)
+    if jets is None:
         raise AlgebraError("flow does not satisfy the boundary condition")
-
-    def jets(g):
-        nums, pows = _coord_jets(g, K)
-        return [RatFn(n, p) for n, p in zip(nums, pows)]
-    return JetTable(K, jets(f.u), jets(f.v))
+    return JetTable(K, *([RatFn(n, p) for n, p in zip(*coord)]
+                         for coord in jets))
 
 
 def diagonal_series(jets, direction):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from projflow import (
+    AlgebraError,
     Flow,
     HomBir,
     LevelResult,
@@ -22,6 +24,7 @@ from projflow import (
     level0_flow,
     compose_flows_level0,
     canonical_flow,
+    canonicalize,
     conjugate_flow,
     conjugate_vf_linear,
     conjugate_vf_radial,
@@ -32,10 +35,12 @@ from projflow import (
     uniN,
     zoo,
 )
-from projflow.flowcore import _jacobian_field, _linear_form_pair, exact_isqrt
+from projflow import algebra, flowcore
+from projflow.flowcore import (_coord_jets, _jacobian_field, _jet_field,
+                               _linear_form_pair, exact_isqrt)
 
 from pde_reference import pde_second_order
-from test_acceptance import _perturbed
+from test_acceptance import _degenerate, _mutants, _perturbed
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -130,6 +135,73 @@ def test_vector_field_routes_agree():
     for f in flows:
         assert check_boundary(f), f
         assert vector_field(f) == _jacobian_field(f), f
+
+
+def test_one_boundary_pass_per_map(monkeypatch):
+    # the jet recurrence decides the boundary condition, so canonicalize and
+    # verify_translation split each coordinate into homogeneous parts once
+    entries = zoo()
+    calls = []
+    split = Poly.homogeneous_parts
+    monkeypatch.setattr(Poly, "homogeneous_parts",
+                        lambda self: calls.append(self) or split(self))
+    for e in entries:
+        for check in (canonicalize, verify_translation):
+            calls.clear()
+            check(e.flow)
+            assert len(calls) == 4, (e.name, check.__name__, len(calls))
+
+    def no_division(*args):
+        raise AssertionError("the first jet needs no division")
+    monkeypatch.setattr(flowcore, "divexact", no_division)
+    monkeypatch.setattr(algebra, "divexact", no_division)
+    for e in entries:
+        for g, lin in ((e.flow.u, X), (e.flow.v, Y)):
+            nums, _ = _coord_jets(g, lin, 4)
+            assert nums[0] == lin, e.name
+
+
+def _boundary_reference(f):
+    """check_boundary by the lowest parts: g(xz, yz) = z^k (p/q) (1 + O(z))
+    with homogeneous p and q, and the condition is k = 1, p = x q (y q)."""
+    for g, lin in ((f.u, X), (f.v, Y)):
+        nparts = g.num.homogeneous_parts()
+        if not nparts:
+            return False
+        dparts = g.den.homogeneous_parts()
+        a, b = min(nparts), min(dparts)
+        if a - b != 1 or nparts[a] != lin * dparts[b]:
+            return False
+    return True
+
+
+def test_boundary_condition_matches_lowest_part_reference():
+    rng = random.Random(18)
+    flows = [e.flow for e in zoo()]
+    maps = flows + [_perturbed(f, rng) for f in flows for _ in range(2)]
+    maps += _mutants()
+    maps += [_degenerate(rng, deg) for deg in (0, 1, 2)]
+    zero = RatFn(Poly.zero(2))
+    maps += [
+        Flow(RatFn(X + 1), RatFn(Y)),                   # a part below m + 1
+        Flow(RatFn(X + X * X, Y + 1), RatFn(Y + Y * X, Poly.const(2, 3))),
+        Flow(zero, RatFn(Y)), Flow(RatFn(X), zero), Flow(zero, zero),
+        Flow(RatFn(X), RatFn(X)),
+        Flow(RatFn(X * X + X * Y * Y, X + X * X), RatFn(Y * X, X + Y * Y)),
+    ]
+    seen = set()
+    for f in maps:
+        holds = _boundary_reference(f)
+        assert check_boundary(f) is holds, f
+        assert (_jet_field(f) is not None) is holds, f
+        if holds:
+            jets = expand_flow(f, 6)
+            assert (jets.u_parts[0], jets.v_parts[0]) == (RatFn(X), RatFn(Y))
+        else:
+            with pytest.raises(AlgebraError, match="boundary condition"):
+                expand_flow(f, 6)
+        seen.add(holds)
+    assert seen == {True, False}
 
 
 def test_level_of_special_cases():
