@@ -1,10 +1,21 @@
 """Exact sparse polynomial and rational-function arithmetic over Q.
 
 A polynomial is stored as integer numerators over one denominator: ``ints``
-maps exponent tuples to nonzero ints and ``den`` is a positive int coprime to
-all of them, so equality and hashing are structural.  ``Poly.terms`` is a
-read-only view that builds {exponent tuple: Fraction} afresh on each read.
-The canonical monomial order is graded lexicographic with x > y (> z).
+maps packed monomial keys to nonzero ints and ``den`` is a positive int
+coprime to all of them, so equality and hashing are structural.  A key is
+one int: the total degree in the top field, then every exponent but the
+last in a field of ``_W`` bits, the last exponent being the total degree
+minus the others.  Comparing keys therefore compares monomials in graded
+lexicographic order with x > y (> z), the canonical order, and adding two
+keys multiplies the monomials.  A total degree above ``2**_W - 1`` would
+spill out of its field, so the operations that can raise a degree (the
+constructor, products and substitution) check it and raise
+``CapExceeded``.  Exponent tuples appear only at the edges, decoded
+by shifts and masks: the ``Poly(nvars, terms)`` constructor, the read-only
+``Poly.terms`` view ({exponent tuple: Fraction}, built afresh on each read),
+printing, evaluation, the conversions to sympy and the grouping of the
+Horner scheme below.
+
 Rational functions are kept fully reduced, with the denominator normalized
 to primitive integer coefficients and a positive graded-lex leading
 coefficient, so equality is structural.  Reduction divides by ``poly_gcd``,
@@ -16,19 +27,16 @@ power of y in each form.  Every other pair takes sympy's ring gcd over ZZ of
 the primitive integer forms.  Real projective roots are counted by sympy's
 square-free split and real-root count of the dehomogenized form.
 
-Products, sums and exact division run on the numerators and multiply or
-take the lcm of the denominators.  Inside a product or a division every
-exponent tuple is packed into one int, with a field width chosen per call
-from the degrees at hand (total degree in the top field, then one field per
-variable, so that adding keys multiplies monomials and comparing keys
-compares in graded-lex order).  Exact division divides by the primitive part
-of the divisor, so every quotient coefficient is an integer (Gauss's lemma),
-and takes the leading term of the remainder from a heap.
+Products, sums and exact division run on the stored keys and numerators and
+multiply or take the lcm of the denominators.  Exact division divides by
+the primitive part of the divisor, so every quotient coefficient is an
+integer (Gauss's lemma), and takes the leading term of the remainder from a
+heap.
 
 Substitution (``Poly.eval_hom``, and through it ``subs_polys`` and
 ``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) by a homogeneous Horner
-scheme on the same packed ints: the arguments and C are put over the lcm L
-of their denominators, so that every term of P has denominator P.den * L^d,
+scheme on the stored keys: the arguments and C are put over the lcm L of
+their denominators, so that every term of P has denominator P.den * L^d,
 and the sum is folded variable by variable, so that each step multiplies by
 one argument and each innermost term takes a cached power of C.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
@@ -44,6 +52,10 @@ from math import gcd as _int_gcd, lcm
 
 VAR_NAMES = ("x", "y", "z", "t")
 
+# bits per field of a monomial key; the largest total degree a key holds
+_W = 32
+_MAX_DEG = (1 << _W) - 1
+
 
 class AlgebraError(Exception):
     pass
@@ -55,6 +67,12 @@ class IdenticallySingular(AlgebraError):
 
 class VerificationFailed(AlgebraError):
     """A certificate check failed; must not happen on genuine flows."""
+
+
+class CapExceeded(AlgebraError):
+    """A degree exceeds a fixed cap: the total degree of a polynomial
+    (``2**_W - 1``, the largest a monomial key holds), or the numerator
+    degree bound of ``odesolve.rational_solutions``."""
 
 
 class NeedsRationalRoot(AlgebraError):
@@ -72,38 +90,70 @@ def _rational(c):
     return c
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+def _check_degree(d):
+    """Raise CapExceeded unless a key can hold total degree ``d``."""
+    if d > _MAX_DEG:
+        raise CapExceeded("degree cap exceeded: total degree %d above %d"
+                          % (d, _MAX_DEG))
+
+
+def _key(exps):
+    """The monomial key of an exponent tuple (see the module docstring)."""
+    if min(exps) < 0:
+        raise AlgebraError("negative exponent in %r" % (exps,))
+    k = sum(exps)
+    _check_degree(k)
+    for a in exps[:-1]:
+        k = (k << _W) | a
+    return k
+
+
+def _exps(k, nvars):
+    """The exponent tuple of the monomial key ``k``."""
+    if nvars == 2:
+        a = k & _MAX_DEG
+        return a, (k >> _W) - a
+    out = [0] * nvars
+    for i in range(nvars - 2, -1, -1):
+        out[i] = k & _MAX_DEG
+        k >>= _W
+    out[-1] = k - sum(out)
+    return tuple(out)
 
 
 class Poly:
     """Sparse polynomial in ``nvars`` variables over Q.
 
-    Stored as ``ints`` / ``den``: ``ints`` maps exponent tuples to nonzero
+    Stored as ``ints`` / ``den``: ``ints`` maps monomial keys to nonzero
     ints and ``den`` is a positive int with gcd(den, *ints.values()) = 1,
-    so equal polynomials have equal fields.
+    so equal polynomials have equal fields.  The key of x^a y^b is
+    (a + b) << _W | a, of x^a y^b z^c it is ((a + b + c) << _W | a) << _W
+    | b, and of x^a in one variable it is a: the total degree is
+    ``k >> _W * (nvars - 1)``.
     """
 
     __slots__ = ("nvars", "ints", "den")
 
     def __init__(self, nvars, terms=None):
         terms = {tuple(e): _rational(c) for e, c in (terms or {}).items()}
+        if any(len(e) != nvars for e in terms):
+            raise AlgebraError("exponent tuple length differs from %d" % nvars)
         # over the lcm of reduced denominators the numerators are coprime
         den = lcm(*(c.denominator for c in terms.values()))
         self.nvars = nvars
-        self.ints = {e: c.numerator * (den // c.denominator)
+        self.ints = {_key(e): c.numerator * (den // c.denominator)
                      for e, c in terms.items() if c}
         self.den = den
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def _of(cls, nvars, ints, den=1):
-        """The Poly ints / den, for ``ints`` mapping exponent tuples to
+        """The Poly ints / den, for ``ints`` mapping monomial keys to
         nonzero ints and ``den`` a positive int; reduced to lowest terms."""
         if den != 1:
             g = _int_gcd(den, *ints.values())
             if g != 1:
-                ints = {e: c // g for e, c in ints.items()}
+                ints = {k: c // g for k, c in ints.items()}
                 den //= g
         p = object.__new__(cls)
         p.nvars = nvars
@@ -118,76 +168,72 @@ class Poly:
     @classmethod
     def const(cls, nvars, c):
         c = _rational(c)
-        return cls._of(nvars, {(0,) * nvars: c.numerator} if c else {},
-                       c.denominator)
+        return cls._of(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, i, nvars):
-        return cls._of(nvars, {_ex(nvars, i): 1})
+        return cls._of(nvars, {_key(_ex(nvars, i)): 1})
 
     # -- predicates / views ---------------------------------------------
     @property
     def terms(self):
         """{exponent tuple: Fraction coefficient}, built afresh on each read."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.ints.items()}
+        den, nv = self.den, self.nvars
+        return {_exps(k, nv): Fraction(c, den) for k, c in self.ints.items()}
 
     def is_zero(self):
         return not self.ints
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.ints)
+        # the constant monomial is the only key 0
+        return not any(self.ints)
 
     def constant_value(self):
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise AlgebraError("not a constant polynomial")
-        return Fraction(next(iter(self.ints.values())), self.den)
+        return Fraction(self.ints[0], self.den)
 
     def total_degree(self):
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self.ints)
+        return max(self.ints) >> _W * (self.nvars - 1)
 
     def min_degree(self):
         if self.is_zero():
             return -1
-        return min(sum(e) for e in self.ints)
+        return min(self.ints) >> _W * (self.nvars - 1)
 
     def leading_term(self):
         """Graded-lex leading (exponents, coefficient)."""
-        exps = max(self.ints, key=_grlex_key)
-        return exps, Fraction(self.ints[exps], self.den)
+        k = max(self.ints)
+        return _exps(k, self.nvars), Fraction(self.ints[k], self.den)
 
     def leading_coeff(self):
-        return self.leading_term()[1]
+        return Fraction(self.ints[max(self.ints)], self.den)
 
     def is_homogeneous(self):
         return self.is_zero() or self.total_degree() == self.min_degree()
 
     def homogeneous_parts(self):
         """Map total degree -> homogeneous Poly part."""
+        shift = _W * (self.nvars - 1)
         parts = {}
-        for e, c in self.ints.items():
-            parts.setdefault(sum(e), {})[e] = c
+        for k, c in self.ints.items():
+            parts.setdefault(k >> shift, {})[k] = c
         return {d: Poly._of(self.nvars, t, self.den)
                 for d, t in sorted(parts.items())}
 
     def _scalar(self):
         """(numerator, denominator) of a constant polynomial, None for any
         other."""
-        if not self.ints:
+        ints = self.ints
+        if not ints:
             return 0, 1
-        if len(self.ints) == 1:
-            (e, c), = self.ints.items()
-            if not any(e):
-                return c, self.den
+        if len(ints) == 1 and 0 in ints:
+            return ints[0], self.den
         return None
-
-    def _packed(self, width):
-        """[(packed exponents, int coefficient)]; see ``_pack``."""
-        return [(_pack(e, width), c) for e, c in self.ints.items()]
 
     # -- arithmetic ------------------------------------------------------
     # A Poly is never changed after construction, so an operation whose
@@ -200,19 +246,19 @@ class Poly:
             return other
         den = lcm(self.den, other.den)
         s1, s2 = den // self.den, den // other.den
-        ints = {e: c * s1 for e, c in self.ints.items()}
-        for e, c in other.ints.items():
-            s = ints.get(e, 0) + c * s2
+        ints = {k: c * s1 for k, c in self.ints.items()}
+        for k, c in other.ints.items():
+            s = ints.get(k, 0) + c * s2
             if s:
-                ints[e] = s
+                ints[k] = s
             else:
-                ints.pop(e, None)
+                ints.pop(k, None)
         return Poly._of(self.nvars, ints, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of(self.nvars, {e: -c for e, c in self.ints.items()},
+        return Poly._of(self.nvars, {k: -c for k, c in self.ints.items()},
                         self.den)
 
     def __sub__(self, other):
@@ -237,12 +283,10 @@ class Poly:
                 return self
             if not n0:
                 return Poly.zero(self.nvars)
-            return Poly._of(self.nvars, {e: c * n0 for e, c in self.ints.items()},
+            return Poly._of(self.nvars, {k: c * n0 for k, c in self.ints.items()},
                             self.den * d0)
-        nv = self.nvars
-        width = (self.total_degree() + other.total_degree()).bit_length()
-        acc = _mul_ints(self._packed(width), other._packed(width))
-        return Poly._of(nv, {_unpack(k, nv, width): c for k, c in acc.items() if c},
+        _check_degree(self.total_degree() + other.total_degree())
+        return Poly._of(self.nvars, _mul_ints(self.ints.items(), other.ints.items()),
                         self.den * other.den)
 
     __rmul__ = __mul__
@@ -260,13 +304,22 @@ class Poly:
         return result
 
     def derivative(self, i):
+        nv = self.nvars
+        # x_i^e -> e x_i^(e-1) lowers the total by one, and exponent i by
+        # one in its field unless i is the last variable, which has none
+        step = 1 << _W * (nv - 1)
         ints = {}
-        for e, c in self.ints.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                ints[tuple(e2)] = c * e[i]
-        return Poly._of(self.nvars, ints, self.den)
+        if i < nv - 1:
+            at = _W * (nv - 2 - i)
+            step += 1 << at
+            for k, c in self.ints.items():
+                if e := (k >> at) & _MAX_DEG:
+                    ints[k - step] = c * e
+        else:
+            for k, c in self.ints.items():
+                if e := _exps(k, nv)[i]:
+                    ints[k - step] = c * e
+        return Poly._of(nv, ints, self.den)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -277,12 +330,13 @@ class Poly:
 
     # -- evaluation / substitution ---------------------------------------
     def eval(self, point):
+        nv = self.nvars
         acc = Fraction(0)
-        for e, c in self.ints.items():
+        for k, c in self.ints.items():
             t = c
-            for i, k in enumerate(e):
-                if k:
-                    t *= point[i] ** k
+            for x, e in zip(point, _exps(k, nv)):
+                if e:
+                    t *= x ** e
             acc += t
         return acc / self.den
 
@@ -304,12 +358,12 @@ class Poly:
         if d < 0:
             return Poly.zero(nv)
         allargs = list(args) + [denom]
-        # every exponent of every partial sum is at most d * max degree
-        width = max(1, d * max(a.total_degree() for a in allargs)).bit_length()
+        # every partial sum has total degree at most d * max degree
+        _check_degree(d * max(a.total_degree() for a in allargs))
         # over L = lcm of the arguments' denominators, every term of P has
         # denominator P.den * L^d
         L = lcm(*(a.den for a in allargs))
-        ints = [[(k, c * (L // a.den)) for k, c in a._packed(width)]
+        ints = [[(k, c * (L // a.den)) for k, c in a.ints.items()]
                 for a in allargs]
         cpows = [{0: 1}]
 
@@ -318,9 +372,10 @@ class Poly:
                 cpows.append(_mul_ints(cpows[-1].items(), ints[-1]))
             return cpows[k]
 
-        acc = _horner(sorted(self.ints.items(), reverse=True), 0, d,
-                      ints[:-1], cpow)
-        return Poly._of(nv, {_unpack(k, nv, width): c for k, c in acc.items() if c},
+        items = sorted(((_exps(k, self.nvars), c) for k, c in self.ints.items()),
+                       reverse=True)
+        acc = _horner(items, 0, d, ints[:-1], cpow)
+        return Poly._of(nv, {k: c for k, c in acc.items() if c},
                         self.den * L ** d)
 
     # -- normalization ----------------------------------------------------
@@ -335,15 +390,17 @@ class Poly:
         if self.is_zero():
             return self
         g = _int_gcd(*self.ints.values())
-        if self.ints[max(self.ints, key=_grlex_key)] < 0:
+        if self.ints[max(self.ints)] < 0:
             g = -g
         if g == 1 and self.den == 1:
             return self
-        return Poly._of(self.nvars, {e: c // g for e, c in self.ints.items()})
+        return Poly._of(self.nvars, {k: c // g for k, c in self.ints.items()})
 
     def strip_monomial(self, exps):
-        return Poly._of(self.nvars, {tuple(a - b for a, b in zip(e, exps)): c
-                                     for e, c in self.ints.items()}, self.den)
+        """self / x^exps, for a monomial that divides every term."""
+        s = _key(exps)
+        return Poly._of(self.nvars, {k - s: c for k, c in self.ints.items()},
+                        self.den)
 
     # -- structural --------------------------------------------------------
     def __eq__(self, other):
@@ -365,11 +422,11 @@ class Poly:
             return "0"
         names = names or VAR_NAMES[: self.nvars]
         parts = []
-        for e in sorted(self.ints, key=_grlex_key, reverse=True):
-            c = Fraction(self.ints[e], self.den)
+        for k in sorted(self.ints, reverse=True):
+            c = Fraction(self.ints[k], self.den)
             mon = "*".join(
-                (names[i] if k == 1 else "%s^%d" % (names[i], k))
-                for i, k in enumerate(e) if k
+                (names[i] if e == 1 else "%s^%d" % (names[i], e))
+                for i, e in enumerate(_exps(k, self.nvars)) if e
             )
             if mon:
                 if c == 1:
@@ -393,33 +450,16 @@ def _frac_str(c):
 
 # -- integer inner loops ---------------------------------------------------
 
-def _pack(exps, width):
-    """One int for an exponent tuple: the total degree, then each exponent
-    in a field of ``width`` bits; every exponent must be below 2**width."""
-    k = sum(exps)
-    for a in exps:
-        k = (k << width) | a
-    return k
-
-
-def _unpack(k, nvars, width):
-    mask = (1 << width) - 1
-    out = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        out[i] = k & mask
-        k >>= width
-    return tuple(out)
-
-
 def _mul_ints(terms1, terms2):
-    """{packed exponents: int} product of two sequences of (packed
-    exponents, int) pairs."""
+    """{key: nonzero int} product of two iterables of (key, int) pairs."""
     acc = {}
     get = acc.get
     for k1, c1 in terms1:
         for k2, c2 in terms2:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
+    if 0 in acc.values():
+        return {k: c for k, c in acc.items() if c}
     return acc
 
 
@@ -427,10 +467,10 @@ def _horner(items, i, k, args, cpow):
     """Sum of n * args[i]^e[i] * ... * C^(k - e[i] - ...) over ``items``.
 
     ``items`` are (exponent tuple e, int n) in descending order and agree on
-    e[:i]; ``args`` are the packed-int arguments and ``cpow(m)`` the packed
-    m-th power of the denominator C.  Grouping by e[i], the sum is
-    sum_j args[i]^j * H_j with H_j the sum over the group at degree bound
-    k - j, and Horner's rule multiplies by args[i] once per step of j.
+    e[:i]; ``args`` are the (key, int) terms of the arguments and ``cpow(m)``
+    the terms of the m-th power of the denominator C.  Grouping by e[i], the
+    sum is sum_j args[i]^j * H_j with H_j the sum over the group at degree
+    bound k - j, and Horner's rule multiplies by args[i] once per step of j.
     """
     if i == len(args):
         (_, n), = items
@@ -469,19 +509,15 @@ def _quotient(p, d):
     if p.is_zero():
         return p
     nv = p.nvars
-    deg = p.total_degree()
-    if d.total_degree() > deg:
+    if d.total_degree() > p.total_degree():
         return None
-    # every exponent of the remainder and the quotient is at most deg p
-    width = deg.bit_length()
-    dints = d._packed(width)
     g = _int_gcd(*d.ints.values())
     # p/d = (d.den / (g p.den)) * P/D with P = p.ints, D = d.ints/g primitive
-    lt_k, lt_c = max(dints)
-    lt_e = _unpack(lt_k, nv, width)
-    rest = [(k, c // g) for k, c in dints if k != lt_k]
-    lt_c //= g
-    r = dict(p._packed(width))
+    lt_k = max(d.ints)
+    lt_c = d.ints[lt_k] // g
+    lt_e = _exps(lt_k, nv)
+    rest = [(k, c // g) for k, c in d.ints.items() if k != lt_k]
+    r = dict(p.ints)
     heap = [-k for k in r]
     heapify(heap)
     out = {}
@@ -491,10 +527,10 @@ def _quotient(p, d):
         if not c:
             continue  # cancelled after it was queued
         qc, rem = divmod(c, lt_c)
-        if rem or any(a < b for a, b in zip(_unpack(k, nv, width), lt_e)):
+        if rem or any(a < b for a, b in zip(_exps(k, nv), lt_e)):
             return None
         qk = k - lt_k
-        out[_unpack(qk, nv, width)] = qc * d.den
+        out[qk] = qc * d.den
         for k2, c2 in rest:
             k3 = qk + k2
             s = r.get(k3)
@@ -533,17 +569,20 @@ def poly_gcd(p, q):
         return Poly.const(p.nvars, 1)
     if p.nvars == 1:
         g = _dup_gcd(_int_coeffs(p), _int_coeffs(q))
-        return Poly._of(1, {(i,): c for i, c in enumerate(g) if c}).unit_normal()
+        return Poly._of(1, {i: c for i, c in enumerate(g) if c}).unit_normal()
     if p.nvars == 2 and p.is_homogeneous() and q.is_homogeneous():
         kp, _, cp = _dehomogenize(p)
         kq, _, cq = _dehomogenize(q)
         g = _dup_gcd(cp, cq)
         m, k = len(g) - 1, min(kp, kq)
-        return Poly._of(2, {(i, m - i + k): c for i, c in enumerate(g) if c}
+        return Poly._of(2, {_key((i, m - i + k)): c for i, c in enumerate(g) if c}
                         ).unit_normal()
-    R = _zz_ring(p.nvars)
-    g = R.from_dict(p.unit_normal().ints).gcd(R.from_dict(q.unit_normal().ints))
-    return Poly._of(p.nvars, {e: int(c) for e, c in g.items()}).unit_normal()
+    nv = p.nvars
+    R = _zz_ring(nv)
+    pr, qr = (R.from_dict({_exps(k, nv): c for k, c in a.unit_normal().ints.items()})
+              for a in (p, q))
+    return Poly._of(nv, {_key(e): int(c) for e, c in pr.gcd(qr).items()}
+                    ).unit_normal()
 
 
 def _dup_gcd(f, g):
@@ -887,7 +926,7 @@ def _dehomogenize(p):
     to high."""
     if p.is_zero() or not p.is_homogeneous():
         raise AlgebraError("expected a nonzero homogeneous polynomial")
-    y_pow = min(e[1] for e in p.ints)
+    y_pow = min(_exps(k, 2)[1] for k in p.ints)
     work = p.strip_monomial((0, y_pow))
     return y_pow, work, _int_coeffs(work)
 
@@ -897,8 +936,8 @@ def _int_coeffs(p):
     alone or a form in x, y that y does not divide, so that no two terms of
     p share a power of x."""
     coeffs = [0] * (p.total_degree() + 1)
-    for e, c in p.ints.items():
-        coeffs[e[0]] = c
+    for k, c in p.ints.items():
+        coeffs[_exps(k, p.nvars)[0]] = c
     return coeffs
 
 
@@ -929,7 +968,7 @@ def linear_factors_q(p):
             continue  # the y-power was stripped, not divided
         for _ in range(m):
             rem = divexact(rem, f)
-    factors.sort(key=lambda fm: tuple(sorted(fm[0].ints.items())))
+    factors.sort(key=lambda fm: tuple(sorted(fm[0].terms.items())))
     if rem.is_constant():
         return rem.constant_value(), factors, Poly.const(nv, 1)
     scale = rem.content() if rem.leading_coeff() > 0 else -rem.content()

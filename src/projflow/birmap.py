@@ -178,7 +178,9 @@ def _normalize_triple(P, Q, L):
         L = L * scale
         Q = Q * scale
     # joint content normalization of the pair, sign fixed by P's leading
-    c = Fraction(gcd(*P.ints.values(), *Q.ints.values()), lcm(P.den, Q.den))
+    cP, cQ = P.content(), Q.content()
+    c = Fraction(gcd(cP.numerator, cQ.numerator),
+                 lcm(cP.denominator, cQ.denominator))
     if P.leading_coeff() < 0:
         c = -c
     if c != 1:

@@ -192,7 +192,8 @@ def _coeffs(p, exps=_QUADRATIC):
 
     A field with a constant denominator has D = 1, so its P and Q are its
     w and r and their coefficients are read here directly."""
-    return [Fraction(p.ints.get(e, 0), p.den) for e in exps]
+    terms = p.terms
+    return [terms.get(e, Fraction(0)) for e in exps]
 
 
 def _quad_uvw(vf):
@@ -395,8 +396,8 @@ def reduce_denominator_step(vf):
                 return {"vf": vf2, "applied": [(L, A)]}
             # two-stage maneuver: keep degree but introduce a y-factor
             if (D2.total_degree() == d0 and not _is_proportional(P2, Q2)
-                    and all(k[1] >= 1 for k in D2.ints)
-                    and not all(k[1] >= 1 for k in D.ints)):
+                    and all(e[1] >= 1 for e in D2.terms)
+                    and not all(e[1] >= 1 for e in D.terms)):
                 for L2 in _linear_candidates(P2, Q2, D2):
                     try:
                         vf3 = conjugate_vf_linear(vf2, L2)
@@ -463,7 +464,7 @@ _EXCEPTIONAL = {
 def _as_quadratic(p):
     if isinstance(p, RatFn):
         p = p.as_poly()
-    if any(sum(e) != 2 for e in p.ints):
+    if not p.is_zero() and (p.min_degree(), p.total_degree()) != (2, 2):
         raise AlgebraError("expected a quadratic form")
     return p
 
@@ -511,7 +512,7 @@ def _cube_case(P, Q, root):
     else:
         L = LinearMap2(0, a_, 1, 0)
     vf1 = conjugate_vf_linear(VectorField(P, Q), L)
-    if any(k != (3, 0) for k in (Y * vf1.P - X * vf1.Q).ints):
+    if any(e != (3, 0) for e in (Y * vf1.P - X * vf1.Q).terms):
         raise VerificationFailed("cube normalization failed")
     a, b, c = _coeffs(vf1.P)
     if c != 0:

@@ -2,8 +2,10 @@
 
 Subcommands: parse, verify, vf, level, classify, orbit, series, zoo,
 symmetric, dual.  Exit codes: 0 success (non-rational verdicts included),
-1 other errors (input too large to process included), 2 parse error,
-3 identically singular input, 4 a required root is irrational.
+1 other errors (a map without a vector field, a total degree above the
+monomial key's cap 2^32 - 1, and input too large to process included),
+2 parse error, 3 identically singular input (a map whose Jacobian vanishes
+identically included), 4 a required root is irrational.
 """
 from __future__ import annotations
 

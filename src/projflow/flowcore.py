@@ -394,32 +394,27 @@ def vector_field(f):
 
     A map that satisfies the boundary condition has (w, r) as the second
     jet of its z-expansion (``_jet_field``); on a map that is not a flow
-    this is its tangent field at z = 0.  Any other map goes through
-    ``_jacobian_field``.
+    this is its tangent field at z = 0.  Any other map has no field and
+    raises: DegenerateJacobian when its Jacobian vanishes identically, as
+    it does for every flow failing the boundary condition (all of them are
+    degenerate), else an AlgebraError naming the boundary condition.
     """
     field = _jet_field(f)
     if field is not None:
         return VectorField.of(*field)
-    return _jacobian_field(f)
+    if _jacobian(f).is_zero():
+        raise DegenerateJacobian("Jacobian vanishes identically")
+    raise AlgebraError("no vector field: the map fails the boundary "
+                       "condition lim phi(xz, yz)/z = (x, y)")
 
 
-def _jacobian_field(f):
-    """(w, r) = ((v u_y - u v_y)/J + x, (u v_x - v u_x)/J + y).
-
-    Works on polynomial numerators throughout: with u = a/b, v = c/d the
-    first derivatives are over b^2 and d^2, and the shared denominator
-    b^2 d^2 of E = v u_y - u v_y, F = u v_x - v u_x and J cancels, leaving
-    the field ((E + x J)/J, (F + y J)/J).
-    """
+def _jacobian(f):
+    """Numerator of the Jacobian determinant of (u, v) = (a/b, c/d):
+    (a_x b - a b_x)(c_y d - c d_y) - (a_y b - a b_y)(c_x d - c d_x)."""
     a, b, c, d = f.u.num, f.u.den, f.v.num, f.v.den
     UX, UY = (a.derivative(i) * b - a * b.derivative(i) for i in (0, 1))
     VX, VY = (c.derivative(i) * d - c * d.derivative(i) for i in (0, 1))
-    J = UX * VY - UY * VX
-    if J.is_zero():
-        raise DegenerateJacobian("Jacobian vanishes identically")
-    E = c * UY * d - a * VY * b
-    F = a * VX * b - c * UX * d
-    return VectorField.of(E + Poly.var(0, 2) * J, F + Poly.var(1, 2) * J, J)
+    return UX * VY - UY * VX
 
 
 # -- level -----------------------------------------------------------------

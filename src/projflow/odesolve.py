@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
+    CapExceeded,
     Poly,
     RatFn,
     VerificationFailed,
@@ -21,10 +22,6 @@ from .algebra import (
 )
 
 DEGREE_CAP = 200
-
-
-class CapExceeded(AlgebraError):
-    """The numerator degree bound exceeded the search cap."""
 
 
 class NoRationalSolution(AlgebraError):
@@ -255,10 +252,10 @@ def rational_solutions(ode):
 
 def _on_y1(p):
     """2-variable polynomial p(x, y) -> univariate p(x, 1)."""
-    ints = {}
-    for (i, _), c in p.ints.items():
-        ints[(i,)] = ints.get((i,), 0) + c
-    return Poly._of(1, {e: c for e, c in ints.items() if c}, p.den)
+    terms = {}
+    for (i, _), c in p.terms.items():
+        terms[(i,)] = terms.get((i,), 0) + c
+    return Poly(1, terms)
 
 
 def dehomogenize(f):
@@ -274,8 +271,7 @@ def homogenize_0(f):
     k = max(f.num.total_degree(), f.den.total_degree())
 
     def conv(p):
-        return Poly._of(2, {(i, k - i): c for (i,), c in p.ints.items()},
-                        p.den)
+        return Poly(2, {(i, k - i): c for (i,), c in p.terms.items()})
     return RatFn(conv(f.num), conv(f.den))
 
 

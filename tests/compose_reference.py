@@ -23,7 +23,7 @@ def _pair_normalize(num, den):
     positive leading coefficient."""
     if num.is_zero():
         return num, Poly.const(3, 1)
-    common = tuple(min(e[i] for e in list(num.ints) + list(den.ints))
+    common = tuple(min(e[i] for e in list(num.terms) + list(den.terms))
                    for i in range(3))
     if any(common):
         num = num.strip_monomial(common)

@@ -6,11 +6,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.orderings import grlex
 from sympy.polys.rings import ring
 
 from projflow import algebra
 from projflow.algebra import (
     AlgebraError,
+    CapExceeded,
     IdenticallySingular,
     Poly,
     RatFn,
@@ -216,7 +218,7 @@ def test_mul_and_divexact_match_sympy(triple):
 def test_results_are_in_normal_form(triple, n, d):
     # ints / den in lowest terms with den > 0, so that equality is structural
     a, b, c = triple
-    lowest = tuple(min((e[i] for e in a.ints), default=0)
+    lowest = tuple(min((e[i] for e in a.terms), default=0)
                    for i in range(a.nvars))
     results = [a + b, a - b, a * b, a * Fraction(n, d), a.derivative(0),
                a.eval_hom([b, c, a][: a.nvars], c), a.unit_normal(),
@@ -233,7 +235,7 @@ def test_results_are_in_normal_form(triple, n, d):
 @st.composite
 def kernel_polys(draw, nvars):
     """Small polynomials with rational coefficients, zero and constants
-    included, since they fix the exponent field width."""
+    included, since they take the scalar paths of the kernel."""
     kind = draw(st.sampled_from(("poly", "poly", "const", "zero")))
     if kind == "zero":
         return Poly.zero(nvars)
@@ -241,6 +243,83 @@ def kernel_polys(draw, nvars):
         return Poly.const(nvars, Fraction(draw(st.integers(-6, 6)) or 1,
                                           draw(st.integers(1, 5))))
     return draw(rational_polys(nvars))
+
+
+@given(st.integers(1, 3).flatmap(kernel_polys))
+@settings(max_examples=120, deadline=2000)
+def test_key_views_match_sympy(p):
+    # every view that decodes monomial keys, against sympy's QQ ring
+    n = p.nvars
+    f = _to_ring(p)
+    R = _RINGS[n]
+    monoms = f.monoms()
+    assert Poly(n, p.terms) == p
+    assert p.total_degree() == max(map(sum, monoms), default=-1)
+    assert p.min_degree() == min(map(sum, monoms), default=-1)
+    ordered = f.terms(order=grlex)
+    if ordered:
+        e, c = ordered[0]
+        assert p.leading_term() == (e, Fraction(int(c.numerator),
+                                                int(c.denominator)))
+    parts = {}
+    for e, c in f.terms():
+        parts[sum(e)] = parts.get(sum(e), R.zero) + R({e: c})
+    assert p.homogeneous_parts() == {d: _from_ring(g, n)
+                                     for d, g in sorted(parts.items())}
+    assert list(p.homogeneous_parts()) == sorted(parts)
+    for i in range(n):
+        assert p.derivative(i) == _from_ring(f.diff(R.gens[i]), n)
+    if monoms:
+        lowest = tuple(min(e[i] for e in monoms) for i in range(n))
+        assert p.strip_monomial(lowest) == _from_ring(
+            f.exquo(R({lowest: QQ(1)})), n)
+    # printing lists the terms in sympy's graded-lex order
+    words = [Poly(n, {e: Fraction(int(c.numerator), int(c.denominator))})
+             .to_string() for e, c in ordered]
+    expected = words[0] if words else "0"
+    for w in words[1:]:
+        expected += " - " + w[1:] if w.startswith("-") else " + " + w
+    assert p.to_string() == expected
+
+
+def test_degree_cap_at_its_boundary():
+    # a monomial key holds total degree 2^_W - 1; only single monomials are
+    # built, so every check costs nothing
+    top = 2 ** algebra._W - 1
+    for nv in (1, 2, 3):
+        for i in range(nv):
+            v = Poly.var(i, nv)
+            e = tuple(top if j == i else 0 for j in range(nv))
+            p = v ** top
+            assert p == Poly(nv, {e: 1})
+            assert p.terms == {e: 1} and p.leading_term() == (e, 1)
+            assert p.total_degree() == p.min_degree() == top
+            with pytest.raises(CapExceeded):
+                v ** (top + 1)
+            with pytest.raises(CapExceeded):
+                p * v
+            with pytest.raises(CapExceeded):
+                Poly(nv, {tuple(a + (j == i) for j, a in enumerate(e)): 1})
+    # a monomial of total degree at the cap decodes, differentiates and strips
+    a = top - 5
+    m = Poly(3, {(a, 2, 3): 1})
+    assert m.terms == {(a, 2, 3): 1}
+    assert m.derivative(0) == Poly(3, {(a - 1, 2, 3): a})
+    assert m.derivative(1) == Poly(3, {(a, 1, 3): 2})
+    assert m.derivative(2) == Poly(3, {(a, 2, 2): 3})
+    assert m.strip_monomial((a, 0, 3)) == Poly(3, {(0, 2, 0): 1})
+    # a substitution makes total degree deg P * max deg of the arguments
+    with pytest.raises(CapExceeded):
+        (X ** 2 ** 31).eval_hom([X, Y], X * Y)
+    from projflow.odesolve import CapExceeded as ode_cap
+    assert ode_cap is CapExceeded and issubclass(CapExceeded, AlgebraError)
+
+
+def test_constructor_rejects_malformed_exponents():
+    with pytest.raises(AlgebraError):
+        Poly(2, {(-1, 1): 1})
+    with pytest.raises(AlgebraError):
+        Poly(2, {(1,): 1})
 
 
 @st.composite

@@ -162,6 +162,30 @@ def test_cli_verify_non_boundary_non_flow(text):
     assert out == "translation_equation: False\npde: False\n"
 
 
+@pytest.mark.parametrize("argv", [["level", "u = x+y; v = y"],
+                                  ["series", "u = 2*x; v = 2*y"],
+                                  ["vf", "u = 2*x; v = 2*y"]])
+def test_cli_non_boundary_map_has_no_field(capsys, argv):
+    # a map failing the boundary condition with a nonzero Jacobian is no
+    # flow, so it has no vector field to print or classify
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: no vector field: the map fails the boundary "
+                       "condition lim phi(xz, yz)/z = (x, y)\n")
+
+
+def test_cli_degree_cap(capsys):
+    # a total degree above 2^32 - 1 does not fit a monomial key
+    assert main(["parse", "u = x^4294967295; v = y"]) == 0
+    assert capsys.readouterr().out.startswith("kind: flow\n")
+    assert main(["parse", "u = x^4294967296; v = y"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: degree cap exceeded: total degree 4294967296 "
+                       "above 4294967295\n")
+
+
 def test_cli_exit_parse_error():
     code, _, err = run_cli("parse", "u = 0.5*x; v = y")
     assert code == 2

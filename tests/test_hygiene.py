@@ -68,6 +68,19 @@ def test_no_dead_private_module_names():
     assert not dead, dead
 
 
+def test_monomial_keys_stay_in_algebra():
+    # only algebra knows how ``Poly.ints`` packs a monomial into its key;
+    # every other module reads exponents through ``Poly.terms`` or methods
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Attribute) and n.attr == "ints":
+                readers.append("%s:%d" % (path.name, n.lineno))
+    assert not readers, readers
+
+
 def test_private_parameters_are_passed():
     # a _name parameter is an internal knob; one that no call in the
     # package or its tests passes by keyword only ever takes its default
