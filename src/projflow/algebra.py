@@ -16,6 +16,12 @@ by shifts and masks: the ``Poly(nvars, terms)`` constructor, the read-only
 printing, evaluation, the conversions to sympy and the grouping of the
 Horner scheme below.
 
+Evaluation at a point of rationals (``Poly.eval``, ``RatFn.eval``) sums
+integers and builds one Fraction per call: with each coordinate a/b, a term
+c x^e becomes the integer c a^e b^(top - e) over b^top, for top the largest
+exponent of the variable, and the powers of a and b come from one table per
+variable that raises them to the gaps between its distinct exponents.
+
 Rational functions are kept fully reduced, with the denominator normalized
 to primitive integer coefficients and a positive graded-lex leading
 coefficient, so equality is structural.  Reduction divides by ``poly_gcd``,
@@ -38,7 +44,8 @@ Substitution (``Poly.eval_hom``, and through it ``subs_polys`` and
 scheme on the stored keys: the arguments and C are put over the lcm L of
 their denominators, so that every term of P has denominator P.den * L^d,
 and the sum is folded variable by variable, so that each step multiplies by
-one argument and each innermost term takes a cached power of C.
+one argument raised to the gap between successive exponents (by squaring,
+cached per gap) and each innermost term takes a cached power of C.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
 only compare it by cross-multiplication.
 """
@@ -315,6 +322,10 @@ class Poly:
             for k, c in self.ints.items():
                 if e := (k >> at) & _MAX_DEG:
                     ints[k - step] = c * e
+        elif nv == 2:
+            for k, c in self.ints.items():
+                if e := (k >> _W) - (k & _MAX_DEG):
+                    ints[k - step] = c * e
         else:
             for k, c in self.ints.items():
                 if e := _exps(k, nv)[i]:
@@ -330,15 +341,10 @@ class Poly:
 
     # -- evaluation / substitution ---------------------------------------
     def eval(self, point):
-        nv = self.nvars
-        acc = Fraction(0)
-        for k, c in self.ints.items():
-            t = c
-            for x, e in zip(point, _exps(k, nv)):
-                if e:
-                    t *= x ** e
-            acc += t
-        return acc / self.den
+        """The value at a point of rationals, one Fraction built from the
+        integer sum of ``_eval_sums``."""
+        (s,), scale = _eval_sums((self,), point)
+        return Fraction(s, self.den * scale)
 
     def subs_polys(self, args):
         """Substitute polynomials for the variables."""
@@ -372,9 +378,25 @@ class Poly:
                 cpows.append(_mul_ints(cpows[-1].items(), ints[-1]))
             return cpows[k]
 
+        args = ints[:-1]
+        apows = {}
+
+        def apow(i, g):
+            # args[i]^g by squaring, cached per (i, g) within this call
+            if g == 1:
+                return args[i]
+            t = apows.get((i, g))
+            if t is None:
+                h = apow(i, g >> 1)
+                t = _mul_ints(h, h)
+                if g & 1:
+                    t = _mul_ints(t.items(), args[i])
+                t = apows[i, g] = list(t.items())
+            return t
+
         items = sorted(((_exps(k, self.nvars), c) for k, c in self.ints.items()),
                        reverse=True)
-        acc = _horner(items, 0, d, ints[:-1], cpow)
+        acc = _horner(items, 0, d, len(args), apow, cpow)
         return Poly._of(nv, {k: c for k, c in acc.items() if c},
                         self.den * L ** d)
 
@@ -463,33 +485,76 @@ def _mul_ints(terms1, terms2):
     return acc
 
 
-def _horner(items, i, k, args, cpow):
+def _horner(items, i, k, nargs, apow, cpow):
     """Sum of n * args[i]^e[i] * ... * C^(k - e[i] - ...) over ``items``.
 
     ``items`` are (exponent tuple e, int n) in descending order and agree on
-    e[:i]; ``args`` are the (key, int) terms of the arguments and ``cpow(m)``
-    the terms of the m-th power of the denominator C.  Grouping by e[i], the
-    sum is sum_j args[i]^j * H_j with H_j the sum over the group at degree
-    bound k - j, and Horner's rule multiplies by args[i] once per step of j.
+    e[:i]; ``apow(i, g)`` gives the (key, int) terms of args[i]^g and
+    ``cpow(m)`` the terms of the m-th power of the denominator C, for the
+    ``nargs`` arguments.  Grouping by e[i], the sum is sum_j args[i]^j *
+    H_j with H_j the sum over the group at degree bound k - j, and Horner's
+    rule multiplies by args[i]^g once per gap g between successive j.
     """
-    if i == len(args):
+    if i == nargs:
         (_, n), = items
         return {key: n * c for key, c in cpow(k).items()}
     acc = None
     for j, group in groupby(items, key=lambda t: t[0][i]):
-        part = _horner(list(group), i + 1, k - j, args, cpow)
+        part = _horner(list(group), i + 1, k - j, nargs, apow, cpow)
         if acc is None:
             acc = part
         else:
-            for _ in range(prev - j):
-                acc = _mul_ints(acc.items(), args[i])
+            acc = _mul_ints(acc.items(), apow(i, prev - j))
             get = acc.get
             for key, c in part.items():
                 acc[key] = get(key, 0) + c
         prev = j
-    for _ in range(prev):
-        acc = _mul_ints(acc.items(), args[i])
+    if prev:
+        acc = _mul_ints(acc.items(), apow(i, prev))
     return acc
+
+
+def _eval_sums(polys, point):
+    """([S_p for p in polys], B) with p(point) = S_p / (p.den * B), in ints.
+
+    Coordinate i is a_i/b_i and top_i is the largest exponent of variable i
+    in any of ``polys``; B is the product of the b_i^top_i and S_p the sum
+    of the terms c * prod a_i^e_i * b_i^(top_i - e_i).  The power table of
+    a variable walks its sorted distinct exponents and multiplies by a_i
+    (and b_i) raised to each gap, so a sparse x^(2^20) costs one ``pow``;
+    b_i = 1 skips the b-powers."""
+    nv = polys[0].nvars
+    exps = [[_exps(k, nv) for k in p.ints] for p in polys]
+    tables = []
+    scale = 1
+    for i in range(nv):
+        es = sorted({e[i] for ex in exps for e in ex})
+        if not es:
+            return [0] * len(polys), 1  # every poly is zero
+        a, b = point[i].numerator, point[i].denominator
+        table = {}
+        t, prev = 1, 0
+        for e in es:
+            t *= a ** (e - prev)
+            table[e] = t
+            prev = e
+        if b != 1:
+            t = 1
+            for e in reversed(es):
+                t *= b ** (prev - e)
+                table[e] *= t
+                prev = e
+            scale *= t * b ** prev
+        tables.append(table)
+    sums = []
+    for ex, p in zip(exps, polys):
+        s = 0
+        for e, c in zip(ex, p.ints.values()):
+            for table, ei in zip(tables, e):
+                c *= table[ei]
+            s += c
+        sums.append(s)
+    return sums, scale
 
 
 # -- exact division and gcd ----------------------------------------------
@@ -736,10 +801,13 @@ class RatFn:
 
     # -- evaluation / substitution ----------------------------------------
     def eval(self, point):
-        d = self.den.eval(point)
-        if d == 0:
+        """The value at a point of rationals; ZeroDivisionError at a pole.
+        Numerator and denominator share the power tables of ``_eval_sums``,
+        so its common scale cancels."""
+        (n, d), _ = _eval_sums((self.num, self.den), point)
+        if not d:
             raise ZeroDivisionError("pole at %r" % (point,))
-        return self.num.eval(point) / d
+        return Fraction(n * self.den.den, d * self.num.den)
 
     def subs(self, args):
         """Substitute RatFn arguments for the variables; fully reduced."""

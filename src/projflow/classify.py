@@ -43,11 +43,11 @@ from .birmap import (
 )
 from .odesolve import (
     NoRationalSolution,
-    dehomogenize,
     homogenize_0,
     orbit_ode_reduce,
     rational_solutions,
     solve_differ,
+    _on_y1,
 )
 
 X = Poly.var(0, 2)
@@ -709,12 +709,13 @@ def _transported_invariant(vf, N, ell):
     With ell = (P, Q; L), ell^{-1}(x) = L^{-1}(x) * Q/P as in
     ``HomBir.push_forward``, so W = lx ly^(N-1) Q^N / P^N for
     (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  W is
-    checked exactly against the orbit equation ``orbit_ode_reduce``: its
+    checked exactly against the orbit equation ``orbit_ode_reduce``, as one
+    polynomial identity on the unreduced pair (num(x, 1), den(x, 1)): its
     solutions form one line, so W is then the invariant ``orbit_invariant``
     returns."""
     lx, ly = ell.L.inverse().coord_polys()
     W = RatFn(lx * ly ** (N - 1) * ell.Q ** N, ell.P ** N).scale_num_monic()
-    if not orbit_ode_reduce(vf, N).residual(dehomogenize(W)).is_zero():
+    if not orbit_ode_reduce(vf, N).solved_by(_on_y1(W.num), _on_y1(W.den)):
         raise VerificationFailed("transported invariant does not solve the "
                                  "orbit equation")
     return W

@@ -43,6 +43,19 @@ class LinODE:
     def residual(self, f):
         return self.p * f.derivative(0) + self.q * f - self.r
 
+    def solved_by(self, n, d):
+        """Whether n/d solves the equation, for univariate Polys n and d that
+        need not be coprime: with p = pn/pd, q = qn/qd and r = rn/rd, the
+        polynomial identity pn qd rd (n' d - n d') + qn pd rd n d = rn pd
+        qd d^2, checked without a gcd."""
+        if d.is_zero():
+            raise ZeroDivisionError("zero denominator polynomial")
+        (pn, pd), (qn, qd), (rn, rd) = ((c.num, c.den)
+                                        for c in (self.p, self.q, self.r))
+        lhs = (pn * qd * (n.derivative(0) * d - n * d.derivative(0))
+               + qn * pd * n * d) * rd
+        return lhs == rn * pd * qd * d * d
+
     def __repr__(self):
         return "LinODE(%s, %s, %s)" % (self.p.to_string(("x",)),
                                        self.q.to_string(("x",)),
@@ -165,6 +178,32 @@ def _nullspace(reduced, pivots, ncols):
     return basis
 
 
+def _operator_system(P, Q, den, rhs_poly, M):
+    """(rows, rhs): T(n) = rhs_poly for n of degree at most M, one row per
+    power of x up to the highest that occurs, for the operator T(n) =
+    P (n' den - n den') + Q n den.
+
+    T(n) = n' A + n B with A = P den and B = Q den - P den', so T(x^k) =
+    k x^(k-1) A + x^k B: the column of x^k holds the coefficients of A and
+    B shifted, and no product is formed per column."""
+    A = _coeffs(P * den)
+    B = _coeffs(Q * den - P * den.derivative(0))
+    C = _coeffs(rhs_poly)
+    zero = Fraction(0)
+
+    def at(c, i):
+        return c[i] if 0 <= i < len(c) else zero
+
+    nrows = max(len(A) + M - 1, len(B) + M, len(C), 1)
+    rows = [[k * at(A, m - k + 1) + at(B, m - k) for k in range(M + 1)]
+            for m in range(nrows)]
+    rhs = [at(C, m) for m in range(nrows)]
+    while len(rows) > 1 and not rhs[-1] and not any(rows[-1]):
+        rows.pop()
+        rhs.pop()
+    return rows, rhs
+
+
 def rational_solutions(ode):
     """All rational solutions as {'particular': f | None,
     'homogeneous_basis': g | None}.
@@ -175,7 +214,6 @@ def rational_solutions(ode):
     bounds, that no rational solution of that kind exists.
     """
     P, Q, R = _clear_denominators(ode)
-    x = Poly.var(0, 1)
     # denominator bound
     den = Poly.const(1, 1)
     for pi, p0 in _factor_irreducible(P):
@@ -211,24 +249,8 @@ def rational_solutions(ode):
     M = max(cands)
     if M > DEGREE_CAP:
         raise CapExceeded("numerator degree bound %d exceeds cap" % M)
-    # operator T(n) = P (n' den - n den') + Q n den, solve T(n) = R den^2
-    dden_p = den.derivative(0)
-    ncols = M + 1
-    images = []
-    maxdeg = 0
-    for k in range(ncols):
-        mono = x ** k
-        img = P * (mono.derivative(0) * den - mono * dden_p) + Q * mono * den
-        images.append(img.terms)
-        maxdeg = max(maxdeg, img.total_degree())
-    maxdeg = max(maxdeg, rhs_poly.total_degree())
-    rhs_terms = rhs_poly.terms
-    rows = []
-    rhs = []
-    for d in range(maxdeg + 1):
-        rows.append([img.get((d,), Fraction(0)) for img in images])
-        rhs.append(rhs_terms.get((d,), Fraction(0)))
-    particular, nullspace = _solve_linear_system(rows, rhs, ncols)
+    rows, rhs = _operator_system(P, Q, den, rhs_poly, M)
+    particular, nullspace = _solve_linear_system(rows, rhs, M + 1)
 
     def build(vec):
         num = Poly(1, {(k,): c for k, c in enumerate(vec)})
@@ -237,13 +259,13 @@ def rational_solutions(ode):
     part = None
     if particular is not None:
         part = build(particular)
-        if not ode.residual(part).is_zero():
+        if not ode.solved_by(part.num, part.den):
             raise VerificationFailed("particular solution has a nonzero residual")
     basis = None
     real_null = [v for v in nullspace if any(v)]
     if real_null:
         basis = build(real_null[0]).scale_num_monic()
-        if not (ode.p * basis.derivative(0) + ode.q * basis).is_zero():
+        if not LinODE(ode.p, ode.q, 0).solved_by(basis.num, basis.den):
             raise VerificationFailed("homogeneous solution does not solve the ODE")
     return {"particular": part, "homogeneous_basis": basis}
 

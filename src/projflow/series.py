@@ -3,8 +3,10 @@ closed form (``expand_flow``: c_k b_m = a_(m+k) - sum_(j<k) c_j b_(m+k-j)
 per coordinate, the recurrence that also decides the boundary condition
 c_1 = x, y) or from its vector field (``expand_from_vf``: the Lie
 recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i).  Both recurrences run on
-polynomial numerators over a known denominator and reduce each jet once.
-Also diagonal series and the denominator-prime diagnostic."""
+polynomial numerators over a known denominator and reduce each jet once; on
+a polynomial field every jet is a polynomial and the Lie step skips the
+quotient rule.  Also diagonal series, which evaluate each jet on integers
+(``RatFn.eval``), and the denominator-prime diagnostic."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -46,8 +48,10 @@ def expand_from_vf(vf, K):
 
     With the field's stored form w = P/D, r = Q/D and the current jet n/d,
     the next jet is ((n_x P + n_y Q) d - n (d_x P + d_y Q)) / (i d^2 D):
-    the recurrence runs on polynomials and reduces each jet once.  For a
-    polynomial field D = d = 1.
+    the recurrence runs on polynomials and reduces each jet once.  A
+    constant d is 1 (a reduced denominator is primitive), and then the step
+    is (n_x P + n_y Q) / (i D), without the terms that vanish with d_x and
+    d_y; for a polynomial field every jet takes that step.
     """
     if K < 2:
         raise AlgebraError("order must be >= 2")
@@ -57,9 +61,11 @@ def expand_from_vf(vf, K):
         jets = [start]
         for i in range(1, K):
             n, d = jets[-1].num, jets[-1].den
-            num = ((n.derivative(0) * P + n.derivative(1) * Q) * d
-                   - n * (d.derivative(0) * P + d.derivative(1) * Q))
-            jets.append(RatFn(num * Fraction(1, i), d * d * D))
+            num, den = n.derivative(0) * P + n.derivative(1) * Q, D
+            if not d.is_constant():
+                num = num * d - n * (d.derivative(0) * P + d.derivative(1) * Q)
+                den = d * d * D
+            jets.append(RatFn(num * Fraction(1, i), den))
         tables.append(jets)
     return JetTable(K, *tables)
 

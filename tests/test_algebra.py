@@ -24,6 +24,8 @@ from projflow.algebra import (
     count_real_projective_roots,
 )
 
+import eval_reference
+
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
 
@@ -374,6 +376,89 @@ def test_eval_hom_and_subs_polys_match_sympy(sub):
     assert got == _from_ring(hom, denom.nvars)
     assert P.subs_polys(args) == _from_ring(plain, denom.nvars)
     assert all(type(v) is Fraction for v in got.terms.values())
+
+
+# a sparse exponent near 2^20, far beyond any gap a loop could walk
+_HUGE = (2 ** 20, 2 ** 20 - 1, 2 ** 19 + 3)
+
+
+@st.composite
+def eval_cases(draw):
+    """(point, p, q): a point of rationals in 1 to 3 variables and zero,
+    constant or sparse polynomials p and q, for p and p/q.
+
+    Huge exponents go only on integer coordinates, and only into p: at a
+    non-integer coordinate, or in a quotient of two huge values, the exact
+    value has a numerator and denominator of millions of bits, and the
+    reference and the kernel both spend seconds in one big-int gcd."""
+    n = draw(st.integers(1, 3))
+    point = tuple(draw(st.sampled_from((0, 1, -1, 2, -3)))
+                  if draw(st.booleans())
+                  else Fraction(draw(st.integers(-7, 7)), draw(st.integers(1, 6)))
+                  for _ in range(n))
+
+    def exponent(i, huge):
+        kind = draw(st.sampled_from(("small", "small", "medium", "huge")))
+        if kind == "huge" and huge and Fraction(point[i]).denominator == 1:
+            return draw(st.sampled_from(_HUGE))
+        if kind == "small":
+            return draw(st.integers(0, 4))
+        return draw(st.integers(0, 200))
+
+    def poly(huge):
+        kind = draw(st.sampled_from(("sparse", "sparse", "const", "zero")))
+        if kind == "zero":
+            return Poly.zero(n)
+        if kind == "const":
+            return Poly.const(n, Fraction(draw(st.integers(-6, 6)),
+                                          draw(st.integers(1, 5))))
+        return Poly(n, {tuple(exponent(i, huge) for i in range(n)):
+                        Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+                        for _ in range(draw(st.integers(1, 4)))})
+
+    return point, poly(True), poly(False)
+
+
+@given(eval_cases())
+@settings(max_examples=150, deadline=None)
+def test_eval_matches_fraction_loop(case):
+    point, p, q = case
+    got = p.eval(point)
+    assert type(got) is Fraction and got == eval_reference.poly_eval(p, point)
+    if q.is_zero():
+        return
+    f = RatFn(p, q, reduce=False)
+    try:
+        want = eval_reference.ratfn_eval(f, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.eval(point)
+    else:
+        assert f.eval(point) == want
+
+
+def test_ratfn_eval_raises_at_a_pole():
+    f = RatFn(X * X + 1, (2 * X - Y) * (X + 3))
+    for point in ((Fraction(1, 2), 1), (-3, Fraction(5, 7)), (0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            f.eval(point)
+    assert f.eval((1, 1)) == Fraction(2, 4)
+
+
+def test_horner_raises_arguments_to_gaps_by_squaring(monkeypatch):
+    # x^(2^20) is one group with a trailing gap of 2^20: squaring takes 20
+    # products and one more multiplies the accumulator
+    big = X ** 2 ** 20
+    calls = []
+    mul = algebra._mul_ints
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(algebra, "_mul_ints", counting)
+    assert big.subs_polys([X, Y]) == big
+    assert len(calls) <= 2 * 20 + 2
 
 
 @st.composite

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projflow import (
     AlgebraError,
@@ -244,3 +245,48 @@ def test_homogeneous_dimension_at_most_one():
         sol = rational_solutions(ode)
         assert sol["homogeneous_basis"] is None or isinstance(
             sol["homogeneous_basis"], RatFn)
+
+
+@st.composite
+def _uni_ratfns(draw, allow_zero=True):
+    def poly():
+        return Poly(1, {(k,): Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+                        for k in range(draw(st.integers(0, 3)))})
+    num, den = poly(), poly()
+    if den.is_zero():
+        den = Poly.const(1, Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+    if num.is_zero() and not allow_zero:
+        num = Poly.const(1, 1)
+    return RatFn(num, den)
+
+
+@given(_uni_ratfns(False), _uni_ratfns(), _uni_ratfns(), _uni_ratfns(),
+       _uni_ratfns(False), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_solved_by_agrees_with_residual(p, q, r, f, g, planted):
+    # the polynomial identity decides what the reduced residual decides, on
+    # a pair carrying the common factor g
+    if planted:
+        r = p * f.derivative(0) + q * f
+    ode = LinODE(p, q, r)
+    assert ode.solved_by(f.num * g.num, f.den * g.num) == ode.residual(f).is_zero()
+    if planted:
+        assert ode.solved_by(f.num, f.den)
+
+
+@given(_uni_ratfns(False), _uni_ratfns(), _uni_ratfns(False), _uni_ratfns(),
+       st.integers(-1, 4))
+@settings(max_examples=80, deadline=None)
+def test_operator_system_matches_operator_images(p, q, d, r, M):
+    # column k holds T(x^k) = P ((x^k)' den - x^k den') + Q x^k den, row m
+    # the coefficient of x^m, up to the highest power that occurs
+    P, Q, den, R = p.num, q.num, d.num, r.num
+    images = [(P * ((T ** k).derivative(0) * den - T ** k * den.derivative(0))
+               + Q * T ** k * den).terms for k in range(M + 1)]
+    top = max([R.total_degree(), 0] + [max((e for (e,) in img), default=0)
+                                       for img in images])
+    rows, rhs = odesolve._operator_system(P, Q, den, R, M)
+    zero = Fraction(0)
+    assert rows == [[img.get((m,), zero) for img in images]
+                    for m in range(top + 1)]
+    assert rhs == [R.terms.get((m,), zero) for m in range(top + 1)]

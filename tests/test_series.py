@@ -230,3 +230,25 @@ def test_field_jets_satisfy_lie_recurrence(case):
         for i in range(1, K):
             u = parts[i - 1]
             assert i * parts[i] == u.derivative(0) * vf.w + u.derivative(1) * vf.r
+
+
+def test_polynomial_field_jets_take_two_products_per_step(monkeypatch):
+    # a polynomial jet has denominator 1, so a step of the Lie recurrence on
+    # a polynomial field multiplies n_x by P, n_y by Q and their sum by 1/i:
+    # the terms of the quotient rule that vanish with d_x and d_y are never
+    # formed
+    vf = VectorField(X * X - 2 * X * Y, -2 * X * Y + Y * Y)
+    K = 12
+    operands = []
+    mul = Poly.__mul__
+
+    def counting(a, b):
+        operands.append(type(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    expand_from_vf(vf, K)
+    steps = 2 * (K - 1)
+    assert operands.count(Poly) == 2 * steps
+    assert operands.count(Fraction) == steps
+    assert len(operands) == 3 * steps
