@@ -25,13 +25,17 @@ variable that raises them to the gaps between its distinct exponents.
 Rational functions are kept fully reduced, with the denominator normalized
 to primitive integer coefficients and a positive graded-lex leading
 coefficient, so equality is structural.  Reduction divides by ``poly_gcd``,
-whose result is put through ``unit_normal`` whatever its route.  A binary
-form is a polynomial in x/y, so a pair in one variable, or a pair of forms
-in two, takes sympy's dense univariate ``dup_gcd`` over ZZ: gcd(p, q) is
-y^min(k_p, k_q) times the gcd of p(x, 1) and q(x, 1) homogenized, for k the
-power of y in each form.  Every other pair takes sympy's ring gcd over ZZ of
-the primitive integer forms.  Real projective roots are counted by sympy's
-square-free split and real-root count of the dehomogenized form.
+whose result is put through ``unit_normal`` whatever its route.
+
+A binary form of degree k is also one list of k + 1 integers, c[a] the
+coefficient of x^a y^(k - a), and a polynomial in x alone its coefficient
+list.  The list-form section works on such lists: conversions, products,
+derivatives, exact division and ``_form_gcd``, a heuristic gcd (GCDHEU)
+with sympy's ``dup_gcd`` as fallback.  ``poly_gcd`` takes it for a pair in
+one variable or a pair of forms, and ``series.expand_from_vf`` runs on the
+lists.  Every other pair takes sympy's ring gcd over ZZ of the primitive
+integer forms, and real projective roots are counted by sympy over ZZ on
+the list of a form.
 
 Products, sums and exact division run on the stored keys and numerators and
 multiply or take the lcm of the denominators.  Exact division divides by
@@ -45,7 +49,8 @@ scheme on the stored keys: the arguments and C are put over the lcm L of
 their denominators, so that every term of P has denominator P.den * L^d,
 and the sum is folded variable by variable, so that each step multiplies by
 one argument raised to the gap between successive exponents (by squaring,
-cached per gap) and each innermost term takes a cached power of C.
+cached per gap) and each innermost term takes a cached power of C, made
+from the one below it when that is cached and by squaring otherwise.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
 only compare it by cross-multiplication.
 """
@@ -54,8 +59,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import groupby
-from math import gcd as _int_gcd, lcm
+from itertools import groupby, zip_longest
+from math import gcd as _int_gcd, isqrt, lcm
 
 VAR_NAMES = ("x", "y", "z", "t")
 
@@ -371,12 +376,21 @@ class Poly:
         L = lcm(*(a.den for a in allargs))
         ints = [[(k, c * (L // a.den)) for k, c in a.ints.items()]
                 for a in allargs]
-        cpows = [{0: 1}]
+        cpows = {0: {0: 1}}
 
         def cpow(k):
-            while len(cpows) <= k:
-                cpows.append(_mul_ints(cpows[-1].items(), ints[-1]))
-            return cpows[k]
+            # C^k from C^(k-1) when that is cached, else by squaring
+            t = cpows.get(k)
+            if t is None:
+                if k - 1 in cpows:
+                    t = _mul_ints(cpows[k - 1].items(), ints[-1])
+                else:
+                    h = cpow(k >> 1).items()
+                    t = _mul_ints(h, h)
+                    if k & 1:
+                        t = _mul_ints(t.items(), ints[-1])
+                cpows[k] = t
+            return t
 
         args = ints[:-1]
         apows = {}
@@ -611,52 +625,173 @@ def _quotient(p, d):
     return Poly._of(nv, out, g * p.den)
 
 
+# -- binary forms as integer lists (see the module docstring) ---------------
+# Zero is [], leading zeros are a power of x and trailing zeros one of y.
+
+def _form_list(p):
+    """(c, den) with c the list of p.den * p, for p a form in x, y or any
+    polynomial in x alone."""
+    c = [0] * (p.total_degree() + 1)
+    for k, v in p.ints.items():
+        c[k & _MAX_DEG] = v
+    return c, p.den
+
+
+def _list_poly(c, den=1, nvars=2):
+    """The Poly of the list c over den: a form in x, y, or in x alone."""
+    top = (len(c) - 1) << _W if nvars == 2 else 0
+    return Poly._of(nvars, {top | a: v for a, v in enumerate(c) if v}, den)
+
+
+def _split(c):
+    """(i, core, j) with c = [0]*i + core + [0]*j for a nonzero list c:
+    the form is x^i y^j times the form of core."""
+    i = next(a for a, v in enumerate(c) if v)
+    j = next(a for a, v in enumerate(reversed(c)) if v)
+    return i, c[i:len(c) - j], j
+
+
+def _ladd(a, b, s=1):
+    """The list of a + s*b, for forms of one degree or zero."""
+    return [u + s * v for u, v in zip_longest(a, b, fillvalue=0)]
+
+
+def _lmul(a, b):
+    """The list of the product a*b, by convolution."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, v in enumerate(b):
+        if v:
+            for i, u in enumerate(a, j):
+                out[i] += u * v
+    return out
+
+
+def _lderive(c, P, Q):
+    """The list of c_x P + c_y Q, for forms c, P and Q."""
+    k = len(c) - 1
+    return _ladd(_lmul([a * c[a] for a in range(1, k + 1)], P),
+                 _lmul([(k - a) * v for a, v in enumerate(c[:-1])], Q))
+
+
+def _ldiv(f, g):
+    """The list of f / g when the nonzero g divides f with an integer
+    quotient, else None; long division from the top after cancelling the
+    power of y of g."""
+    while not g[-1]:
+        if f[-1]:
+            return None
+        f, g = f[:-1], g[:-1]
+    n, lead = len(g) - 1, g[-1]
+    r = list(f)
+    q = [0] * (len(f) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + n], lead)
+        if rem:
+            return None
+        if c:
+            q[i] = c
+            for j in range(n):
+                r[i + j] -= c * g[j]
+    return q if len(f) > n and not any(r[:n]) else None
+
+
+def _rem(f, g):
+    """The remainder of f by g over Q, for lists of rationals low to high
+    with g's last entry nonzero; without trailing zeros."""
+    r = list(f)
+    while len(r) >= len(g):
+        q = Fraction(r.pop()) / g[-1]
+        for i, v in enumerate(g[:-1], len(r) - len(g) + 1):
+            r[i] -= q * v
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _content(c):
+    """The content of the nonzero list c, with the sign of its last nonzero
+    entry."""
+    g = _int_gcd(*c)
+    return g if next(v for v in reversed(c) if v) > 0 else -g
+
+
+def _primitive(c):
+    """c over ``_content(c)``."""
+    g = _content(c)
+    return c if g == 1 else [v // g for v in c]
+
+
+def _eval_at(c, xi):
+    """The value of the list c at the integer xi, by Horner's rule."""
+    v = 0
+    for a in reversed(c):
+        v = v * xi + a
+    return v
+
+
+def _form_gcd(f, g):
+    """The gcd of two nonzero forms as lists, primitive with a positive
+    leading entry: x^min(i, k) y^min(j, l) gcd(F, G) for x^i y^j F and
+    x^k y^l G.  GCDHEU (Char, Geddes and Gonnet) takes F and G primitive:
+    for xi > 2 min(|F|, |G|) + 1 in max norm, the primitive part of the
+    balanced xi-adic digits of gcd(F(xi), G(xi)) is gcd(F, G) if it divides
+    both.  xi grows as in sympy's ``dup_zz_heu_gcd``; after 6 points
+    sympy's ``dup_gcd`` decides."""
+    i, f, j = _split(f)
+    k, g, l = _split(g)
+    h = [1]
+    if len(f) > 1 and len(g) > 1:
+        f, g = _primitive(f), _primitive(g)
+        xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+        for _ in range(6):
+            ff, gg = _eval_at(f, xi), _eval_at(g, xi)
+            if ff and gg:
+                h, digits = _int_gcd(ff, gg), []
+                while h:
+                    d = h % xi
+                    if d > xi >> 1:
+                        d -= xi
+                    digits.append(d)
+                    h = (h - d) // xi
+                h = _primitive(digits)
+                if _ldiv(f, h) is not None and _ldiv(g, h) is not None:
+                    break
+            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+        else:
+            from sympy.polys.domains import ZZ
+            from sympy.polys.euclidtools import dup_gcd
+
+            h = _primitive([int(v) for v in dup_gcd(f[::-1], g[::-1], ZZ)[::-1]])
+    return [0] * min(i, k) + h + [0] * min(j, l)
+
+
 def poly_gcd(p, q):
     """GCD with primitive integer coefficients, positive grlex leading.
 
-    Two kinds of pair are univariate and go to sympy's dense ``dup_gcd``
-    over ZZ:
-
-    - polynomials in one variable, as their integer coefficient lists;
-    - forms in two variables, homogeneous of any degrees.  With p = y^k_p *
-      p~ and y not dividing p~, gcd(p, q) = y^min(k_p, k_q) * G, where G is
-      gcd(p~(x, 1), q~(x, 1)) homogenized to its own degree.
-
-    Every other pair goes as primitive integer forms to sympy's ring gcd
-    over ZZ.  Both gcds are the heuristic gcd of Char, Geddes and Gonnet
-    with a PRS fallback, and the result is put through ``unit_normal``, so
-    the route does not show in it."""
+    Polynomials in one variable, and pairs of forms in two of any degrees,
+    take ``_form_gcd`` on their lists.  Every other pair goes as primitive
+    integer forms to sympy's ring gcd over ZZ (the heuristic gcd with a PRS
+    fallback), and the result is put through ``unit_normal``, so the route
+    does not show in it."""
     if p.is_zero():
         return q.unit_normal()
     if q.is_zero():
         return p.unit_normal()
     if p.is_constant() or q.is_constant():
         return Poly.const(p.nvars, 1)
-    if p.nvars == 1:
-        g = _dup_gcd(_int_coeffs(p), _int_coeffs(q))
-        return Poly._of(1, {i: c for i, c in enumerate(g) if c}).unit_normal()
-    if p.nvars == 2 and p.is_homogeneous() and q.is_homogeneous():
-        kp, _, cp = _dehomogenize(p)
-        kq, _, cq = _dehomogenize(q)
-        g = _dup_gcd(cp, cq)
-        m, k = len(g) - 1, min(kp, kq)
-        return Poly._of(2, {_key((i, m - i + k)): c for i, c in enumerate(g) if c}
-                        ).unit_normal()
     nv = p.nvars
+    if nv == 1 or nv == 2 and p.is_homogeneous() and q.is_homogeneous():
+        return _list_poly(_form_gcd(_form_list(p)[0], _form_list(q)[0]),
+                          nvars=nv)
     R = _zz_ring(nv)
     pr, qr = (R.from_dict({_exps(k, nv): c for k, c in a.unit_normal().ints.items()})
               for a in (p, q))
     return Poly._of(nv, {_key(e): int(c) for e, c in pr.gcd(qr).items()}
                     ).unit_normal()
-
-
-def _dup_gcd(f, g):
-    """sympy's dense gcd over ZZ of two integer coefficient lists, each
-    low to high with a nonzero last entry; the result is low to high too."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd
-
-    return dup_gcd(f[::-1], g[::-1], ZZ)[::-1]
 
 
 @cache
@@ -962,14 +1097,6 @@ class LinearMap2:
 
 # -- rational linear factorization over Q ---------------------------------
 
-def _sympy_qq(coeffs):
-    """sympy ``Poly`` over QQ in x with coefficients ``coeffs`` (low to high)."""
-    import sympy
-
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(coeffs)], sympy.Symbol("x"), domain="QQ")
-
-
 def factor_list_q(coeffs):
     """Irreducible factors over Q of the univariate polynomial with
     coefficients ``coeffs`` (low to high, a nonzero last entry), by sympy's
@@ -988,25 +1115,11 @@ def factor_list_q(coeffs):
             for fac, mult in factors]
 
 
-def _dehomogenize(p):
-    """(k, work, coeffs) for a nonzero homogeneous BiPoly p = y^k * work,
-    with ``coeffs`` the integer coefficients of work.den * work(x, 1), low
-    to high."""
+def _split_form(p):
+    """``_split`` of the list of a nonzero form p, checked."""
     if p.is_zero() or not p.is_homogeneous():
         raise AlgebraError("expected a nonzero homogeneous polynomial")
-    y_pow = min(_exps(k, 2)[1] for k in p.ints)
-    work = p.strip_monomial((0, y_pow))
-    return y_pow, work, _int_coeffs(work)
-
-
-def _int_coeffs(p):
-    """Integer coefficients of p.den * p(x, 1), low to high, for p in x
-    alone or a form in x, y that y does not divide, so that no two terms of
-    p share a power of x."""
-    coeffs = [0] * (p.total_degree() + 1)
-    for k, c in p.ints.items():
-        coeffs[_exps(k, p.nvars)[0]] = c
-    return coeffs
+    return _split(_form_list(p)[0])
 
 
 def linear_factors_q(p):
@@ -1017,28 +1130,21 @@ def linear_factors_q(p):
     the remainder free of rational projective roots.  Factors are sorted by
     their (x, y) coefficients.
     """
-    nv = p.nvars
     # dehomogenize at y=1: roots t = x/y
-    y_pow, work, coeffs = _dehomogenize(p)
-    factors = []
-    if y_pow:
-        factors.append((Poly.var(1, nv), y_pow))
-    for fac, m in factor_list_q(coeffs):
-        if len(fac) != 2:
-            continue
-        # root t = a/b of t + fac[0] -> factor b*x - a*y
-        a, b = -fac[0].numerator, fac[0].denominator
-        f = Poly(nv, {_ex(nv, 0): b, _ex(nv, 1): -a})
-        factors.append((f, m))
-    rem = work
-    for f, m in factors:
-        if f == Poly.var(1, nv):
-            continue  # the y-power was stripped, not divided
-        for _ in range(m):
-            rem = divexact(rem, f)
+    x_pow, core, y_pow = _split_form(p)
+    rem = [0] * x_pow + core
+    factors = [(Poly.var(1, 2), y_pow)] if y_pow else []
+    for fac, m in factor_list_q(rem):
+        if len(fac) == 2:
+            # root t = a/b of t + fac[0] -> factor b*x - a*y, list [-a, b]
+            f = [fac[0].numerator, fac[0].denominator]
+            factors.append((_list_poly(f), m))
+            for _ in range(m):
+                rem = _ldiv(rem, f)
     factors.sort(key=lambda fm: tuple(sorted(fm[0].terms.items())))
+    rem = _list_poly(rem, p.den)
     if rem.is_constant():
-        return rem.constant_value(), factors, Poly.const(nv, 1)
+        return rem.constant_value(), factors, Poly.const(2, 1)
     scale = rem.content() if rem.leading_coeff() > 0 else -rem.content()
     return scale, factors, rem * (1 / scale)
 
@@ -1054,10 +1160,14 @@ def _ex(nvars, i):
 def count_real_projective_roots(p):
     """Real projective roots of a homogeneous BiPoly, with multiplicity.
 
-    Counts real root directions of the dehomogenized polynomial plus the
-    direction at infinity carried by the power of y dividing p: sympy's
-    square-free split, then its real-root count of each part.
+    The powers of x and y dividing p give the directions x = 0 and y = 0;
+    the rest is counted on the list of the remaining form over ZZ, by
+    sympy's square-free split and its real-root count of each part.
     """
-    y_pow, _, coeffs = _dehomogenize(p)
-    _, parts = _sympy_qq(coeffs).sqf_list()
-    return y_pow + sum(int(mult) * int(fac.count_roots()) for fac, mult in parts)
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_count_real_roots
+    from sympy.polys.sqfreetools import dup_sqf_list
+
+    x_pow, core, y_pow = _split_form(p)
+    _, parts = dup_sqf_list(core[::-1], ZZ)
+    return x_pow + y_pow + sum(m * dup_count_real_roots(f, ZZ) for f, m in parts)

@@ -14,8 +14,9 @@ from .algebra import (
     Poly,
     RatFn,
     VerificationFailed,
-    _int_coeffs,
+    _form_list,
     _quotient,
+    _rem,
     divexact,
     factor_list_q,
     poly_gcd,
@@ -88,7 +89,8 @@ def _clear_denominators(ode):
 
 def _coeffs(P):
     """Coefficients of a univariate Poly, low to high."""
-    return [Fraction(c, P.den) for c in _int_coeffs(P)]
+    c, den = _form_list(P)
+    return [Fraction(v, den) for v in c]
 
 
 def _factor_irreducible(P):
@@ -108,23 +110,17 @@ def _multiplicity(Q, pi):
 def _indicial_candidate(pi, A, B):
     """Integer e > 0 with e * A * pi' = B mod pi, else None.
 
-    Runs on sympy's dense QQ lists (``dup_rem``, ``dup_invert``); pi is
-    irreducible, so A pi' has an inverse mod pi unless it vanishes there.
+    Reduced mod pi both sides have degree below deg pi, so the congruence
+    is the identity e * a = b of a = A pi' rem pi and b = B rem pi.
     """
-    from sympy.polys.densearith import dup_mul, dup_rem
-    from sympy.polys.domains import QQ
-    from sympy.polys.euclidtools import dup_invert
-
-    def dup(P):
-        return [QQ(c.numerator, c.denominator) for c in reversed(_coeffs(P))]
-
-    m = dup(pi)
-    a = dup_rem(dup(A * pi.derivative(0)), m, QQ)
-    if not a:
+    m = _coeffs(pi)
+    a = _rem(_coeffs(A * pi.derivative(0)), m)
+    b = _rem(_coeffs(B), m)
+    if not a or len(a) != len(b):
         return None
-    e = dup_rem(dup_mul(dup(B), dup_invert(a, m, QQ), QQ), m, QQ)
-    if len(e) == 1 and e[0].denominator == 1 and e[0] > 0:
-        return int(e[0])
+    e = b[-1] / a[-1]
+    if e > 0 and e.denominator == 1 and b == [e * v for v in a]:
+        return int(e)
     return None
 
 

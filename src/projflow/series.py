@@ -3,15 +3,19 @@ closed form (``expand_flow``: c_k b_m = a_(m+k) - sum_(j<k) c_j b_(m+k-j)
 per coordinate, the recurrence that also decides the boundary condition
 c_1 = x, y) or from its vector field (``expand_from_vf``: the Lie
 recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i).  Both recurrences run on
-polynomial numerators over a known denominator and reduce each jet once; on
-a polynomial field every jet is a polynomial and the Lie step skips the
+polynomial numerators over a known denominator and reduce each jet once.
+Every polynomial of the Lie recurrence is a binary form, so it runs on the
+integer coefficient lists of ``algebra`` rather than on ``Poly``; on a
+polynomial field every jet is a polynomial and the Lie step skips the
 quotient rule.  Also diagonal series, which evaluate each jet on integers
 (``RatFn.eval``), and the denominator-prime diagnostic."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .algebra import AlgebraError, RatFn
+from .algebra import (AlgebraError, Poly, RatFn, _content, _form_gcd,
+                      _form_list, _ladd, _lderive, _ldiv, _list_poly, _lmul)
 from .flowcore import _flow_jets
 
 
@@ -47,25 +51,45 @@ def expand_from_vf(vf, K):
     """Jets from the Lie recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i.
 
     With the field's stored form w = P/D, r = Q/D and the current jet n/d,
-    the next jet is ((n_x P + n_y Q) d - n (d_x P + d_y Q)) / (i d^2 D):
-    the recurrence runs on polynomials and reduces each jet once.  A
-    constant d is 1 (a reduced denominator is primitive), and then the step
-    is (n_x P + n_y Q) / (i D), without the terms that vanish with d_x and
-    d_y; for a polynomial field every jet takes that step.
+    the next jet is ((n_x P + n_y Q) d - n (d_x P + d_y Q)) / (i d^2 D).
+    These are binary forms, so the step runs on the integer lists of
+    ``algebra``: n over a positive integer s, d, D, and P and Q over their
+    common denominator.  Each jet is reduced by ``_form_gcd``, normalized
+    as ``RatFn`` would (d primitive, positive leading entry) and built once.
+    A constant d is 1, and then the step is (n_x P + n_y Q) / (i D); for a
+    polynomial field every jet takes that step and needs no gcd.
     """
     if K < 2:
         raise AlgebraError("order must be >= 2")
-    P, Q, D = vf.P, vf.Q, vf.D
+    # D is unit-normal, so its denominator is 1
+    (P, p), (Q, q), (D, _) = (_form_list(f) for f in (vf.P, vf.Q, vf.D))
+    L = lcm(p, q)
+    P, Q = [c * (L // p) for c in P], [c * (L // q) for c in Q]
+    zero = RatFn(Poly.zero(2))
     tables = []
-    for start in (RatFn.var(0, 2), RatFn.var(1, 2)):
-        jets = [start]
+    for start in ([0, 1], [1, 0]):  # x and y
+        n, s, d = start, 1, [1]
+        jets = [RatFn(_list_poly(n))]
         for i in range(1, K):
-            n, d = jets[-1].num, jets[-1].den
-            num, den = n.derivative(0) * P + n.derivative(1) * Q, D
-            if not d.is_constant():
-                num = num * d - n * (d.derivative(0) * P + d.derivative(1) * Q)
-                den = d * d * D
-            jets.append(RatFn(num * Fraction(1, i), den))
+            num, den = _lderive(n, P, Q), D
+            if len(d) > 1:
+                num = _ladd(_lmul(num, d), _lmul(n, _lderive(d, P, Q)), -1)
+                den = _lmul(_lmul(d, d), D)
+            if not any(num):
+                jets += [zero] * (K - i)
+                break
+            if len(den) > 1:
+                g = _form_gcd(num, den)
+                if len(g) > 1:
+                    num, den = _ldiv(num, g), _ldiv(den, g)
+            c = _content(den)
+            d = [v // c for v in den]
+            if c < 0:
+                c, num = -c, [-v for v in num]
+            s *= i * L * c
+            h = gcd(s, *num)
+            n, s = [v // h for v in num], s // h
+            jets.append(RatFn(_list_poly(n, s), _list_poly(d), reduce=False))
         tables.append(jets)
     return JetTable(K, *tables)
 

@@ -519,7 +519,7 @@ def test_poly_gcd_hard_three_variable_pair():
 _x = Poly.var(0, 1)
 F = Fraction
 
-# (p, q, expected gcd, whether the pair takes the dense univariate gcd)
+# (p, q, expected gcd, whether the pair takes the gcd of integer lists)
 _GCD_ROUTE_CASES = [
     # forms made of monomials: only the powers of x and y are shared
     (Y ** 3, X * Y ** 2, Y ** 2, True),
@@ -549,13 +549,13 @@ _GCD_ROUTE_CASES = [
 @pytest.mark.parametrize("p, q, expected, dense", _GCD_ROUTE_CASES)
 def test_poly_gcd_route_and_normal_form(monkeypatch, p, q, expected, dense):
     calls = []
-    dup_gcd = algebra._dup_gcd
+    form_gcd = algebra._form_gcd
 
     def recording(f, g):
         calls.append((f, g))
-        return dup_gcd(f, g)
+        return form_gcd(f, g)
 
-    monkeypatch.setattr(algebra, "_dup_gcd", recording)
+    monkeypatch.setattr(algebra, "_form_gcd", recording)
     ring_gcd = _from_ring(_to_ring(p).gcd(_to_ring(q)), p.nvars).unit_normal()
     assert ring_gcd == expected.unit_normal()
     assert poly_gcd(p, q) == ring_gcd
@@ -617,3 +617,131 @@ def test_count_real_projective_roots_matches_sympy(p):
     n = count_real_projective_roots(p)
     assert type(n) is int
     assert n == k + len(sympy.real_roots(sympy.Poly(dehom, x)))
+
+
+def test_eval_hom_raises_the_denominator_by_squaring(monkeypatch):
+    # the constant term of x^(2^18) + 1 takes C^(2^18): squaring from the
+    # cached powers takes 19 products, and x^(2^18) takes 19 more
+    p = X ** 2 ** 18 + 1
+    calls = []
+    mul = algebra._mul_ints
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(algebra, "_mul_ints", counting)
+    assert p.subs_polys([X, Y]) == p
+    assert len(calls) <= 2 * 18 + 4
+
+
+# -- binary forms as integer lists -------------------------------------------
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+@st.composite
+def form_list_pairs(draw):
+    """Two nonzero form lists (c[a] the coefficient of x^a y^(k - a)) with a
+    planted common factor, each with its own content, powers of x and of y,
+    and negative and zero coefficients; any of the parts may be constant."""
+    coeffs = st.lists(st.integers(-5, 5), min_size=1, max_size=5).filter(
+        lambda c: c[-1] and c[0])
+    common = draw(coeffs)
+
+    def side():
+        c = _convolve(common, draw(coeffs))
+        c = [draw(st.integers(1, 6)) * v for v in c]
+        return [0] * draw(st.integers(0, 3)) + c + [0] * draw(st.integers(0, 3))
+
+    return side(), side()
+
+
+def _dup_form_gcd(f, g):
+    """gcd of two form lists by sympy's dup_gcd of their dehomogenizations,
+    primitive with a positive leading entry, times the common power of y."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
+    def strip(c):
+        k = len(c)
+        while not c[k - 1]:
+            k -= 1
+        return c[:k], len(c) - k
+
+    (f, j), (g, l) = strip(f), strip(g)
+    h = dup_gcd(f[::-1], g[::-1], ZZ)[::-1]
+    c = gcd(*h)
+    return [int(v) // c for v in h] + [0] * min(j, l)
+
+
+@given(form_list_pairs())
+@settings(max_examples=200, deadline=2000)
+def test_form_gcd_matches_dup_gcd(pair):
+    f, g = pair
+    assert algebra._form_gcd(f, g) == _dup_form_gcd(f, g)
+    assert algebra._form_gcd(g, f) == _dup_form_gcd(f, g)
+
+
+def test_form_gcd_falls_back_to_dup_gcd_when_every_point_fails(monkeypatch):
+    # an evaluation of 0 makes a point fail; after 6 points sympy decides
+    from sympy.polys import euclidtools
+
+    evals, fallbacks = [], []
+    dup_gcd = euclidtools.dup_gcd
+
+    def failing(c, xi):
+        evals.append(xi)
+        return 0
+
+    def recording(f, g, K):
+        fallbacks.append(1)
+        return dup_gcd(f, g, K)
+
+    monkeypatch.setattr(algebra, "_eval_at", failing)
+    monkeypatch.setattr(euclidtools, "dup_gcd", recording)
+    common = [3, -1, 0, 2]
+    f = [0] + _convolve(common, [1, 4, -2]) + [0, 0]
+    g = _convolve(common, [-5, 0, 7]) + [0]
+    assert algebra._form_gcd(f, g) == [3, -1, 0, 2, 0]
+    assert len(fallbacks) == 1 and len(set(evals)) == 6
+    p, q, g = _planted_pair(2, 0)
+    assert poly_gcd(p, q) == g.unit_normal()
+
+
+@st.composite
+def small_forms(draw):
+    """x^i y^j times a form with integer coefficients, squared in part."""
+    core = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5).filter(
+        lambda c: c[-1]))
+    p = sum((c * X ** a * Y ** (len(core) - 1 - a) for a, c in enumerate(core)),
+            Poly.zero(2))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+        p = p * (b * X - a * Y) ** 2
+    return p * X ** draw(st.integers(0, 2)) * Y ** draw(st.integers(1, 3))
+
+
+@given(small_forms())
+@settings(max_examples=100, deadline=2000)
+def test_count_real_projective_roots_matches_count_roots(p):
+    # with multiplicity: a root of multiplicity m is a root of f, f', ...,
+    # f^(m-1), so it is counted m times over the gcds of f with its
+    # successive derivatives; the power of y counts the direction y = 0
+    import sympy
+
+    x = sympy.Symbol("x")
+    k = min(e[1] for e in p.terms)
+    f = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** e[0]
+                       for e, c in p.terms.items()), x)
+    want, g, h = k, f, f
+    while g.degree() > 0:
+        want += g.count_roots()
+        h = h.diff(x)
+        g = g.gcd(h)
+    assert count_real_projective_roots(p) == want

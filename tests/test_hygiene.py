@@ -100,3 +100,23 @@ def test_private_parameters_are_passed():
                     unpassed.append("%s:%d %s(%s)" % (path.name, n.lineno,
                                                       n.name, arg.arg))
     assert not unpassed, unpassed
+
+
+def test_sympy_stays_in_algebra():
+    # sympy's gcds, factorization and root counting are reached through
+    # ``algebra``; no other module imports sympy, at module level or inside
+    # a function
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                importers.append("%s:%d" % (path.name, n.lineno))
+    assert not importers, importers

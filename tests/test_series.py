@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from sympy.polys.fields import field
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
+from projflow import algebra, series as series_mod
 from projflow import (
     AlgebraError,
     Flow,
@@ -24,6 +26,8 @@ from projflow import (
     lookup,
     vector_field,
 )
+
+import series_reference
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
@@ -234,21 +238,48 @@ def test_field_jets_satisfy_lie_recurrence(case):
 
 def test_polynomial_field_jets_take_two_products_per_step(monkeypatch):
     # a polynomial jet has denominator 1, so a step of the Lie recurrence on
-    # a polynomial field multiplies n_x by P, n_y by Q and their sum by 1/i:
-    # the terms of the quotient rule that vanish with d_x and d_y are never
-    # formed
+    # a polynomial field multiplies the list of n_x by P and that of n_y by
+    # Q: the terms of the quotient rule that vanish with d_x and d_y are
+    # never formed
     vf = VectorField(X * X - 2 * X * Y, -2 * X * Y + Y * Y)
     K = 12
-    operands = []
-    mul = Poly.__mul__
+    calls = []
+    lmul = algebra._lmul
 
     def counting(a, b):
-        operands.append(type(b))
-        return mul(a, b)
+        calls.append(1)
+        return lmul(a, b)
 
-    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(algebra, "_lmul", counting)
+    monkeypatch.setattr(series_mod, "_lmul", counting)
     expand_from_vf(vf, K)
-    steps = 2 * (K - 1)
-    assert operands.count(Poly) == 2 * steps
-    assert operands.count(Fraction) == steps
-    assert len(operands) == 3 * steps
+    assert len(calls) == 2 * 2 * (K - 1)
+
+
+def _seeded_field(rng, k, irreducible=False):
+    """w and r binary forms of degree k + 2 with rational coefficients over
+    a product of k linear forms, or over x^2 + c y^2 for k = 2."""
+    D = Poly.const(2, 1)
+    if irreducible:
+        D = X * X + rng.randint(1, 3) * Y * Y
+    else:
+        for _ in range(k):
+            D = D * (rng.randint(-3, 3) * X + rng.choice((-2, -1, 1, 2)) * Y)
+
+    def form():
+        return sum((Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                    * X ** i * Y ** (k + 2 - i) for i in range(k + 3)),
+                   Poly.zero(2))
+
+    return VectorField(RatFn(form(), D), RatFn(form(), D))
+
+
+def test_field_jets_match_the_poly_recurrence():
+    # polynomial fields (k = 0) and rational ones (k = 1, 2) to order 12
+    rng = random.Random(21)
+    for k in (0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2):
+        for irreducible in (False, True) if k == 2 else (False,):
+            vf = _seeded_field(rng, k, irreducible)
+            jets = expand_from_vf(vf, 12)
+            assert (jets.u_parts, jets.v_parts) == \
+                series_reference.field_jets(vf, 12)
