@@ -1095,7 +1095,7 @@ class LinearMap2:
         return "LinearMap2(%s, %s, %s, %s)" % (self.a, self.b, self.c, self.d)
 
 
-# -- rational linear factorization over Q ---------------------------------
+# -- factorization over Q -------------------------------------------------
 
 def factor_list_q(coeffs):
     """Irreducible factors over Q of the univariate polynomial with
@@ -1113,6 +1113,12 @@ def factor_list_q(coeffs):
     return [([Fraction(int(c.numerator), int(c.denominator))
               for c in reversed(dup_monic(fac, QQ))], mult)
             for fac, mult in factors]
+
+
+def largest_prime_factor(n):
+    """The largest prime factor of an integer n > 1, by sympy's factorint."""
+    from sympy.ntheory import factorint
+    return max(factorint(n))
 
 
 def _split_form(p):

@@ -4,12 +4,12 @@ An element acts as x -> L(x) * (P/Q)(L(x)), i.e. the linear change first,
 then the radial map (xP/Q, yP/Q).  The stored triple is normalized so that
 structural equality coincides with equality of maps.
 
-Pushing a small map t forward, ell o t o ell^{-1}, needs no inversion: the
-radial part x * P/Q has 0-homogenic P/Q, so its inverse is x * Q/P and
-ell^{-1}(x) = L^{-1}(x) * Q/P.  ``HomBir.push_forward`` builds the result
-from the terms of ell and t alone, which is how the conjugation
-certificate of ``classify.canonicalize`` avoids substituting into the large
-conjugate f.
+Every action ends in one radial step, ``HomBir._radial``, which ``apply``
+reduces once.  ``push_forward`` builds ell o t o ell^{-1} for a small t from
+the terms of ell and t alone (ell^{-1}(x) = L^{-1}(x) * Q/P), so the
+conjugation certificate of ``classify.canonicalize`` never substitutes into
+the large conjugate f.  ``conjugate_flow`` applies a^{-1} to the pullback
+f o a, from which ``pullback_pair`` divides out P o L and Q o L.
 """
 from __future__ import annotations
 
@@ -18,9 +18,11 @@ from math import gcd, lcm
 
 from .algebra import (
     AlgebraError,
+    IdenticallySingular,
     LinearMap2,
     Poly,
     RatFn,
+    _quotient,
     divexact,
     poly_gcd,
 )
@@ -98,41 +100,50 @@ class HomBir:
 
     # -- action ----------------------------------------------------------
     def apply(self, pair):
-        """Apply the map to a pair of rational functions (coordinates)."""
-        p1, p2 = pair
-        if isinstance(p1, Poly):
-            p1 = RatFn(p1)
-        if isinstance(p2, Poly):
-            p2 = RatFn(p2)
-        m1 = p1 * self.L.a + p2 * self.L.b
-        m2 = p1 * self.L.c + p2 * self.L.d
-        t = RatFn(self.P, self.Q).subs([m1, m2])
-        return (m1 * t, m2 * t)
+        """The map at a pair of rational functions, reduced; raises
+        IdenticallySingular where the map is undefined."""
+        (a1, b1), (a2, b2) = ((p.num, p.den) if isinstance(p, RatFn)
+                              else (p, Poly.const(p.nvars, 1)) for p in pair)
+        if b1 != b2:
+            # over lcm(b1, b2), so that a shared factor is not squared in E
+            g = poly_gcd(b1, b2)
+            c1, c2 = divexact(b1, g), divexact(b2, g)
+            a1, a2, b1, b2 = a1 * c2, a2 * c1, b1 * c2, b1 * c2
+        N1, N2, D = self._radial(a1, b1, a2, b2)
+        if D.is_zero():
+            raise IdenticallySingular("map undefined on the pair")
+        return RatFn(N1, D), RatFn(N2, D)
 
     def pullback_pair(self, r):
-        """(N, D) with N/D = r o self, not reduced: r at L(x) * T/C with
-        T = P o L and C = Q o L, by ``RatFn.subs_pair``."""
+        """(N, D) with N/D = r o self: r at L(x) * T/C (T = P o L, C = Q o L)
+        by ``RatFn.subs_pair``, divided by T and C while both are exact."""
         ls = self.L.coord_polys()
         T, C = self.P, self.Q
         if not self.L.is_identity():
             T, C = T.subs_polys(ls), C.subs_polys(ls)
-        return r.subs_pair([RatFn(l * T, C, reduce=False) for l in ls])
+        N, D = r.subs_pair([RatFn(l * T, C, reduce=False) for l in ls])
+        for g in (T, C) if self.degree() else ():
+            while ((q := _quotient(D, g)) is not None
+                   and (p := _quotient(N, g)) is not None):
+                N, D = p, q
+        return N, D
 
     def push_forward(self, t):
-        """(N1, N2, D) with (N1/D, N2/D) = self o t o self^{-1}, not reduced.
-
-        self^{-1}(x) = L^{-1}(x) * Q(x)/P(x), because the radial part
-        x * P/Q has 0-homogenic P/Q and so the inverse x * Q/P.  The
-        coordinates of t at L^{-1} * Q/P, over one denominator E, give
-        numerators (M1, M2) after L; the radial part then gives
-        Ni = Mi * P(M1, M2) and D = E * Q(M1, M2), the powers of E
-        cancelling in P/Q.  Every step works on t's and self's own terms.
-        D is zero when self o t o self^{-1} is undefined.
-        """
+        """(N1, N2, D) with (N1/D, N2/D) = self o t o self^{-1}, not reduced:
+        ``_radial`` of t at self^{-1}(x) = L^{-1}(x) * Q/P (the inverse of
+        the radial part x * P/Q, P/Q being 0-homogenic).  D is zero when
+        self o t o self^{-1} is undefined."""
         lx, ly = self.L.inverse().coord_polys()
         args = [RatFn(lx * self.Q, self.P, reduce=False),
                 RatFn(ly * self.Q, self.P, reduce=False)]
         (a1, b1), (a2, b2) = (c.subs_pair(args) for c in (t.u, t.v))
+        return self._radial(a1, b1, a2, b2)
+
+    def _radial(self, a1, b1, a2, b2):
+        """(N1, N2, D) with (N1/D, N2/D) = self(a1/b1, a2/b2), not reduced:
+        over one denominator E the pair is (M1, M2)/E after L, and the
+        radial part gives Ni = Mi * P(M) and D = E * Q(M), as the powers of
+        E cancel in P/Q."""
         if b1 == b2:
             E = b1
         else:
@@ -192,11 +203,9 @@ def _normalize_triple(P, Q, L):
 # -- conjugation actions ---------------------------------------------------
 
 def conjugate_flow(f, a):
-    """a^{-1} o f o a, reduced; f o a by ``HomBir.pullback_pair``."""
-    fu = RatFn(*a.pullback_pair(f.u))
-    fv = RatFn(*a.pullback_pair(f.v))
-    bx, by = a.inverse().coords()
-    return Flow(bx.subs([fu, fv]), by.subs([fu, fv]))
+    """a^{-1} o f o a, reduced: a^{-1} applied to f o a (``pullback_pair``)."""
+    return Flow(*a.inverse().apply([RatFn(*a.pullback_pair(c))
+                                    for c in (f.u, f.v)]))
 
 
 def conjugate_vf_linear(vf, L):
@@ -269,10 +278,7 @@ def classify_involution(a):
     if PL.is_zero():
         return InvolutionClass("NotInvolution")
     lt_e, lt_c = PL.leading_term()
-    qc = a.Q.terms.get(lt_e)
-    if qc is None:
-        return InvolutionClass("NotInvolution")
-    ratio = qc / lt_c
+    ratio = a.Q.terms.get(lt_e, 0) / lt_c
     if a.Q != PL * ratio:
         return InvolutionClass("NotInvolution")
     sign_plus = ratio > 0

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import (AlgebraError, Poly, RatFn, _content, _form_gcd,
-                      _form_list, _ladd, _lderive, _ldiv, _list_poly, _lmul)
+                      _form_list, _ladd, _lderive, _ldiv, _list_poly, _lmul,
+                      largest_prime_factor)
 from .flowcore import _flow_jets
 
 
@@ -114,20 +115,6 @@ def diagonal_series(jets, direction):
     return out
 
 
-def _largest_prime_factor(n):
-    n = abs(n)
-    largest = None
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            largest = d
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        largest = n
-    return largest
-
-
 def prime_growth_diagnostic(coeffs):
     """Largest prime factor of each denominator plus a growth flag.
 
@@ -139,7 +126,7 @@ def prime_growth_diagnostic(coeffs):
     largest = []
     for c in coeffs:
         d = Fraction(c).denominator
-        largest.append(_largest_prime_factor(d) if d > 1 else None)
+        largest.append(largest_prime_factor(d) if d > 1 else None)
     primes = [p for p in largest if p is not None]
     envelope = []
     mx = 0

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from apply_reference import apply_reference
 from projflow import (
     Flow,
     HomBir,
+    IdenticallySingular,
     LinearMap2,
     Poly,
     RatFn,
     canonical_flow,
+    canonicalize,
     classify_involution,
     conjugate_flow,
     conjugate_vf,
@@ -65,7 +68,6 @@ def test_group_associativity():
 
 def test_pointwise_soundness():
     rng = random.Random(3)
-    from projflow.algebra import IdenticallySingular
     pts = [(Fraction(1), Fraction(2)), (Fraction(-2), Fraction(3)),
            (Fraction(1, 2), Fraction(-1, 3))]
     for _ in range(10):
@@ -106,6 +108,48 @@ def test_pullback_pair_matches_subs():
                 assert N.is_zero() == (dn is None)
 
 
+def test_apply_matches_reference():
+    # one radial step reduced once equals m * (P/Q)(m) with m = L(pair) in
+    # RatFn arithmetic, for maps of degree 0-3 with identity, swap and random
+    # L, on pairs with equal, distinct, partly shared and constant
+    # denominators, bare polynomials and points; where the reference raises,
+    # apply raises too
+    rng = random.Random(29)
+    singular = 0
+    for deg in range(4):
+        for L in (LinearMap2.identity(), SWAP, LinearMap2(2, -1, 1, 3)):
+            a = HomBir(_rand_poly(rng, deg), _rand_poly(rng, deg), L)
+            d = _rand_dense(rng, 2)
+            pairs = [
+                (RatFn(_rand_dense(rng, 3), d), RatFn(_rand_dense(rng, 1), d)),
+                (RatFn(_rand_dense(rng, 1), _rand_dense(rng, 2)),
+                 RatFn(_rand_dense(rng, 2), _rand_dense(rng, 1))),
+                (RatFn(_rand_dense(rng, 2), d * _rand_dense(rng, 1)),
+                 RatFn(_rand_dense(rng, 1), d)),
+                (_rand_dense(rng, 2), RatFn(X, _rand_dense(rng, 1))),
+                (RatFn.var(0, 2), RatFn.var(1, 2)),
+                (RatFn.const(0, 2), RatFn.const(0, 2)),
+            ]
+            pairs += [(RatFn.const(Fraction(rng.randint(-2, 2)), 2),
+                       RatFn.const(Fraction(rng.randint(-2, 2), 3), 2))
+                      for _ in range(4)]
+            for pair in pairs:
+                try:
+                    expect = apply_reference(a, pair)
+                except IdenticallySingular:
+                    singular += 1
+                    with pytest.raises(IdenticallySingular):
+                        a.apply(pair)
+                    continue
+                assert a.apply(pair) == expect, (a, pair)
+    assert singular > 0
+    # x/y is undefined on the line y = 0
+    a = HomBir.from_A(RatFn(X, Y))
+    for route in (a.apply, lambda pair: apply_reference(a, pair)):
+        with pytest.raises(IdenticallySingular):
+            route((RatFn.const(1, 2), RatFn.const(0, 2)))
+
+
 def test_push_forward_matches_composition():
     # a o t o a^-1 built from a's and t's own terms equals the composition
     # of coordinates, for maps of degree 0-2 with identity, swap and random
@@ -127,6 +171,17 @@ def test_push_forward_matches_composition():
                 assert RatFn(N1, D) == ax.subs(inner), (a, t)
                 assert RatFn(N2, D) == ay.subs(inner), (a, t)
             assert a.push_forward(zero)[2].is_zero() == (a.degree() > 0)
+
+
+def test_conjugate_flow_back_from_degree_3_conjugate():
+    # a degree-3 conjugate of phi_2 conjugated by its own conjugator gives
+    # phi_2 back; its pullback pair has degree 112 before P o L and Q o L
+    # are divided out
+    h = HomBir(-X ** 3 + 2 * X * X * Y - X * Y * Y + Y ** 3,
+               2 * X ** 3 + 3 * X * X * Y + 2 * X * Y * Y + 3 * Y ** 3,
+               LinearMap2(-2, -1, -2, 0))
+    f = conjugate_flow(canonical_flow(2), h)
+    assert conjugate_flow(f, canonicalize(f).ell) == canonical_flow(2)
 
 
 def test_involution_i_plus_example():

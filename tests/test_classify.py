@@ -439,6 +439,26 @@ def test_reduce_denominator_zoo_fields():
         assert (got.w, got.r) == (_rf(expect[0]), _rf(expect[1])), name
 
 
+def test_classify_vf_names_obstruction_after_one_reduction(monkeypatch):
+    # x^2 + y^2 times the radial field, conjugated by the radial map
+    # y/(x + y), has denominator (x + y)^2 and no rational univariate form;
+    # Step I clears it in one reduction and the quadratic form is tangent
+    vf = conjugate_vf(VectorField(X * X + Y * Y, Poly.zero(2)),
+                      HomBir.from_A(_rf(Y, X + Y)))
+    assert not vf.D.is_constant()
+    steps = []
+    step = classify_module.reduce_denominator_step
+
+    def counted(field):
+        steps.append(step(field))
+        return steps[-1]
+
+    monkeypatch.setattr(classify_module, "reduce_denominator_step", counted)
+    res = classify_vf(vf)
+    assert isinstance(res, NonRational) and res.tag == "phi_t"
+    assert len(steps) == 1 and steps[0]["vf"].D.is_constant()
+
+
 def test_reduce_denominator_already_quadratic():
     res = reduce_denominator_step(VectorField(X * Y, -(Y * Y)))
     assert isinstance(res, AlreadyQuadratic)

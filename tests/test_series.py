@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,15 @@ def test_prime_growth_integer_coefficients():
     report = prime_growth_diagnostic([Fraction(k) for k in range(50)])
     assert report["max_prime"] is None
     assert report["unbounded_denominator_primes_suspected"] is False
+
+
+def test_prime_growth_of_two_large_primes():
+    # 100000007 and 100000037 are the first primes after 10^8; trial
+    # division up to the square root took seconds on their product
+    start = time.perf_counter()
+    report = prime_growth_diagnostic([Fraction(1, 100000007 * 100000037)] * 50)
+    assert time.perf_counter() - start < 1.0
+    assert report["max_prime"] == 100000037
 
 
 def test_prime_growth_needs_50():
