@@ -30,12 +30,17 @@ whose result is put through ``unit_normal`` whatever its route.
 A binary form of degree k is also one list of k + 1 integers, c[a] the
 coefficient of x^a y^(k - a), and a polynomial in x alone its coefficient
 list.  The list-form section works on such lists: conversions, products,
-derivatives, exact division and ``_form_gcd``, a heuristic gcd (GCDHEU)
-with sympy's ``dup_gcd`` as fallback.  ``poly_gcd`` takes it for a pair in
-one variable or a pair of forms, and ``series.expand_from_vf`` runs on the
+derivatives, exact division, homogeneous evaluation and ``_form_gcd``, a
+heuristic gcd (GCDHEU) with sympy's ``dup_gcd`` as fallback.  ``poly_gcd``
+takes it for a pair in one variable or a pair of forms, and
+``series.expand_from_vf`` and ``odesolve.rational_solutions`` run on the
 lists.  Every other pair takes sympy's ring gcd over ZZ of the primitive
-integer forms, and real projective roots are counted by sympy over ZZ on
-the list of a form.
+integer forms.  Factorization over Q also runs on the lists: Yun's
+square-free split (``_sqf_list``, on ``_form_gcd``) and rational roots by
+p-adic lifting (``_rational_roots``) give ``linear_factors_q`` and
+``factor_list_q``, which leaves to sympy's Zassenhaus only a square-free
+cofactor of degree 4 or more without rational roots.  Real projective
+roots are counted by sympy over ZZ on the parts of ``_sqf_list``.
 
 Products, sums and exact division run on the stored keys and numerators and
 multiply or take the lcm of the denominators.  Exact division divides by
@@ -677,6 +682,11 @@ def _lderive(c, P, Q):
                  _lmul([(k - a) * v for a, v in enumerate(c[:-1])], Q))
 
 
+def _ldiff(c):
+    """The list of dc/dx, for a list c in x alone."""
+    return [a * v for a, v in enumerate(c)][1:]
+
+
 def _ldiv(f, g):
     """The list of f / g when the nonzero g divides f with an integer
     quotient, else None; long division from the top after cancelling the
@@ -731,6 +741,38 @@ def _eval_at(c, xi):
     for a in reversed(c):
         v = v * xi + a
     return v
+
+
+def _form_value(p, a, b):
+    """(F, k) for a form p of degree k in x, y (k = -1 for zero), F the
+    value of p.den * p at the integers (a, b), the sum of the c_i a^i
+    b^(k - i).  One homogeneous Horner pass from the top power of x down:
+    over the list of p when more than a quarter of its k + 1 entries are
+    nonzero, else over its terms, a gap of g powers costing a^g and b^g."""
+    ints = p.ints
+    if not ints:
+        return 0, -1
+    k = next(iter(ints)) >> _W
+    v, t = 0, 1
+    if 4 * len(ints) > k:
+        c = [0] * (k + 1)
+        for key, u in ints.items():
+            c[key & _MAX_DEG] = u
+        for u in reversed(c):
+            v, t = v * a + u * t, t * b
+        return v, k
+    i = k
+    for key, u in sorted(ints.items(), reverse=True):
+        g = i - (key & _MAX_DEG)
+        if g == 1:
+            v, t = v * a + u * t * b, t * b
+        elif g:
+            bg = b ** g
+            v, t = v * a ** g + u * t * bg, t * bg
+        else:
+            v = u
+        i -= g
+    return (v * a ** i if i else v), k
 
 
 def _form_gcd(f, g):
@@ -1096,23 +1138,101 @@ class LinearMap2:
 
 
 # -- factorization over Q -------------------------------------------------
+# On lists in x alone, low to high, with a nonzero last entry.
 
-def factor_list_q(coeffs):
-    """Irreducible factors over Q of the univariate polynomial with
-    coefficients ``coeffs`` (low to high, a nonzero last entry), by sympy's
-    dense ``dup_factor_list`` over QQ.
+def _sqf_list(f):
+    """Yun's square-free split of the list f: [(g, i)] with f = c * prod
+    g^i for an integer c, each g primitive, square-free and nonconstant
+    with a positive leading entry, the g pairwise coprime and i increasing.
+    With b = f / gcd(f, f') and c = f' / gcd(f, f'), each step takes
+    a = gcd(b, c - b'), the product of the factors of multiplicity i, and
+    goes on with b / a and (c - b') / a.  Both gcds are ``_form_gcd``, so
+    every quotient is an integer list."""
+    if len(f) < 2:
+        return []
+    f = _primitive(f)
+    df = _ldiff(f)
+    g = _form_gcd(f, df)
+    b, c = _ldiv(f, g), _ldiv(df, g)
+    out, i = [], 1
+    while len(b) > 1:
+        d = _ladd(c, _ldiff(b), -1)
+        while d and not d[-1]:
+            d.pop()
+        a = _form_gcd(b, d) if d else b
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _ldiv(b, a), _ldiv(d, a) if d else []
+        i += 1
+    return out
 
-    Returns [(monic factor coefficients low to high, multiplicity)].
-    """
-    from sympy.polys.densetools import dup_monic
-    from sympy.polys.domains import QQ
-    from sympy.polys.factortools import dup_factor_list
 
-    _, factors = dup_factor_list(
-        [QQ(c.numerator, c.denominator) for c in reversed(coeffs)], QQ)
-    return [([Fraction(int(c.numerator), int(c.denominator))
-              for c in reversed(dup_monic(fac, QQ))], mult)
-            for fac, mult in factors]
+def _primes():
+    p = 2
+    while True:
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _rational_roots(f):
+    """The rational roots of the square-free primitive list f with a
+    positive leading entry and f(0) != 0, as pairs (a, b) for a/b in lowest
+    terms with b > 0 (Loos's p-adic method).  A root a/b has b | lc(f) and
+    a | f(0), so it is the rational reconstruction of its image modulo any
+    m > 2 |f(0)| lc(f).  So the roots of f modulo the first prime p that
+    does not divide lc(f) and at which they are all simple are lifted by
+    Newton's iteration to such an m = p^(2^s), reconstructed by the
+    extended Euclidean algorithm, and kept when they divide f."""
+    if len(f) == 2:
+        return [(-f[0], f[1])]
+    df = _ldiff(f)
+    for p in _primes():
+        if f[-1] % p:
+            fp = [v % p for v in f]
+            roots = [r for r in range(p) if not _eval_at(fp, r) % p]
+            if all(_eval_at(df, r) % p for r in roots):
+                break
+    c0 = abs(f[0])
+    bound = 2 * c0 * f[-1]
+    out = []
+    for r in roots:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_at(f, r) * pow(_eval_at(df, r), -1, m)) % m
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > c0:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+        if _ldiv(f, [-a, b]) is not None:
+            out.append((a, b))
+    return out
+
+
+def factor_list_q(f):
+    """Irreducible factors over Q of the nonconstant list f: [(g,
+    multiplicity)] with each g primitive with a positive leading entry, in
+    no fixed order.  x^k is split off and ``_sqf_list`` splits the rest;
+    each part gives up its rational roots (``_rational_roots``), after which
+    a cofactor of degree 2 or 3 is irreducible, and only one of degree 4 or
+    more is factored by sympy's ``dup_zz_factor`` (Zassenhaus)."""
+    k, core, _ = _split(f)
+    out = [([0, 1], k)] if k else []
+    for part, m in _sqf_list(core):
+        for a, b in _rational_roots(part):
+            out.append(([-a, b], m))
+            part = _ldiv(part, [-a, b])
+        if len(part) > 4:
+            from sympy.polys.domains import ZZ
+            from sympy.polys.factortools import dup_zz_factor
+
+            out += [([int(v) for v in reversed(g)], m)
+                    for g, _ in dup_zz_factor(part[::-1], ZZ)[1]]
+        elif len(part) > 1:
+            out.append((part, m))
+    return out
 
 
 def largest_prime_factor(n):
@@ -1136,17 +1256,16 @@ def linear_factors_q(p):
     the remainder free of rational projective roots.  Factors are sorted by
     their (x, y) coefficients.
     """
-    # dehomogenize at y=1: roots t = x/y
-    x_pow, core, y_pow = _split_form(p)
-    rem = [0] * x_pow + core
+    # dehomogenize at y=1: a root t = a/b of x/y gives b*x - a*y, list [-a, b]
+    x_pow, rem, y_pow = _split_form(p)
     factors = [(Poly.var(1, 2), y_pow)] if y_pow else []
-    for fac, m in factor_list_q(rem):
-        if len(fac) == 2:
-            # root t = a/b of t + fac[0] -> factor b*x - a*y, list [-a, b]
-            f = [fac[0].numerator, fac[0].denominator]
-            factors.append((_list_poly(f), m))
+    if x_pow:
+        factors.append((Poly.var(0, 2), x_pow))
+    for part, m in _sqf_list(rem):
+        for a, b in _rational_roots(part):
+            factors.append((_list_poly([-a, b]), m))
             for _ in range(m):
-                rem = _ldiv(rem, f)
+                rem = _ldiv(rem, [-a, b])
     factors.sort(key=lambda fm: tuple(sorted(fm[0].terms.items())))
     rem = _list_poly(rem, p.den)
     if rem.is_constant():
@@ -1167,13 +1286,13 @@ def count_real_projective_roots(p):
     """Real projective roots of a homogeneous BiPoly, with multiplicity.
 
     The powers of x and y dividing p give the directions x = 0 and y = 0;
-    the rest is counted on the list of the remaining form over ZZ, by
-    sympy's square-free split and its real-root count of each part.
+    the rest is counted on the list of the remaining form over ZZ: the
+    parts of its square-free split (``_sqf_list``) by sympy's real-root
+    count.
     """
     from sympy.polys.domains import ZZ
     from sympy.polys.rootisolation import dup_count_real_roots
-    from sympy.polys.sqfreetools import dup_sqf_list
 
     x_pow, core, y_pow = _split_form(p)
-    _, parts = dup_sqf_list(core[::-1], ZZ)
-    return x_pow + y_pow + sum(m * dup_count_real_roots(f, ZZ) for f, m in parts)
+    return x_pow + y_pow + sum(m * dup_count_real_roots(f[::-1], ZZ)
+                               for f, m in _sqf_list(core))

@@ -1,12 +1,19 @@
 """Rational solutions of first-order linear ODEs p f' + q f = r over Q(x).
 
 Nonexistence is proved via pole-order (indicial) bounds at each irreducible
-factor of the leading coefficient and a degree bound at infinity, then a
-finite linear system; no sampling is involved.
+factor of the leading coefficient (Abramov's denominator bound) and a
+degree bound at infinity, then a finite linear system; no sampling is
+involved.  The solver clears denominators and runs on the integer
+coefficient lists of ``algebra``: the leading coefficient is factored by
+``factor_list_q``, the indicial congruence at each factor is solved on
+remainders mod that factor, and the system is eliminated fraction-free on
+integer rows.  Only the solutions are built as ``RatFn``, and each is
+checked against the equation (``LinODE.solved_by``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .algebra import (
     AlgebraError,
@@ -14,12 +21,16 @@ from .algebra import (
     Poly,
     RatFn,
     VerificationFailed,
+    _form_gcd,
     _form_list,
-    _quotient,
+    _ladd,
+    _ldiff,
+    _ldiv,
+    _list_poly,
+    _lmul,
+    _primitive,
     _rem,
-    divexact,
     factor_list_q,
-    poly_gcd,
 )
 
 DEGREE_CAP = 200
@@ -75,125 +86,120 @@ def _uni(f):
     raise TypeError(repr(f))
 
 
+def _lists(f):
+    """(n, d) for a univariate RatFn f = n/d, as integer lists."""
+    (n, a), (d, _) = _form_list(f.num), _form_list(f.den)
+    return n, [v * a for v in d]
+
+
 def _clear_denominators(ode):
-    """Equivalent polynomial equation P f' + Q f = R."""
-    den = ode.p.den * ode.q.den * ode.r.den
-    P = ode.p.num * ode.q.den * ode.r.den
-    Q = ode.q.num * ode.p.den * ode.r.den
-    R = ode.r.num * ode.p.den * ode.q.den
-    g = poly_gcd(poly_gcd(P, Q), R) if not R.is_zero() else poly_gcd(P, Q)
-    if not (g.is_constant() and g.constant_value() == 1):
-        P, Q, R = divexact(P, g), divexact(Q, g), divexact(R, g)
-    return P, Q, R
-
-
-def _coeffs(P):
-    """Coefficients of a univariate Poly, low to high."""
-    c, den = _form_list(P)
-    return [Fraction(v, den) for v in c]
-
-
-def _factor_irreducible(P):
-    """Irreducible monic factors of a univariate Poly over Q."""
-    return [(Poly(1, {(k,): c for k, c in enumerate(fac)}), mult)
-            for fac, mult in factor_list_q(_coeffs(P))]
+    """Equivalent polynomial equation P f' + Q f = R, as integer lists
+    (zero is []) with no common factor in Z[x]."""
+    (pn, pd), (qn, qd), (rn, rd) = (_lists(c) for c in (ode.p, ode.q, ode.r))
+    P = _lmul(_lmul(pn, qd), rd)
+    Q = _lmul(_lmul(qn, pd), rd)
+    R = _lmul(_lmul(rn, pd), qd)
+    g = _primitive(P)
+    for h in (Q, R):
+        if h and len(g) > 1:
+            g = _form_gcd(g, h)
+    c = gcd(*P, *Q, *R)
+    return tuple(_ldiv([v // c for v in h], g) if h else h for h in (P, Q, R))
 
 
 def _multiplicity(Q, pi):
     """(m, Q / pi^m) for the largest m with pi^m dividing Q != 0."""
     m = 0
-    while (q := _quotient(Q, pi)) is not None:
+    while (q := _ldiv(Q, pi)) is not None:
         Q, m = q, m + 1
     return m, Q
 
 
 def _indicial_candidate(pi, A, B):
-    """Integer e > 0 with e * A * pi' = B mod pi, else None.
+    """Integer e > 0 with e * A * pi' = B mod pi, else None, for integer
+    lists.
 
     Reduced mod pi both sides have degree below deg pi, so the congruence
     is the identity e * a = b of a = A pi' rem pi and b = B rem pi.
     """
-    m = _coeffs(pi)
-    a = _rem(_coeffs(A * pi.derivative(0)), m)
-    b = _rem(_coeffs(B), m)
+    a = _rem(_lmul(A, _ldiff(pi)), pi)
+    b = _rem(B, pi)
     if not a or len(a) != len(b):
         return None
-    e = b[-1] / a[-1]
-    if e > 0 and e.denominator == 1 and b == [e * v for v in a]:
+    e = Fraction(b[-1]) / a[-1]
+    if b != [e * v for v in a]:
+        return None
+    if e > 0 and e.denominator == 1:
         return int(e)
     return None
 
 
 def _solve_linear_system(rows, rhs, ncols):
-    """Gaussian elimination over Q.
+    """Gauss-Jordan elimination on integer rows, fraction-free.
 
-    rows: list of coefficient lists (len ncols); rhs: list of Fractions.
-    Returns (particular | None, nullspace basis vectors).
+    rows: list of integer coefficient lists (len ncols); rhs: list of
+    integers.  Each elimination step replaces a row r by pv * r - f * s for
+    the pivot row s and divides it by its content, so the rows stay
+    integer; a pivot row over its pivot entry is then a row of the reduced
+    row echelon form, which is unique, so the result is that of
+    elimination over Q.  Returns (particular | None, nullspace basis
+    vectors), with Fraction entries.
     """
     m = [list(row) + [b] for row, b in zip(rows, rhs)]
     nrows = len(m)
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [c / pv for c in m[rank]]
+        s = m[rank]
+        pv = s[col]
         for i in range(nrows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+            f = m[i][col]
+            if i != rank and f:
+                r = [pv * a - f * b for a, b in zip(m[i], s)]
+                g = gcd(*r)
+                m[i] = [a // g for a in r] if g > 1 else r
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    for i in range(rank, nrows):
-        if m[i][ncols]:
-            return None, _nullspace(m[:rank], pivots, ncols)
-    particular = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        particular[col] = m[i][ncols]
-    return particular, _nullspace(m[:rank], pivots, ncols)
-
-
-def _nullspace(reduced, pivots, ncols):
-    free = [c for c in range(ncols) if c not in pivots]
+    particular = None
+    if not any(row[ncols] for row in m[rank:]):
+        particular = [Fraction(0)] * ncols
+        for row, col in zip(m, pivots):
+            particular[col] = Fraction(row[ncols], row[col])
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -reduced[i][fc]
-        basis.append(v)
-    return basis
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for row, col in zip(m, pivots):
+                v[col] = Fraction(-row[fc], row[col])
+            basis.append(v)
+    return particular, basis
 
 
-def _operator_system(P, Q, den, rhs_poly, M):
-    """(rows, rhs): T(n) = rhs_poly for n of degree at most M, one row per
-    power of x up to the highest that occurs, for the operator T(n) =
-    P (n' den - n den') + Q n den.
+def _operator_system(P, Q, den, rhs, M):
+    """(rows, rhs): T(n) = rhs for n of degree at most M, one row per power
+    of x up to the highest that occurs, for the operator T(n) = P (n' den -
+    n den') + Q n den, on integer lists.
 
     T(n) = n' A + n B with A = P den and B = Q den - P den', so T(x^k) =
     k x^(k-1) A + x^k B: the column of x^k holds the coefficients of A and
     B shifted, and no product is formed per column."""
-    A = _coeffs(P * den)
-    B = _coeffs(Q * den - P * den.derivative(0))
-    C = _coeffs(rhs_poly)
-    zero = Fraction(0)
+    A = _lmul(P, den)
+    B = _ladd(_lmul(Q, den), _lmul(P, _ldiff(den)), -1)
 
     def at(c, i):
-        return c[i] if 0 <= i < len(c) else zero
+        return c[i] if 0 <= i < len(c) else 0
 
-    nrows = max(len(A) + M - 1, len(B) + M, len(C), 1)
+    nrows = max(len(A) + M - 1, len(B) + M, len(rhs), 1)
     rows = [[k * at(A, m - k + 1) + at(B, m - k) for k in range(M + 1)]
             for m in range(nrows)]
-    rhs = [at(C, m) for m in range(nrows)]
+    rhs = [at(rhs, m) for m in range(nrows)]
     while len(rows) > 1 and not rhs[-1] and not any(rows[-1]):
         rows.pop()
         rhs.pop()
@@ -211,42 +217,42 @@ def rational_solutions(ode):
     """
     P, Q, R = _clear_denominators(ode)
     # denominator bound
-    den = Poly.const(1, 1)
-    for pi, p0 in _factor_irreducible(P):
-        if pi.total_degree() == 0:
-            continue
-        q0, qcof = _multiplicity(Q, pi) if not Q.is_zero() else (p0 + 1, None)
+    den = [1]
+    for pi, p0 in factor_list_q(P):
+        q0, qcof = _multiplicity(Q, pi) if Q else (p0 + 1, None)
         if p0 - 1 < q0:
             e = max(0, p0 - 1)
         elif p0 - 1 > q0:
             e = q0
         else:
-            # p0 is pi's multiplicity in P, so this division is exact
-            cand = _indicial_candidate(pi, divexact(P, pi ** p0), qcof)
+            # p0 is pi's multiplicity in P, so these divisions are exact
+            A = P
+            for _ in range(p0):
+                A = _ldiv(A, pi)
+            cand = _indicial_candidate(pi, A, qcof)
             e = max(q0, cand if cand is not None else 0)
         for _ in range(e):
-            den = den * pi
-    dden = den.total_degree()
-    dP = P.total_degree()
-    dQ = Q.total_degree() if not Q.is_zero() else -(10 ** 9)
-    lcP = P.leading_coeff()
-    lcQ = Q.leading_coeff() if not Q.is_zero() else Fraction(0)
+            den = _lmul(den, pi)
+    dden = len(den) - 1
+    dP = len(P) - 1
+    dQ = len(Q) - 1 if Q else -(10 ** 9)
     delta = max(dP - 1, dQ) + dden
     cands = [-1]
-    rhs_poly = R * den * den
-    if not rhs_poly.is_zero():
-        cands.append(rhs_poly.total_degree() - delta)
+    rhs = _lmul(_lmul(R, den), den)
+    if rhs:
+        cands.append(len(rhs) - 1 - delta)
     if dP - 1 > dQ:
         cands.append(dden)
     elif dP - 1 == dQ:
-        mstar = Fraction(dden) - lcQ / lcP
+        mstar = dden - Fraction(Q[-1], P[-1])
         if mstar.denominator == 1 and mstar >= 0:
             cands.append(int(mstar))
     M = max(cands)
     if M > DEGREE_CAP:
         raise CapExceeded("numerator degree bound %d exceeds cap" % M)
-    rows, rhs = _operator_system(P, Q, den, rhs_poly, M)
+    rows, rhs = _operator_system(P, Q, den, rhs, M)
     particular, nullspace = _solve_linear_system(rows, rhs, M + 1)
+    den = _list_poly(den, nvars=1)
 
     def build(vec):
         num = Poly(1, {(k,): c for k, c in enumerate(vec)})

@@ -7,13 +7,16 @@ literals are rejected to keep the kernel exact.  Flows are written
 
 Parentheses and unary signs may nest at most MAX_NESTING levels deep
 around any operand; deeper input raises ParseError instead of exhausting
-the interpreter stack.
+the interpreter stack.  So do integer literals of more digits than
+``int`` converts (``sys.get_int_max_str_digits``, where the Python has
+that limit) and a pair that is not a 2-homogenic vector field.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .algebra import AlgebraError, Poly, RatFn
+from .algebra import AlgebraError, CapExceeded, Poly, RatFn
 from .flowcore import Flow, VectorField
 
 
@@ -25,6 +28,9 @@ class ParseError(AlgebraError):
 
 
 MAX_NESTING = 100
+
+# The digit limit of int(str) (0: none); Python 3.10.0-3.10.6 has no limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 _X = RatFn(Poly.var(0, 2))
 _Y = RatFn(Poly.var(1, 2))
@@ -51,14 +57,18 @@ class _Lexer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < n and src[j].isdigit():
+                while j < n and "0" <= src[j] <= "9":
                     j += 1
+                line, col = self._loc(i)
                 if j < n and src[j] == ".":
-                    line, col = self._loc(i)
                     raise ParseError("decimal literals are not allowed",
                                      line, col)
+                limit = _int_max_str_digits()
+                if j - i > limit > 0:
+                    raise ParseError("integer literal of more than %d digits"
+                                     % limit, line, col)
                 self.tokens.append(("int", int(src[i:j]), i))
                 i = j
                 continue
@@ -208,16 +218,22 @@ def parse_flow(src):
 
 
 def parse_vector_field(src):
-    """Parse "(expr, expr)" into a VectorField."""
+    """Parse "(expr, expr)" into a VectorField; a pair that is not a
+    2-homogenic field is a ParseError at its opening parenthesis."""
     lx = _Lexer(src)
-    lx.expect("(")
+    start = lx.expect("(")
     w = _parse_expr(lx)
     lx.expect(",")
     r = _parse_expr(lx)
     lx.expect(")")
     if lx.peek()[0] != "end":
         lx.error("trailing input")
-    return VectorField(w, r)
+    try:
+        return VectorField(w, r)
+    except CapExceeded:
+        raise
+    except AlgebraError as exc:
+        lx.error(str(exc), start)
 
 
 def parse_input(src):

@@ -7,16 +7,17 @@ polynomial numerators over a known denominator and reduce each jet once.
 Every polynomial of the Lie recurrence is a binary form, so it runs on the
 integer coefficient lists of ``algebra`` rather than on ``Poly``; on a
 polynomial field every jet is a polynomial and the Lie step skips the
-quotient rule.  Also diagonal series, which evaluate each jet on integers
-(``RatFn.eval``), and the denominator-prime diagnostic."""
+quotient rule.  Also diagonal series, which evaluate each jet's numerator
+and denominator on integers by a homogeneous Horner pass, and the
+denominator-prime diagnostic."""
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import (AlgebraError, Poly, RatFn, _content, _form_gcd,
-                      _form_list, _ladd, _lderive, _ldiv, _list_poly, _lmul,
-                      largest_prime_factor)
+                      _form_list, _form_value, _ladd, _lderive, _ldiv,
+                      _list_poly, _lmul, largest_prime_factor)
 from .flowcore import _flow_jets
 
 
@@ -105,13 +106,21 @@ def expand_flow(f, K):
 
 
 def diagonal_series(jets, direction):
-    """Evaluate the u-jets at a fixed direction; exact coefficients."""
+    """Evaluate the u-jets at a fixed direction; exact coefficients.  Each
+    jet is a quotient of binary forms, and at the direction (a/b, c/d) a
+    form of degree k takes the value F/(bd)^k, F its value at the integers
+    (ad, cb) (``_form_value``), so a jet is one Fraction."""
+    (a, b), (c, d) = (Fraction(t).as_integer_ratio() for t in direction)
+    X, Y, S = a * d, c * b, b * d
     out = []
     for part in jets.u_parts:
-        try:
-            out.append(part.eval(direction))
-        except ZeroDivisionError:
+        (n, kn), (p, kp) = (_form_value(part.num, X, Y),
+                            _form_value(part.den, X, Y))
+        k = kp - kn
+        den = p * part.num.den * S ** max(-k, 0)
+        if not den:
             raise PoleAtDirection("jet has a pole at %r" % (direction,))
+        out.append(Fraction(n * part.den.den * S ** max(k, 0), den))
     return out
 
 

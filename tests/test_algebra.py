@@ -714,6 +714,21 @@ def test_form_gcd_falls_back_to_dup_gcd_when_every_point_fails(monkeypatch):
     assert poly_gcd(p, q) == g.unit_normal()
 
 
+@given(st.integers(0, 40), st.dictionaries(st.integers(0, 40),
+                                           st.integers(-9, 9).filter(bool),
+                                           max_size=12),
+       st.integers(1, 6), st.integers(-7, 7), st.integers(-7, 7))
+@settings(max_examples=200, deadline=2000)
+def test_form_value_matches_eval(k, coeffs, den, a, b):
+    # forms of degree k with up to 12 terms: the sparse ones take the pass
+    # over the terms, the dense ones the pass over the list
+    p = Poly(2, {(i, k - i): Fraction(c, den) for i, c in coeffs.items()
+                 if i <= k})
+    v, deg = algebra._form_value(p, a, b)
+    assert deg == (k if p.ints else -1)
+    assert v == p.eval((a, b)) * p.den
+
+
 @st.composite
 def small_forms(draw):
     """x^i y^j times a form with integer coefficients, squared in part."""
@@ -745,3 +760,91 @@ def test_count_real_projective_roots_matches_count_roots(p):
         h = h.diff(x)
         g = g.gcd(h)
     assert count_real_projective_roots(p) == want
+
+
+# -- factorization over Q on integer lists ------------------------------------
+
+def _dup_factor_list(f):
+    """sympy's irreducible factors of the integer list f over ZZ, as lists
+    low to high, in sympy's order."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    return [([int(v) for v in reversed(g)], m)
+            for g, m in dup_factor_list(f[::-1], ZZ)[1]]
+
+
+def _power_product(factors):
+    f = [1]
+    for g, m in factors:
+        for _ in range(m):
+            f = _convolve(f, g)
+    return f
+
+
+@st.composite
+def factor_products(draw):
+    """Integer lists with a content and a power of x, times powers of linear
+    factors b x - a (some with a and b of about 100 bits), of irreducible
+    quadratics and quartics (x^4 + 1 and x^4 - 10 x^2 + 1 have roots modulo
+    many primes but no rational root) and of small random factors."""
+    big = st.integers(-2 ** 100, 2 ** 100).filter(bool)
+    kinds = {
+        "linear": st.tuples(st.integers(-20, 20), st.integers(1, 12)).map(
+            lambda ab: [-ab[0], ab[1]]),
+        "big": st.tuples(big, big).map(lambda ab: [-ab[0], abs(ab[1])]),
+        "quadratic": st.sampled_from(([-2, 0, 1], [3, 0, 1], [1, 1, 1],
+                                      [-5, 0, 7])),
+        "quartic": st.sampled_from(([1, 0, 0, 0, 1], [1, 0, -10, 0, 1])),
+        "random": st.lists(st.integers(-5, 5), min_size=2, max_size=5).filter(
+            lambda c: c[-1]),
+    }
+    factors = [([0, 1], draw(st.integers(0, 3))),
+               ([draw(st.sampled_from((1, -1, 6, -35)))], 1)]
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.sampled_from(sorted(kinds)).flatmap(kinds.get))
+        factors.append((g, draw(st.integers(1, 3 if len(g) == 2 else 2))))
+    return _power_product(factors)
+
+
+@given(factor_products())
+@settings(max_examples=150, deadline=None)
+def test_factor_list_q_matches_dup_factor_list(f):
+    assert sorted(algebra.factor_list_q(f)) == sorted(_dup_factor_list(f))
+
+
+@given(factor_products())
+@settings(max_examples=100, deadline=None)
+def test_sqf_list_matches_dup_sqf_list(f):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.sqfreetools import dup_sqf_list
+
+    want = [([int(v) for v in reversed(g)], m)
+            for g, m in dup_sqf_list(f[::-1], ZZ)[1]]
+    assert algebra._sqf_list(f) == want
+
+
+@pytest.mark.parametrize("factors", [
+    [([1, 0, 0, 0, 1], 1)],                    # roots mod p, none rational
+    [([-2, 0, 1], 1), ([-3, 0, 1], 1)],        # splits 2 + 2 over Q
+    [([-1, 1], 1), ([-4, 1], 1)],              # a double root mod 3
+    [([-1, 1], 1), ([-4, 1], 1), ([-7, 1], 1)],  # multiple roots mod 2, 3
+    [([-1, 6], 2), ([5, 6], 1), ([-7, 1], 1)],  # 2 and 3 divide lc
+    [([-89, 97], 1), ([1, 1, 1], 1)],          # |a| = |f(0)|, b = lc
+    [([89, 97], 1), ([-1, 0, 0, 1], 1)],       # a/b at the bound, a < 0
+    [([-(2 ** 100 + 277), 3 ** 63], 2), ([2 ** 99 - 1, 5 ** 43], 1),
+     ([1, 0, 1], 1)],                           # about 200-bit coefficients
+    [([0, 1], 3), ([-3, 2], 3), ([2, 0, 0, 1], 2)],
+])
+def test_factor_list_q_special_cases(factors):
+    f = _power_product(factors)
+    assert sorted(algebra.factor_list_q(f)) == sorted(_dup_factor_list(f))
+
+
+def test_rational_roots_skip_primes_with_multiple_roots():
+    # (x - 1)(x - 4)(x - 7) has a double root modulo 2 and a triple one
+    # modulo 3, so its roots are lifted from modulo 5
+    f = _power_product([([-1, 1], 1), ([-4, 1], 1), ([-7, 1], 1)])
+    assert sorted(algebra._rational_roots(f)) == [(1, 1), (4, 1), (7, 1)]
+    f = _power_product([([-(2 ** 100 + 277), 3 ** 63], 1), ([1, 0, 1], 1)])
+    assert algebra._rational_roots(f) == [(2 ** 100 + 277, 3 ** 63)]

@@ -542,25 +542,30 @@ def test_canonicalize_solves_one_ode(monkeypatch):
 
 
 def test_rational_solutions_makes_no_failing_division(monkeypatch):
-    # multiplicities are found by a division that reports failure without
-    # raising, so canonicalize of the seeded conjugates runs no exact
-    # division inside rational_solutions that fails
-    failed = []
-    div = odesolve_module.divexact
+    # multiplicities are found by a division that reports failure (None)
+    # without raising, so canonicalize of the seeded conjugates runs no exact
+    # division inside rational_solutions that fails, but for the one probe
+    # that ends each multiplicity count
+    failed, counts = [], []
+    div, multiplicity = odesolve_module._ldiv, odesolve_module._multiplicity
 
-    def spied(p, d):
-        try:
-            return div(p, d)
-        except AlgebraError:
-            failed.append((p, d))
-            raise
+    def spied(f, g):
+        q = div(f, g)
+        if q is None:
+            failed.append((f, g))
+        return q
 
-    monkeypatch.setattr(odesolve_module, "divexact", spied)
+    def counted(Q, pi):
+        counts.append(pi)
+        return multiplicity(Q, pi)
+
+    monkeypatch.setattr(odesolve_module, "_ldiv", spied)
+    monkeypatch.setattr(odesolve_module, "_multiplicity", counted)
     cases = [f for seed in (3, 5)
              for _, _, f in _seeded_conjugates(random.Random(seed))]
     for f in cases:
         assert isinstance(canonicalize(f), RationalFlow)
-    assert not failed, failed
+    assert counts and [g for _, g in failed] == counts, failed
 
 
 def test_pN_map():

@@ -5,10 +5,12 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projflow import lookup, zoo
 from projflow.parser import (
     ParseError,
+    _int_max_str_digits,
     parse_expr,
     parse_flow,
     parse_input,
@@ -136,6 +138,44 @@ def test_parse_input_dispatch():
     from projflow import Flow, VectorField
     assert isinstance(parse_input("u = x; v = y"), Flow)
     assert isinstance(parse_input("(x*y, -y^2)"), VectorField)
+
+
+@pytest.mark.parametrize("text", [
+    "u = \u00b9; v = y",                    # a digit that int() rejects
+    pytest.param("u = %s*x; v = y" % ("7" * (_int_max_str_digits() + 1)),
+                 marks=pytest.mark.skipif(not _int_max_str_digits(),
+                                          reason="int() has no digit limit")),
+    "(x, x)",                                # not a 2-homogenic field
+])
+def test_parse_input_rejects_with_parse_error(text):
+    # each of these once escaped as ValueError or a bare AlgebraError
+    with pytest.raises(ParseError):
+        parse_input(text)
+
+
+# Tokens of the grammar and a few strays, joined by spaces so that integer
+# literals stay one digit: the largest power within 12 tokens is then
+# ((x+y)^9)^9, which the kernel builds in milliseconds.
+_TOKENS = ("u", "v", "x", "y", "z", "=", ";", ",", "(", ")", "+", "-", "*",
+           "/", "^", "0", "1", "2", "9", ".", "\n", "é", "u =", "; v =")
+
+
+@given(st.one_of(
+    st.text(max_size=16),
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+    st.lists(st.sampled_from(_TOKENS), max_size=10).map(
+        lambda t: "u = %s; v = y" % " ".join(t)),
+    st.lists(st.sampled_from(_TOKENS), max_size=10).map(
+        lambda t: "(%s, x)" % " ".join(t))))
+@settings(max_examples=300, deadline=2000)
+def test_parse_input_returns_or_raises_parse_error(text):
+    # on any text the parser gives a flow or a field, or a ParseError
+    from projflow import Flow, VectorField
+    try:
+        result = parse_input(text)
+    except ParseError:
+        return
+    assert isinstance(result, (Flow, VectorField))
 
 
 # -- CLI exit codes --------------------------------------------------------

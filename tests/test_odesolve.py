@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +25,20 @@ from projflow import (
     canonical_flow,
 )
 from projflow import odesolve
+from projflow.algebra import _form_list
+
+import odesolve_reference
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
 T = Poly.var(0, 1)
+
+
+def _ints(f):
+    """The coefficient list of a univariate Poly with integer coefficients."""
+    c, den = _form_list(f)
+    assert den == 1
+    return c
 
 
 def _const(c):
@@ -177,7 +188,9 @@ def test_negative_degree_bound_certifies_no_solution():
 
 
 def test_indicial_candidate_solves_its_congruence():
-    # e * A * pi' = B mod pi: B built from a known e, plus a multiple of pi
+    # e * A * pi' = B mod pi: B built from a known e, plus a multiple of pi;
+    # pi has integer coefficients and A, B go in as integer lists over one
+    # common denominator, which leaves the congruence unchanged
     rng = random.Random(5)
 
     def poly(deg):
@@ -187,7 +200,7 @@ def test_indicial_candidate_solves_its_congruence():
     seen = set()
     for _ in range(200):
         pi = T * T - rng.choice((2, 3, 5, -1)) if rng.random() < 0.5 \
-            else T - Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            else rng.randint(1, 2) * T - rng.randint(-3, 3)
         A, C = poly(rng.randint(0, 3)), poly(rng.randint(0, 2))
         if A.is_zero():
             continue
@@ -201,7 +214,10 @@ def test_indicial_candidate_solves_its_congruence():
         if B.is_zero():
             continue
         want = int(e) if e.denominator == 1 and e > 0 else None
-        assert odesolve._indicial_candidate(pi, A, B) == want, (pi, A, B, e)
+        L = lcm(A.den, B.den)
+        got = odesolve._indicial_candidate(
+            _ints(pi), _ints(A * L), _ints(B * L))
+        assert got == want, (pi, A, B, e)
         seen.add(want is None)
     assert seen == {True, False}
 
@@ -279,14 +295,47 @@ def test_solved_by_agrees_with_residual(p, q, r, f, g, planted):
 @settings(max_examples=80, deadline=None)
 def test_operator_system_matches_operator_images(p, q, d, r, M):
     # column k holds T(x^k) = P ((x^k)' den - x^k den') + Q x^k den, row m
-    # the coefficient of x^m, up to the highest power that occurs
-    P, Q, den, R = p.num, q.num, d.num, r.num
+    # the coefficient of x^m, up to the highest power that occurs; the
+    # system takes integer lists, so each polynomial is first scaled to
+    # integer coefficients
+    P, Q, den, R = (f.num * f.num.den for f in (p, q, d, r))
     images = [(P * ((T ** k).derivative(0) * den - T ** k * den.derivative(0))
                + Q * T ** k * den).terms for k in range(M + 1)]
     top = max([R.total_degree(), 0] + [max((e for (e,) in img), default=0)
                                        for img in images])
-    rows, rhs = odesolve._operator_system(P, Q, den, R, M)
+    rows, rhs = odesolve._operator_system(*map(_ints, (P, Q, den, R)), M)
     zero = Fraction(0)
     assert rows == [[img.get((m,), zero) for img in images]
                     for m in range(top + 1)]
     assert rhs == [R.terms.get((m,), zero) for m in range(top + 1)]
+
+
+@st.composite
+def _planted_odes(draw):
+    """LinODEs with small rational coefficients; half of them have the
+    right side p f' + q f of a drawn rational f, so that solutions with
+    poles exist."""
+    p, q, r = draw(_uni_ratfns(False)), draw(_uni_ratfns()), draw(_uni_ratfns())
+    if draw(st.booleans()):
+        f = draw(_uni_ratfns())
+        r = p * f.derivative(0) + q * f
+    if draw(st.booleans()):
+        # a pole of p of order one more than that of q: the indicial case
+        a = draw(st.integers(-2, 2))
+        p = p * RatFn((T - a) ** 2)
+        q = q * RatFn(T - a) * draw(st.integers(-3, 3))
+    return LinODE(p, q, r)
+
+
+@given(_planted_odes())
+@settings(max_examples=100, deadline=None)
+def test_rational_solutions_matches_fraction_reference(ode):
+    # the integer-list solver against the Fraction solver it replaced, which
+    # factors with sympy and eliminates over Q
+    try:
+        want = odesolve_reference.rational_solutions(ode)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            rational_solutions(ode)
+        return
+    assert rational_solutions(ode) == want

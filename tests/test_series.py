@@ -121,6 +121,28 @@ def test_pole_at_direction():
         diagonal_series(jets, (Fraction(1), Fraction(1)))
 
 
+@pytest.mark.parametrize("name", ["Psi", "phi2_3", "phi1_1", "phi_sph_1"])
+def test_diagonal_series_matches_jet_evaluation(name):
+    # the homogeneous Horner pass of each jet (over the terms of phi1_1's
+    # monomial jets, over the list of the dense ones) gives what RatFn.eval
+    # gives, at directions with non-integer coordinates, and raises
+    # PoleAtDirection where the evaluation divides by zero
+    jets = expand_from_vf(vector_field(lookup(name).flow), 12)
+    poles = 0
+    for direction in ((Fraction(2, 3), Fraction(-5, 7)),
+                      (Fraction(-1, 2), Fraction(4)), (Fraction(1), 1),
+                      (Fraction(0), Fraction(3, 5))):
+        try:
+            want = [p.eval(direction) for p in jets.u_parts]
+        except ZeroDivisionError:
+            poles += 1
+            with pytest.raises(PoleAtDirection):
+                diagonal_series(jets, direction)
+            continue
+        assert diagonal_series(jets, direction) == want
+    assert poles < 4
+
+
 def test_prime_growth_unbounded_for_genus1():
     vf = VectorField(X * X - 2 * X * Y, -2 * X * Y + Y * Y)
     jets = expand_from_vf(vf, 60)
