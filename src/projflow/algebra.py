@@ -34,13 +34,17 @@ derivatives, exact division, homogeneous evaluation and ``_form_gcd``, a
 heuristic gcd (GCDHEU) with sympy's ``dup_gcd`` as fallback.  ``poly_gcd``
 takes it for a pair in one variable or a pair of forms, and
 ``series.expand_from_vf`` and ``odesolve.rational_solutions`` run on the
-lists.  Every other pair takes sympy's ring gcd over ZZ of the primitive
-integer forms.  Factorization over Q also runs on the lists: Yun's
-square-free split (``_sqf_list``, on ``_form_gcd``) and rational roots by
-p-adic lifting (``_rational_roots``) give ``linear_factors_q`` and
-``factor_list_q``, which leaves to sympy's Zassenhaus only a square-free
-cofactor of degree 4 or more without rational roots.  Real projective
-roots are counted by sympy over ZZ on the parts of ``_sqf_list``.
+lists.  Any other pair in x, y takes ``_xy_gcd``, GCDHEU in y over
+``_form_gcd`` on the images at y = xi; only a pair in three variables, or
+one on which ``_xy_gcd`` gives up, takes sympy's ring gcd over ZZ of the
+primitive integer forms.  Factorization over Q also runs on the lists:
+Yun's square-free split (``_sqf_list``, on ``_form_gcd``) and rational
+roots by p-adic lifting (``_rational_roots``) give ``linear_factors_q``
+and ``factor_list_q``, which leaves to sympy's Zassenhaus only a
+square-free cofactor of degree 4 or more without rational roots.  Real
+projective roots are counted by Sturm chains on the parts of
+``_sqf_list`` (``_sturm_count``).  So sympy is imported only on these
+fallbacks and by ``largest_prime_factor``.
 
 Products, sums and exact division run on the stored keys and numerators and
 multiply or take the lcm of the denominators.  Exact division divides by
@@ -775,34 +779,47 @@ def _form_value(p, a, b):
     return (v * a ** i if i else v), k
 
 
+def _heu_points(m):
+    """The evaluation points of GCDHEU (Char, Geddes and Gonnet) for
+    primitive inputs whose smaller max norm is m: six points from 2 m + 29
+    up, growing as in sympy's ``dup_zz_heu_gcd``."""
+    xi = 2 * m + 29
+    for _ in range(6):
+        yield xi
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+
+
+def _balanced_digits(h, xi):
+    """The balanced xi-adic digits of the integer h, lowest first: h = sum
+    d_i xi^i with -xi/2 < d_i <= xi/2."""
+    digits = []
+    while h:
+        d = h % xi
+        if d > xi >> 1:
+            d -= xi
+        digits.append(d)
+        h = (h - d) // xi
+    return digits
+
+
 def _form_gcd(f, g):
     """The gcd of two nonzero forms as lists, primitive with a positive
     leading entry: x^min(i, k) y^min(j, l) gcd(F, G) for x^i y^j F and
-    x^k y^l G.  GCDHEU (Char, Geddes and Gonnet) takes F and G primitive:
-    for xi > 2 min(|F|, |G|) + 1 in max norm, the primitive part of the
-    balanced xi-adic digits of gcd(F(xi), G(xi)) is gcd(F, G) if it divides
-    both.  xi grows as in sympy's ``dup_zz_heu_gcd``; after 6 points
+    x^k y^l G.  GCDHEU takes F and G primitive: at each point xi of
+    ``_heu_points``, the primitive part of the balanced xi-adic digits of
+    gcd(F(xi), G(xi)) is gcd(F, G) if it divides both.  After 6 points
     sympy's ``dup_gcd`` decides."""
     i, f, j = _split(f)
     k, g, l = _split(g)
     h = [1]
     if len(f) > 1 and len(g) > 1:
         f, g = _primitive(f), _primitive(g)
-        xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
-        for _ in range(6):
+        for xi in _heu_points(min(max(map(abs, f)), max(map(abs, g)))):
             ff, gg = _eval_at(f, xi), _eval_at(g, xi)
             if ff and gg:
-                h, digits = _int_gcd(ff, gg), []
-                while h:
-                    d = h % xi
-                    if d > xi >> 1:
-                        d -= xi
-                    digits.append(d)
-                    h = (h - d) // xi
-                h = _primitive(digits)
+                h = _primitive(_balanced_digits(_int_gcd(ff, gg), xi))
                 if _ldiv(f, h) is not None and _ldiv(g, h) is not None:
                     break
-            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
         else:
             from sympy.polys.domains import ZZ
             from sympy.polys.euclidtools import dup_gcd
@@ -811,14 +828,52 @@ def _form_gcd(f, g):
     return [0] * min(i, k) + h + [0] * min(j, l)
 
 
+def _image_at(p, xi):
+    """The list in x of p(x, xi), for p in x, y, without trailing zeros."""
+    img = [0] * (max(k & _MAX_DEG for k in p.ints) + 1)
+    for k, c in p.ints.items():
+        a = k & _MAX_DEG
+        img[a] += c * xi ** ((k >> _W) - a)
+    while img and not img[-1]:
+        img.pop()
+    return img
+
+
+def _xy_gcd(p, q):
+    """The gcd of two nonzero polynomials in x, y, primitive, or None.
+    GCDHEU in y over ``_form_gcd`` in x, on p and q made primitive: at each
+    point xi of ``_heu_points``, the gcd in Z[x] of p(x, xi) and q(x, xi)
+    is their ``_form_gcd`` times the gcd of their contents, and the
+    balanced xi-adic digits of its coefficients are those of a polynomial
+    in y; its primitive part is gcd(p, q) if ``_quotient`` shows that it
+    divides both.  None after 6 points."""
+    p, q = p.unit_normal(), q.unit_normal()
+    m = min(max(map(abs, p.ints.values())), max(map(abs, q.ints.values())))
+    for xi in _heu_points(m):
+        fp, fq = _image_at(p, xi), _image_at(q, xi)
+        if fp and fq:
+            c = _int_gcd(*fp, *fq)
+            ints = {}
+            for a, v in enumerate(_form_gcd(fp, fq)):
+                for b, d in enumerate(_balanced_digits(c * v, xi)):
+                    if d:
+                        ints[(a + b) << _W | a] = d
+            h = Poly._of(2, ints).unit_normal()
+            if (not any(h.ints) or _quotient(p, h) is not None
+                    and _quotient(q, h) is not None):
+                return h
+    return None
+
+
 def poly_gcd(p, q):
     """GCD with primitive integer coefficients, positive grlex leading.
 
     Polynomials in one variable, and pairs of forms in two of any degrees,
-    take ``_form_gcd`` on their lists.  Every other pair goes as primitive
-    integer forms to sympy's ring gcd over ZZ (the heuristic gcd with a PRS
-    fallback), and the result is put through ``unit_normal``, so the route
-    does not show in it."""
+    take ``_form_gcd`` on their lists; every other pair in two variables
+    takes ``_xy_gcd``.  A pair in three variables, or one on which
+    ``_xy_gcd`` gives up, goes as primitive integer forms to sympy's ring
+    gcd over ZZ (the heuristic gcd with a PRS fallback).  The result is put
+    through ``unit_normal``, so the route does not show in it."""
     if p.is_zero():
         return q.unit_normal()
     if q.is_zero():
@@ -829,6 +884,10 @@ def poly_gcd(p, q):
     if nv == 1 or nv == 2 and p.is_homogeneous() and q.is_homogeneous():
         return _list_poly(_form_gcd(_form_list(p)[0], _form_list(q)[0]),
                           nvars=nv)
+    if nv == 2:
+        h = _xy_gcd(p, q)
+        if h is not None:
+            return h
     R = _zz_ring(nv)
     pr, qr = (R.from_dict({_exps(k, nv): c for k, c in a.unit_normal().ints.items()})
               for a in (p, q))
@@ -1249,7 +1308,8 @@ def _split_form(p):
 
 
 def linear_factors_q(p):
-    """Factor out rational projective linear factors of a homogeneous BiPoly.
+    """Factor out the rational projective linear factors of a nonzero binary
+    form.
 
     Returns (c, factors, remainder): p = c * prod(f**m) * remainder, with each
     factor a primitive linear form with positive grlex leading coefficient and
@@ -1282,17 +1342,44 @@ def _ex(nvars, i):
 
 # -- real projective root counting ----------------------------------------
 
+def _sturm_count(f):
+    """The number of distinct real roots of the square-free list f of degree
+    at least 1, by Sturm's theorem: the sign changes of the leading entries
+    of the chain f, f', -rem(f, f'), ... at -oo less those at +oo.  Each
+    remainder is taken times a positive integer, and divided by its
+    positive content, so every sign is that of the chain over Q."""
+    a, b = f, _ldiff(f)
+    lead = [(f[-1], len(f) - 1), (b[-1], len(b) - 1)]
+    while len(b) > 1:
+        r, n = list(a), len(b) - 1
+        s, sign = (b[-1], 1) if b[-1] > 0 else (-b[-1], -1)
+        while len(r) > n:
+            # s r - sign(lc b) r_top x^(deg r - deg b) b cancels the top
+            c = sign * r.pop()
+            r = [s * v for v in r]
+            for j, v in enumerate(b[:-1], len(r) - n):
+                r[j] -= c * v
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        g = _int_gcd(*r)
+        a, b = b, [-v // g for v in r]
+        lead.append((b[-1], len(b) - 1))
+    # the sign at +oo is that of the leading entry, at -oo times (-1)^degree
+    plus = [v > 0 for v, _ in lead]
+    minus = [(v > 0) == (d % 2 == 0) for v, d in lead]
+    return (sum(u != v for u, v in zip(minus, minus[1:]))
+            - sum(u != v for u, v in zip(plus, plus[1:])))
+
+
 def count_real_projective_roots(p):
-    """Real projective roots of a homogeneous BiPoly, with multiplicity.
+    """Real projective roots of a nonzero binary form, with multiplicity.
 
     The powers of x and y dividing p give the directions x = 0 and y = 0;
-    the rest is counted on the list of the remaining form over ZZ: the
-    parts of its square-free split (``_sqf_list``) by sympy's real-root
-    count.
+    the rest is counted on the list of the remaining form: each part of its
+    square-free split (``_sqf_list``) by a Sturm chain on integer lists
+    (``_sturm_count``), times its multiplicity.
     """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rootisolation import dup_count_real_roots
-
     x_pow, core, y_pow = _split_form(p)
-    return x_pow + y_pow + sum(m * dup_count_real_roots(f[::-1], ZZ)
-                               for f, m in _sqf_list(core))
+    return x_pow + y_pow + sum(m * _sturm_count(f) for f, m in _sqf_list(core))

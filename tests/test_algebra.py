@@ -494,11 +494,15 @@ def gcd_pairs(draw):
     return (p, q) if draw(st.booleans()) else (q, p)
 
 
+def _ring_gcd(p, q):
+    return _from_ring(_to_ring(p).gcd(_to_ring(q)), p.nvars).unit_normal()
+
+
 @given(gcd_pairs())
 @settings(max_examples=150, deadline=2000)
 def test_poly_gcd_matches_sympy(pair):
     p, q = pair
-    expected = _from_ring(_to_ring(p).gcd(_to_ring(q)), p.nvars).unit_normal()
+    expected = _ring_gcd(p, q)
     g = poly_gcd(p, q)
     assert g == expected
     assert all(type(v) is Fraction for v in g.terms.values())
@@ -519,7 +523,8 @@ def test_poly_gcd_hard_three_variable_pair():
 _x = Poly.var(0, 1)
 F = Fraction
 
-# (p, q, expected gcd, whether the pair takes the gcd of integer lists)
+# (p, q, expected gcd, whether the pair takes ``_form_gcd`` on its own lists
+# rather than on its images at y = xi in ``_xy_gcd``)
 _GCD_ROUTE_CASES = [
     # forms made of monomials: only the powers of x and y are shared
     (Y ** 3, X * Y ** 2, Y ** 2, True),
@@ -535,7 +540,7 @@ _GCD_ROUTE_CASES = [
     (-6 * (3 * X ** 2 - 2 * X * Y + 5 * Y ** 2) * X,
      F(-4, 9) * (3 * X ** 2 - 2 * X * Y + 5 * Y ** 2) * (X - Y),
      3 * X ** 2 - 2 * X * Y + 5 * Y ** 2, True),
-    # one form and one non-homogeneous polynomial: the ring gcd
+    # one form and one non-homogeneous polynomial: the images at y = xi
     ((X + Y) * (X - Y), (X + Y) * (X + 1), X + Y, False),
     (-Y ** 2 * (2 * X - Y), Y * (2 * X - Y) * (X * Y + 3),
      Y * (2 * X - Y), False),
@@ -546,21 +551,29 @@ _GCD_ROUTE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("p, q, expected, dense", _GCD_ROUTE_CASES)
-def test_poly_gcd_route_and_normal_form(monkeypatch, p, q, expected, dense):
-    calls = []
-    form_gcd = algebra._form_gcd
+def _recording(monkeypatch, name):
+    """Calls to ``algebra.<name>``, recorded into the returned list."""
+    calls, fn = [], getattr(algebra, name)
 
-    def recording(f, g):
-        calls.append((f, g))
-        return form_gcd(f, g)
+    def recording(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(algebra, "_form_gcd", recording)
-    ring_gcd = _from_ring(_to_ring(p).gcd(_to_ring(q)), p.nvars).unit_normal()
+    monkeypatch.setattr(algebra, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("p, q, expected, form", _GCD_ROUTE_CASES)
+def test_poly_gcd_route_and_normal_form(monkeypatch, p, q, expected, form):
+    ring_gcd = _ring_gcd(p, q)
     assert ring_gcd == expected.unit_normal()
+    form_calls = _recording(monkeypatch, "_form_gcd")
+    xy_calls = _recording(monkeypatch, "_xy_gcd")
+    ring_calls = _recording(monkeypatch, "_zz_ring")
     assert poly_gcd(p, q) == ring_gcd
     assert poly_gcd(q, p) == ring_gcd
-    assert bool(calls) == dense
+    assert form_calls and not ring_calls
+    assert bool(xy_calls) != form
 
 
 def _planted_pair(nvars, seed):
@@ -591,10 +604,76 @@ def test_poly_gcd_planted_factor_of_high_degree(nvars, seed):
     assert poly_gcd(q, p) == g.unit_normal()
 
 
+# -- gcd in two variables on images at y = xi ---------------------------------
+
+# (p, q, their gcd); no pair is a pair of forms
+_XY_GCD_CASES = [
+    # constant in x
+    (Y, Y + 1, 1),
+    (3 * Y ** 2 - 3, F(1, 2) * Y ** 2 + Y + F(1, 2), Y + 1),
+    (Y ** 3, X * Y ** 2 + Y, Y),
+    # the first point is 2 * 1 + 29, q having max norm 1, and p vanishes there
+    ((Y - 31) * (X + Y + 1), (X + Y + 1) * (X - Y), X + Y + 1),
+    ((Y - 31) * (Y + 1) * X, (Y + 1) * (X - 1), Y + 1),
+    # negative leading coefficients and rational content
+    (-F(3, 2) * (X * Y - 2) * (X + Y + 3), F(-5, 7) * (X * Y - 2) * (Y * Y - X),
+     X * Y - 2),
+    (F(-2, 9) * (X * X - 3 * Y + 7) ** 2 * X, F(4, 3) * (X * X - 3 * Y + 7) * Y,
+     X * X - 3 * Y + 7),
+    # shared powers of x and of y
+    (X ** 2 * Y * (X + 1), X * Y ** 3 * (Y + 2), X * Y),
+]
+
+
+@pytest.mark.parametrize("p, q, expected", _XY_GCD_CASES)
+def test_xy_gcd_matches_ring_gcd(monkeypatch, p, q, expected):
+    want = _ring_gcd(p, q)
+    assert want == Poly.const(2, 1) * expected
+    ring_calls = _recording(monkeypatch, "_zz_ring")
+    xy_calls = _recording(monkeypatch, "_xy_gcd")
+    assert poly_gcd(p, q) == want
+    assert poly_gcd(q, p) == want
+    assert len(xy_calls) == 2 and not ring_calls
+
+
+def test_xy_gcd_skips_a_point_where_an_image_vanishes():
+    p, q = (Y - 31) * (X + Y + 1), (X + Y + 1) * (X - Y)
+    assert next(algebra._heu_points(1)) == 31
+    assert algebra._image_at(p, 31) == []
+    assert algebra._xy_gcd(p, q) == X + Y + 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_xy_gcd_planted_factor_of_high_degree(seed):
+    # the planted pairs are forms; a common factor x y + 1 and a cofactor
+    # 1 - y make them pairs in two variables of degree about 108
+    p, q, g = _planted_pair(2, seed)
+    h = X * Y + 1
+    p, q, g = p * h * (1 - Y), q * h, g * h
+    assert poly_gcd(p, q) == g.unit_normal() == _ring_gcd(p, q)
+    assert algebra._xy_gcd(p, q) == g.unit_normal()
+
+
+def test_xy_gcd_falls_back_to_ring_gcd_when_every_image_gcd_is_wrong(monkeypatch):
+    # x + 1 divides neither image, so no point gives a divisor of both
+    # inputs; after 6 points sympy's ring gcd decides
+    monkeypatch.setattr(algebra, "_form_gcd", lambda f, g: [1, 1])
+    images = _recording(monkeypatch, "_image_at")
+    ring_calls = _recording(monkeypatch, "_zz_ring")
+    p = F(3, 2) * (X * Y - 2) * (X + Y + 3)
+    q = -(X * Y - 2) * (Y * Y - X)
+    assert algebra._xy_gcd(p, q) is None
+    assert len({xi for _, xi in images}) == 6
+    assert poly_gcd(p, q) == X * Y - 2
+    assert len(ring_calls) == 1
+
+
 @st.composite
 def binary_forms(draw):
     """y^k times rational linear factors with multiplicity, times quadratics
-    x^2 - c y^2 whose roots are irrational (c > 0 not a square) or complex."""
+    x^2 - c y^2 whose roots are irrational (c > 0 not a square) or complex,
+    and at times the cubic x^3 - 3 x y^2 + y^3 with three irrational real
+    roots."""
     p = Y ** draw(st.integers(0, 3))
     for _ in range(draw(st.integers(0, 3))):
         a, b = draw(st.integers(-5, 5)), draw(st.integers(1, 4))
@@ -602,6 +681,8 @@ def binary_forms(draw):
     for _ in range(draw(st.integers(0, 2))):
         c = draw(st.sampled_from((2, 3, 5, -1, -3)))
         p = p * (X * X - c * Y * Y) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        p = p * (X ** 3 - 3 * X * Y * Y + Y ** 3) ** draw(st.integers(1, 2))
     return p * Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
 
 
@@ -760,6 +841,40 @@ def test_count_real_projective_roots_matches_count_roots(p):
         h = h.diff(x)
         g = g.gcd(h)
     assert count_real_projective_roots(p) == want
+
+
+def _sturm_cases(seed):
+    """Seeded square-free lists of degree 1 to 12: random ones with
+    coefficients up to 10^6 and products of distinct linear factors with
+    a random quadratic."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 150:
+        if rng.random() < 0.5:
+            f = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(2, 13))]
+        else:
+            f = [rng.randint(-9, 9), rng.randint(-9, 9), rng.choice((-3, 1, 2))]
+            for r in rng.sample(range(-20, 21), rng.randint(0, 10)):
+                f = _convolve(f, [-r, rng.choice((-2, 1, 3))])
+        if f[-1] and algebra._form_gcd(f, algebra._ldiff(f)) == [1]:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sturm_count_matches_dup_count_real_roots(seed):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_count_real_roots
+
+    cubics = [[1, -3, 0, 1], [-1, 3, 0, -1], [7, -7, 0, 1], [1, -4, 0, 1],
+              [-1, 0, 5, -1]]
+    for f in cubics + _sturm_cases(seed):
+        assert algebra._sturm_count(f) == dup_count_real_roots(f[::-1], ZZ)
+    for f in cubics:
+        assert algebra._sturm_count(f) == 3
+    assert count_real_projective_roots(X ** 3 - 3 * X * Y * Y + Y ** 3) == 3
+    assert count_real_projective_roots(
+        Y * (X ** 3 - 3 * X * Y * Y + Y ** 3) ** 2 * (X * X + Y * Y)) == 7
 
 
 # -- factorization over Q on integer lists ------------------------------------

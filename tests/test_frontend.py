@@ -28,14 +28,18 @@ SCHEMA = json.load(open(
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def run_cli(*argv):
+def _run_child(*argv):
     # the child runs the same source tree as the tests
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "projflow.cli", *argv],
+    proc = subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*argv):
+    return _run_child("-m", "projflow.cli", *argv)
 
 
 # -- grammar ---------------------------------------------------------------
@@ -299,6 +303,29 @@ def test_cli_json_determinism():
     runs = [run_cli("classify", "u = x*(y+1); v = y/(y+1)", "--json")[1]
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+_FIRST_VERDICT = """\
+import contextlib, io, sys
+from projflow import canonical_flow, canonicalize, cli
+canonicalize(canonical_flow(2))
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for flow in sys.argv[1:]:
+        codes += [cli.main(["classify", flow, "--json"]), cli.main(["level", flow])]
+    codes.append(cli.main(["zoo"]))
+print(set(codes), "sympy" in sys.modules)
+"""
+
+
+def test_first_verdict_and_cli_import_no_sympy():
+    # sympy is only a fallback: a first verdict, and classify, level and
+    # zoo on the catalogue, run without importing it.  This process has
+    # imported sympy already, so a fresh interpreter checks.
+    flows = [print_flow(entry.flow) for entry in zoo()]
+    code, out, err = _run_child("-c", _FIRST_VERDICT, *flows)
+    assert code == 0, err
+    assert out.split() == ["{0}", "False"]
 
 
 # -- renders ---------------------------------------------------------------
