@@ -13,8 +13,7 @@ constructor, products and substitution) check it and raise
 ``CapExceeded``.  Exponent tuples appear only at the edges, decoded
 by shifts and masks: the ``Poly(nvars, terms)`` constructor, the read-only
 ``Poly.terms`` view ({exponent tuple: Fraction}, built afresh on each read),
-printing, evaluation, the conversions to sympy and the grouping of the
-Horner scheme below.
+printing, evaluation and the grouping of the Horner scheme below.
 
 Evaluation at a point of rationals (``Poly.eval``, ``RatFn.eval``) sums
 integers and builds one Fraction per call: with each coordinate a/b, a term
@@ -31,20 +30,20 @@ A binary form of degree k is also one list of k + 1 integers, c[a] the
 coefficient of x^a y^(k - a), and a polynomial in x alone its coefficient
 list.  The list-form section works on such lists: conversions, products,
 derivatives, exact division, homogeneous evaluation and ``_form_gcd``, a
-heuristic gcd (GCDHEU) with sympy's ``dup_gcd`` as fallback.  ``poly_gcd``
-takes it for a pair in one variable or a pair of forms, and
-``series.expand_from_vf`` and ``odesolve.rational_solutions`` run on the
-lists.  Any other pair in x, y takes ``_xy_gcd``, GCDHEU in y over
-``_form_gcd`` on the images at y = xi; only a pair in three variables, or
-one on which ``_xy_gcd`` gives up, takes sympy's ring gcd over ZZ of the
-primitive integer forms.  Factorization over Q also runs on the lists:
-Yun's square-free split (``_sqf_list``, on ``_form_gcd``) and rational
-roots by p-adic lifting (``_rational_roots``) give ``linear_factors_q``
-and ``factor_list_q``, which leaves to sympy's Zassenhaus only a
-square-free cofactor of degree 4 or more without rational roots.  Real
-projective roots are counted by Sturm chains on the parts of
-``_sqf_list`` (``_sturm_count``).  So sympy is imported only on these
-fallbacks and by ``largest_prime_factor``.
+heuristic gcd (GCDHEU).  ``poly_gcd`` takes it for a pair in one variable
+or a pair of forms, and ``series.expand_from_vf`` and
+``odesolve.rational_solutions`` run on the lists.  Any other pair takes
+``_heu_gcd``, GCDHEU in the last variable over ``poly_gcd`` of the images
+at a point, so a pair in x, y ends in ``_form_gcd`` on lists.  Both run
+until their division check accepts, which they are shown to do, so no gcd
+has a fallback.  Factorization over Q also runs on the lists: Yun's
+square-free split (``_sqf_list``, on ``_form_gcd``) and rational roots by
+p-adic lifting (``_rational_roots``) give ``linear_factors_q`` and
+``factor_list_q``, which leaves to sympy's Zassenhaus only a square-free
+cofactor of degree 4 or more without rational roots.  Real projective
+roots are counted by Sturm chains on the parts of ``_sqf_list``
+(``_sturm_count``).  So sympy is imported only by ``factor_list_q``, on
+such a cofactor, and by ``largest_prime_factor``.
 
 Products, sums and exact division run on the stored keys and numerators and
 multiply or take the lcm of the denominators.  Exact division divides by
@@ -66,7 +65,6 @@ only compare it by cross-multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import groupby, zip_longest
 from math import gcd as _int_gcd, isqrt, lcm
@@ -781,10 +779,10 @@ def _form_value(p, a, b):
 
 def _heu_points(m):
     """The evaluation points of GCDHEU (Char, Geddes and Gonnet) for
-    primitive inputs whose smaller max norm is m: six points from 2 m + 29
-    up, growing as in sympy's ``dup_zz_heu_gcd``."""
+    primitive inputs whose smaller max norm is m: from 2 m + 29 up without
+    end, growing as in sympy's ``dup_zz_heu_gcd``."""
     xi = 2 * m + 29
-    for _ in range(6):
+    while True:
         yield xi
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
@@ -807,8 +805,11 @@ def _form_gcd(f, g):
     leading entry: x^min(i, k) y^min(j, l) gcd(F, G) for x^i y^j F and
     x^k y^l G.  GCDHEU takes F and G primitive: at each point xi of
     ``_heu_points``, the primitive part of the balanced xi-adic digits of
-    gcd(F(xi), G(xi)) is gcd(F, G) if it divides both.  After 6 points
-    sympy's ``dup_gcd`` decides."""
+    gcd(F(xi), G(xi)) is gcd(F, G) if it divides both (the points start
+    above twice the smaller max norm, which makes this so).  It ends: with
+    F = H A and G = H B, gcd(A(xi), B(xi)) divides the resultant of A and
+    B, so gcd(F(xi), G(xi)) is H(xi) times an integer c of a finite set,
+    and once xi > 2 |c| |H| for all of them the digits are those of c H."""
     i, f, j = _split(f)
     k, g, l = _split(g)
     h = [1]
@@ -820,60 +821,69 @@ def _form_gcd(f, g):
                 h = _primitive(_balanced_digits(_int_gcd(ff, gg), xi))
                 if _ldiv(f, h) is not None and _ldiv(g, h) is not None:
                     break
-        else:
-            from sympy.polys.domains import ZZ
-            from sympy.polys.euclidtools import dup_gcd
-
-            h = _primitive([int(v) for v in dup_gcd(f[::-1], g[::-1], ZZ)[::-1]])
     return [0] * min(i, k) + h + [0] * min(j, l)
 
 
 def _image_at(p, xi):
-    """The list in x of p(x, xi), for p in x, y, without trailing zeros."""
-    img = [0] * (max(k & _MAX_DEG for k in p.ints) + 1)
-    for k, c in p.ints.items():
-        a = k & _MAX_DEG
-        img[a] += c * xi ** ((k >> _W) - a)
-    while img and not img[-1]:
-        img.pop()
-    return img
+    """The Poly in one variable fewer of p with its last variable set to
+    the integer xi.  With s = _W * (nvars - 2), a key k whose last exponent
+    is c gives the image key k2 = (k >> _W) - (c << s), and back, the key
+    of z^c times the image term is (k2 + (c << s)) << _W | e for e the last
+    exponent of k2 (in x, y, k2 itself)."""
+    nv = p.nvars
+    at = _W * (nv - 2)
+    img = {}
+    get = img.get
+    for k, v in p.ints.items():
+        c = (k >> _W) - (k & _MAX_DEG) if nv == 2 else _exps(k, nv)[-1]
+        k2 = (k >> _W) - (c << at)
+        img[k2] = get(k2, 0) + v * xi ** c
+    return Poly._of(nv - 1, {k: v for k, v in img.items() if v})
 
 
-def _xy_gcd(p, q):
-    """The gcd of two nonzero polynomials in x, y, primitive, or None.
-    GCDHEU in y over ``_form_gcd`` in x, on p and q made primitive: at each
-    point xi of ``_heu_points``, the gcd in Z[x] of p(x, xi) and q(x, xi)
-    is their ``_form_gcd`` times the gcd of their contents, and the
-    balanced xi-adic digits of its coefficients are those of a polynomial
-    in y; its primitive part is gcd(p, q) if ``_quotient`` shows that it
-    divides both.  None after 6 points."""
+def _heu_gcd(p, q):
+    """The gcd of two nonconstant polynomials in two or more variables,
+    primitive: GCDHEU in the last variable z over ``poly_gcd`` of the
+    images in one variable fewer, on p and q made primitive.  At each point
+    xi of ``_heu_points`` where neither image (``_image_at``) vanishes,
+    their gcd over the integers is their ``poly_gcd`` times the gcd of
+    their contents; the balanced xi-adic digits of its coefficients are
+    polynomials in z, and their primitive part is gcd(p, q) if
+    ``_quotient`` shows it divides both.  It ends as ``_form_gcd`` does:
+    with p = H A and q = H B, for all but finitely many xi the gcd of the
+    images of A and B is an integer dividing a fixed nonzero one
+    (resultants bound a common factor and a common content alike), so the
+    image gcd is H(.., xi) times an integer c of a finite set, and once
+    xi > 2 |c| |H| for all of them its digits are those of c H."""
     p, q = p.unit_normal(), q.unit_normal()
+    nv = p.nvars
+    at = _W * (nv - 2)
     m = min(max(map(abs, p.ints.values())), max(map(abs, q.ints.values())))
     for xi in _heu_points(m):
         fp, fq = _image_at(p, xi), _image_at(q, xi)
-        if fp and fq:
-            c = _int_gcd(*fp, *fq)
+        if fp.ints and fq.ints:
+            c = _int_gcd(*fp.ints.values(), *fq.ints.values())
             ints = {}
-            for a, v in enumerate(_form_gcd(fp, fq)):
-                for b, d in enumerate(_balanced_digits(c * v, xi)):
+            for k2, v in poly_gcd(fp, fq).ints.items():
+                last = k2 if nv == 2 else _exps(k2, nv - 1)[-1]
+                for j, d in enumerate(_balanced_digits(c * v, xi)):
                     if d:
-                        ints[(a + b) << _W | a] = d
-            h = Poly._of(2, ints).unit_normal()
+                        ints[(k2 + (j << at)) << _W | last] = d
+            h = Poly._of(nv, ints).unit_normal()
             if (not any(h.ints) or _quotient(p, h) is not None
                     and _quotient(q, h) is not None):
                 return h
-    return None
 
 
 def poly_gcd(p, q):
     """GCD with primitive integer coefficients, positive grlex leading.
 
     Polynomials in one variable, and pairs of forms in two of any degrees,
-    take ``_form_gcd`` on their lists; every other pair in two variables
-    takes ``_xy_gcd``.  A pair in three variables, or one on which
-    ``_xy_gcd`` gives up, goes as primitive integer forms to sympy's ring
-    gcd over ZZ (the heuristic gcd with a PRS fallback).  The result is put
-    through ``unit_normal``, so the route does not show in it."""
+    take ``_form_gcd`` on their lists; every other pair takes ``_heu_gcd``,
+    GCDHEU in the last variable over ``poly_gcd`` of the images, which in
+    x, y are lists again.  Both run until their division check accepts, so
+    there is no fallback.  The result is put through ``unit_normal``, so
+    the route does not show in it."""
     if p.is_zero():
         return q.unit_normal()
     if q.is_zero():
@@ -884,23 +894,7 @@ def poly_gcd(p, q):
     if nv == 1 or nv == 2 and p.is_homogeneous() and q.is_homogeneous():
         return _list_poly(_form_gcd(_form_list(p)[0], _form_list(q)[0]),
                           nvars=nv)
-    if nv == 2:
-        h = _xy_gcd(p, q)
-        if h is not None:
-            return h
-    R = _zz_ring(nv)
-    pr, qr = (R.from_dict({_exps(k, nv): c for k, c in a.unit_normal().ints.items()})
-              for a in (p, q))
-    return Poly._of(nv, {_key(e): int(c) for e, c in pr.gcd(qr).items()}
-                    ).unit_normal()
-
-
-@cache
-def _zz_ring(nvars):
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rings import ring
-
-    return ring("x:%d" % nvars, ZZ)[0]
+    return _heu_gcd(p, q)
 
 
 def poly_lcm(p, q):

@@ -28,7 +28,10 @@ _NAMES = ("x", "y")
 
 
 def _frac(s):
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a rational number: %r" % s) from None
 
 
 def _emit(payload, args):
@@ -135,6 +138,8 @@ def cmd_classify(args):
 
 
 def cmd_orbit(args):
+    if args.range[0] == args.range[1]:
+        args.parser.error("argument --range: empty range %s %s" % tuple(args.range))
     f = parse_flow(_read_input(args))
     if f.is_identity():
         x0, y0 = args.point
@@ -241,7 +246,7 @@ def build_parser():
         if needs_input:
             p.add_argument("input", help="expression, or - for stdin")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         return p
 
     add("parse", cmd_parse)

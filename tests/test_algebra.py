@@ -524,7 +524,7 @@ _x = Poly.var(0, 1)
 F = Fraction
 
 # (p, q, expected gcd, whether the pair takes ``_form_gcd`` on its own lists
-# rather than on its images at y = xi in ``_xy_gcd``)
+# rather than on its images at y = xi in ``_heu_gcd``)
 _GCD_ROUTE_CASES = [
     # forms made of monomials: only the powers of x and y are shared
     (Y ** 3, X * Y ** 2, Y ** 2, True),
@@ -568,12 +568,11 @@ def test_poly_gcd_route_and_normal_form(monkeypatch, p, q, expected, form):
     ring_gcd = _ring_gcd(p, q)
     assert ring_gcd == expected.unit_normal()
     form_calls = _recording(monkeypatch, "_form_gcd")
-    xy_calls = _recording(monkeypatch, "_xy_gcd")
-    ring_calls = _recording(monkeypatch, "_zz_ring")
+    heu_calls = _recording(monkeypatch, "_heu_gcd")
     assert poly_gcd(p, q) == ring_gcd
     assert poly_gcd(q, p) == ring_gcd
-    assert form_calls and not ring_calls
-    assert bool(xy_calls) != form
+    assert form_calls
+    assert bool(heu_calls) != form
 
 
 def _planted_pair(nvars, seed):
@@ -629,18 +628,17 @@ _XY_GCD_CASES = [
 def test_xy_gcd_matches_ring_gcd(monkeypatch, p, q, expected):
     want = _ring_gcd(p, q)
     assert want == Poly.const(2, 1) * expected
-    ring_calls = _recording(monkeypatch, "_zz_ring")
-    xy_calls = _recording(monkeypatch, "_xy_gcd")
+    heu_calls = _recording(monkeypatch, "_heu_gcd")
     assert poly_gcd(p, q) == want
     assert poly_gcd(q, p) == want
-    assert len(xy_calls) == 2 and not ring_calls
+    assert len(heu_calls) == 2
 
 
 def test_xy_gcd_skips_a_point_where_an_image_vanishes():
     p, q = (Y - 31) * (X + Y + 1), (X + Y + 1) * (X - Y)
     assert next(algebra._heu_points(1)) == 31
-    assert algebra._image_at(p, 31) == []
-    assert algebra._xy_gcd(p, q) == X + Y + 1
+    assert algebra._image_at(p, 31).is_zero()
+    assert algebra._heu_gcd(p, q) == X + Y + 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -651,21 +649,26 @@ def test_xy_gcd_planted_factor_of_high_degree(seed):
     h = X * Y + 1
     p, q, g = p * h * (1 - Y), q * h, g * h
     assert poly_gcd(p, q) == g.unit_normal() == _ring_gcd(p, q)
-    assert algebra._xy_gcd(p, q) == g.unit_normal()
+    assert algebra._heu_gcd(p, q) == g.unit_normal()
 
 
-def test_xy_gcd_falls_back_to_ring_gcd_when_every_image_gcd_is_wrong(monkeypatch):
-    # x + 1 divides neither image, so no point gives a divisor of both
-    # inputs; after 6 points sympy's ring gcd decides
-    monkeypatch.setattr(algebra, "_form_gcd", lambda f, g: [1, 1])
+def test_xy_gcd_runs_past_eight_wrong_image_gcds(monkeypatch):
+    # the first 8 image gcds are x + 1, which divides neither input; the
+    # points go on until one gives the gcd
+    form_gcd, wrong = algebra._form_gcd, []
+
+    def first_eight_wrong(f, g):
+        if len(wrong) < 8:
+            wrong.append(1)
+            return [1, 1]
+        return form_gcd(f, g)
+
+    monkeypatch.setattr(algebra, "_form_gcd", first_eight_wrong)
     images = _recording(monkeypatch, "_image_at")
-    ring_calls = _recording(monkeypatch, "_zz_ring")
     p = F(3, 2) * (X * Y - 2) * (X + Y + 3)
     q = -(X * Y - 2) * (Y * Y - X)
-    assert algebra._xy_gcd(p, q) is None
-    assert len({xi for _, xi in images}) == 6
     assert poly_gcd(p, q) == X * Y - 2
-    assert len(ring_calls) == 1
+    assert len(wrong) == 8 and len({xi for _, xi in images}) == 9
 
 
 @st.composite
@@ -769,30 +772,22 @@ def test_form_gcd_matches_dup_gcd(pair):
     assert algebra._form_gcd(g, f) == _dup_form_gcd(f, g)
 
 
-def test_form_gcd_falls_back_to_dup_gcd_when_every_point_fails(monkeypatch):
-    # an evaluation of 0 makes a point fail; after 6 points sympy decides
-    from sympy.polys import euclidtools
+def test_form_gcd_runs_past_eight_failed_points(monkeypatch):
+    # an evaluation of 0 makes a point fail; the points go on until one
+    # gives the gcd
+    eval_at, points = algebra._eval_at, []
 
-    evals, fallbacks = [], []
-    dup_gcd = euclidtools.dup_gcd
+    def first_eight_fail(c, xi):
+        if xi not in points:
+            points.append(xi)
+        return 0 if points.index(xi) < 8 else eval_at(c, xi)
 
-    def failing(c, xi):
-        evals.append(xi)
-        return 0
-
-    def recording(f, g, K):
-        fallbacks.append(1)
-        return dup_gcd(f, g, K)
-
-    monkeypatch.setattr(algebra, "_eval_at", failing)
-    monkeypatch.setattr(euclidtools, "dup_gcd", recording)
+    monkeypatch.setattr(algebra, "_eval_at", first_eight_fail)
     common = [3, -1, 0, 2]
     f = [0] + _convolve(common, [1, 4, -2]) + [0, 0]
     g = _convolve(common, [-5, 0, 7]) + [0]
     assert algebra._form_gcd(f, g) == [3, -1, 0, 2, 0]
-    assert len(fallbacks) == 1 and len(set(evals)) == 6
-    p, q, g = _planted_pair(2, 0)
-    assert poly_gcd(p, q) == g.unit_normal()
+    assert len(points) == 9
 
 
 @given(st.integers(0, 40), st.dictionaries(st.integers(0, 40),

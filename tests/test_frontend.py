@@ -230,6 +230,23 @@ def test_cli_degree_cap(capsys):
                        "above 4294967295\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "u = x/(1-x); v = y/(1-y)", "--range", "1", "1"],
+    ["orbit", "u = x/(1-x); v = y/(1-y)", "--point", "1/0", "1"],
+    ["series", "u = x/(1-x); v = y/(1-y)", "--direction", "1/0", "1"],
+])
+def test_cli_bad_option_values_are_usage_errors(capsys, argv):
+    # a zero-width range and a zero denominator end in argparse's usage
+    # error, exit 2, instead of a ZeroDivisionError
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: projflow %s " % argv[0])
+    assert err.splitlines()[-1].endswith(("empty range 1 1",
+                                          "not a rational number: '1/0'"))
+
+
 def test_cli_exit_parse_error():
     code, _, err = run_cli("parse", "u = 0.5*x; v = y")
     assert code == 2
@@ -307,8 +324,16 @@ def test_cli_json_determinism():
 
 _FIRST_VERDICT = """\
 import contextlib, io, sys
-from projflow import canonical_flow, canonicalize, cli
+from fractions import Fraction as F
+from projflow import Poly, canonical_flow, canonicalize, cli, poly_gcd
 canonicalize(canonical_flow(2))
+x, y, z = (Poly.var(i, 3) for i in range(3))
+g = x ** 3 * z ** 2 + F(3, 2) * y ** 2 * z + 9 * x ** 2 * y ** 2 * z
+a = 2 * x ** 3 * y ** 2 * z - F(1, 2) * x ** 2 * z ** 2 - F(5, 3) * y * z ** 2 \\
+    - 4 * x * y ** 3 * z ** 3
+b = -7 * x * y ** 3 + 2 * x ** 2 * y ** 3 * z ** 2 - F(3, 4) * x ** 3 * y ** 2 * z \\
+    + x ** 3 * z ** 3
+assert poly_gcd(a * g, b * g) == g.unit_normal()
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for flow in sys.argv[1:]:
@@ -319,9 +344,10 @@ print(set(codes), "sympy" in sys.modules)
 
 
 def test_first_verdict_and_cli_import_no_sympy():
-    # sympy is only a fallback: a first verdict, and classify, level and
-    # zoo on the catalogue, run without importing it.  This process has
-    # imported sympy already, so a fresh interpreter checks.
+    # a first verdict, the gcd of the hard pair in three variables of
+    # test_algebra, and classify, level and zoo on the catalogue run
+    # without importing sympy.  This process has imported sympy already, so
+    # a fresh interpreter checks.
     flows = [print_flow(entry.flow) for entry in zoo()]
     code, out, err = _run_child("-c", _FIRST_VERDICT, *flows)
     assert code == 0, err

@@ -102,21 +102,35 @@ def test_private_parameters_are_passed():
     assert not unpassed, unpassed
 
 
+def _imports_sympy(n):
+    if isinstance(n, ast.Import):
+        names = [alias.name for alias in n.names]
+    elif isinstance(n, ast.ImportFrom):
+        names = [n.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "sympy" for name in names)
+
+
 def test_sympy_stays_in_algebra():
-    # sympy's gcds, factorization and root counting are reached through
-    # ``algebra``; no other module imports sympy, at module level or inside
-    # a function
+    # sympy's factorization is reached through ``algebra``; no other module
+    # imports sympy, at module level or inside a function
     importers = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "algebra.py":
             continue
         for n in ast.walk(ast.parse(path.read_text())):
-            if isinstance(n, ast.Import):
-                names = [alias.name for alias in n.names]
-            elif isinstance(n, ast.ImportFrom):
-                names = [n.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "sympy" for name in names):
+            if _imports_sympy(n):
                 importers.append("%s:%d" % (path.name, n.lineno))
     assert not importers, importers
+
+
+def test_sympy_in_algebra_only_for_factoring():
+    # the gcds, square-free splits and root counts are native, with no
+    # sympy fallback; only Zassenhaus in ``factor_list_q`` and factorint in
+    # ``largest_prime_factor`` import sympy, each inside the function
+    users = set()
+    for top in ast.parse((SRC / "algebra.py").read_text()).body:
+        if any(_imports_sympy(n) for n in ast.walk(top)):
+            users.add(getattr(top, "name", "line %d" % top.lineno))
+    assert users == {"factor_list_q", "largest_prime_factor"}, users
