@@ -52,13 +52,14 @@ integer (Gauss's lemma), and takes the leading term of the remainder from a
 heap.
 
 Substitution (``Poly.eval_hom``, and through it ``subs_polys`` and
-``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) by a homogeneous Horner
-scheme on the stored keys: the arguments and C are put over the lcm L of
-their denominators, so that every term of P has denominator P.den * L^d,
-and the sum is folded variable by variable, so that each step multiplies by
-one argument raised to the gap between successive exponents (by squaring,
-cached per gap) and each innermost term takes a cached power of C, made
-from the one below it when that is cached and by squaring otherwise.
+``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) as the sum of C^(d - s) *
+P_s(A, B, ...) over the homogeneous parts P_s of P, by one Horner scheme
+on the stored keys: the arguments and C are put over the lcm L of their
+denominators, so that every term of P has denominator P.den * L^d; the
+outer level joins the parts from the lowest degree up, multiplying the sum
+so far by C raised to the gap to the next part, and the inner levels fold
+each part variable by variable.  Each step multiplies by one argument or C
+raised to a gap, taken from one cache of powers built by squaring.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
 only compare it by cross-multiplication.
 """
@@ -367,15 +368,18 @@ class Poly:
     def eval_hom(self, args, denom):
         """C^d * P(A/C, B/C, ...): substitute args[i]/denom, cleared.
 
-        ``d`` is the total degree of self; valid for any polynomial.  The
-        sum runs as a homogeneous Horner scheme on integers: see
-        ``_horner``.
+        ``d`` is the total degree of self; valid for any polynomial.  With
+        P_s the homogeneous part of degree s, this is the sum of C^(d - s) *
+        P_s(A, B, ...), one Horner scheme (``_horner``) in C, A, B, ...:
+        the outer level joins the parts from the lowest up, multiplying the
+        sum so far by C raised to the gap to the next part, and the inner
+        levels fold each part variable by variable.
         """
         nv = denom.nvars
         d = self.total_degree()
         if d < 0:
             return Poly.zero(nv)
-        allargs = list(args) + [denom]
+        allargs = [denom] + list(args)
         # every partial sum has total degree at most d * max degree
         _check_degree(d * max(a.total_degree() for a in allargs))
         # over L = lcm of the arguments' denominators, every term of P has
@@ -383,41 +387,26 @@ class Poly:
         L = lcm(*(a.den for a in allargs))
         ints = [[(k, c * (L // a.den)) for k, c in a.ints.items()]
                 for a in allargs]
-        cpows = {0: {0: 1}}
+        cache = {}
 
-        def cpow(k):
-            # C^k from C^(k-1) when that is cached, else by squaring
-            t = cpows.get(k)
-            if t is None:
-                if k - 1 in cpows:
-                    t = _mul_ints(cpows[k - 1].items(), ints[-1])
-                else:
-                    h = cpow(k >> 1).items()
-                    t = _mul_ints(h, h)
-                    if k & 1:
-                        t = _mul_ints(t.items(), ints[-1])
-                cpows[k] = t
-            return t
-
-        args = ints[:-1]
-        apows = {}
-
-        def apow(i, g):
-            # args[i]^g by squaring, cached per (i, g) within this call
+        def power(i, g):
+            # allargs[i]^g by squaring, cached per (i, g) within this call
             if g == 1:
-                return args[i]
-            t = apows.get((i, g))
+                return ints[i]
+            t = cache.get((i, g))
             if t is None:
-                h = apow(i, g >> 1)
+                h = power(i, g >> 1)
                 t = _mul_ints(h, h)
                 if g & 1:
-                    t = _mul_ints(t.items(), args[i])
-                t = apows[i, g] = list(t.items())
+                    t = _mul_ints(t.items(), ints[i])
+                t = cache[i, g] = list(t.items())
             return t
 
-        items = sorted(((_exps(k, self.nvars), c) for k, c in self.ints.items()),
-                       reverse=True)
-        acc = _horner(items, 0, d, len(args), apow, cpow)
+        # a term of degree s takes C^(d - s): the exponent of allargs[0]
+        shift = _W * (self.nvars - 1)
+        items = sorted((((d - (k >> shift),) + _exps(k, self.nvars), c)
+                        for k, c in self.ints.items()), reverse=True)
+        acc = _horner(items, 0, len(allargs), power)
         return Poly._of(nv, {k: c for k, c in acc.items() if c},
                         self.den * L ** d)
 
@@ -506,32 +495,32 @@ def _mul_ints(terms1, terms2):
     return acc
 
 
-def _horner(items, i, k, nargs, apow, cpow):
-    """Sum of n * args[i]^e[i] * ... * C^(k - e[i] - ...) over ``items``.
+def _horner(items, i, nargs, power):
+    """Sum of n * args[i]^e[i] * ... * args[nargs - 1]^e[nargs - 1] over
+    ``items``.
 
     ``items`` are (exponent tuple e, int n) in descending order and agree on
-    e[:i]; ``apow(i, g)`` gives the (key, int) terms of args[i]^g and
-    ``cpow(m)`` the terms of the m-th power of the denominator C, for the
-    ``nargs`` arguments.  Grouping by e[i], the sum is sum_j args[i]^j *
-    H_j with H_j the sum over the group at degree bound k - j, and Horner's
-    rule multiplies by args[i]^g once per gap g between successive j.
+    e[:i]; ``power(i, g)`` gives the (key, int) terms of args[i]^g.
+    Grouping by e[i], the sum is sum_j args[i]^j * H_j with H_j the sum over
+    the group, and Horner's rule multiplies by args[i]^g once per gap g
+    between successive j.
     """
     if i == nargs:
         (_, n), = items
-        return {key: n * c for key, c in cpow(k).items()}
+        return {0: n}
     acc = None
     for j, group in groupby(items, key=lambda t: t[0][i]):
-        part = _horner(list(group), i + 1, k - j, nargs, apow, cpow)
+        part = _horner(list(group), i + 1, nargs, power)
         if acc is None:
             acc = part
         else:
-            acc = _mul_ints(acc.items(), apow(i, prev - j))
+            acc = _mul_ints(acc.items(), power(i, prev - j))
             get = acc.get
             for key, c in part.items():
                 acc[key] = get(key, 0) + c
         prev = j
     if prev:
-        acc = _mul_ints(acc.items(), apow(i, prev))
+        acc = _mul_ints(acc.items(), power(i, prev))
     return acc
 
 

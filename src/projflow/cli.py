@@ -4,8 +4,9 @@ Subcommands: parse, verify, vf, level, classify, orbit, series, zoo,
 symmetric, dual.  Exit codes: 0 success (non-rational verdicts included),
 1 other errors (a map without a vector field, a total degree above the
 monomial key's cap 2^32 - 1, and input too large to process included),
-2 parse error, 3 identically singular input (a map whose Jacobian vanishes
-identically included), 4 a required root is irrational.
+2 parse or usage error (``symmetric --N`` beyond +-64 and ``orbit
+--grid`` beyond 200 included), 3 identically singular input (a map whose
+Jacobian vanishes identically included), 4 a required root is irrational.
 """
 from __future__ import annotations
 
@@ -25,6 +26,10 @@ from . import classify as _cl
 from .render import orbit_points, orbit_svg, vector_field_csv
 
 _NAMES = ("x", "y")
+# caps on option values whose cost grows steeply: a larger value is a usage
+# error (exit 2) instead of a run of minutes
+MAX_SYMMETRIC_N = 64
+MAX_GRID = 200
 
 
 def _frac(s):
@@ -32,6 +37,20 @@ def _frac(s):
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a rational number: %r" % s) from None
+
+
+def _capped_int(cap):
+    """An argparse type: an int of absolute value at most ``cap``."""
+    def capped(s):
+        try:
+            n = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % s) from None
+        if abs(n) > cap:
+            raise argparse.ArgumentTypeError(
+                "%d: absolute value above the cap %d" % (n, cap))
+        return n
+    return capped
 
 
 def _emit(payload, args):
@@ -257,7 +276,8 @@ def build_parser():
     p = add("orbit", cmd_orbit)
     p.add_argument("--point", nargs=2, type=_frac, default=(Fraction(1), Fraction(2)))
     p.add_argument("--range", nargs=2, type=_frac, default=(Fraction(-2), Fraction(2)))
-    p.add_argument("--grid", type=int, default=41)
+    p.add_argument("--grid", type=_capped_int(MAX_GRID), default=41,
+                   help="grid points per side, at most %d" % MAX_GRID)
     p.add_argument("--csv")
     p.add_argument("--svg")
     p = add("series", cmd_series)
@@ -266,7 +286,8 @@ def build_parser():
                    default=(Fraction(1), Fraction(-1)))
     add("zoo", cmd_zoo, needs_input=False)
     p = add("symmetric", cmd_symmetric, needs_input=False)
-    p.add_argument("--N", type=int, default=1)
+    p.add_argument("--N", type=_capped_int(MAX_SYMMETRIC_N), default=1,
+                   help="the index of the family, |N| at most %d" % MAX_SYMMETRIC_N)
     p.add_argument("--family", default="Phi",
                    choices=["Phi", "PhiPrime", "phi_tor_1", "Psi"])
     add("dual", cmd_dual)

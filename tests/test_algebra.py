@@ -719,6 +719,30 @@ def test_eval_hom_raises_the_denominator_by_squaring(monkeypatch):
     assert len(calls) <= 2 * 18 + 4
 
 
+def test_linear_substitution_work_grows_like_the_cube_of_the_degree(monkeypatch):
+    # a Horner fold per homogeneous part does O(D^3) term products for a
+    # dense polynomial of degree D under a linear map; folding all degrees
+    # together does O(D^4), and doubling D then costs more than 13 times
+    L = LinearMap2(2, -1, 1, 3).coord_polys()
+    products = []
+    mul = algebra._mul_ints
+
+    def counting(a, b):
+        a, b = list(a), list(b)
+        products.append(len(a) * len(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(algebra, "_mul_ints", counting)
+    work = {}
+    for D in (20, 40):
+        p = Poly(2, {(a, b): (3 * a - 2 * b) % 7 - 3 or 1
+                     for a in range(D + 1) for b in range(D + 1 - a)})
+        products.clear()
+        p.subs_polys(L)
+        work[D] = sum(products)
+    assert work[40] <= 10 * work[20]
+
+
 # -- binary forms as integer lists -------------------------------------------
 
 def _convolve(a, b):

@@ -18,7 +18,7 @@ from projflow.parser import (
     print_flow,
     print_vector_field,
 )
-from projflow.cli import main
+from projflow.cli import build_parser, main
 
 SCHEMA = json.load(open(
     os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -245,6 +245,38 @@ def test_cli_bad_option_values_are_usage_errors(capsys, argv):
     assert err.startswith("usage: projflow %s " % argv[0])
     assert err.splitlines()[-1].endswith(("empty range 1 1",
                                           "not a rational number: '1/0'"))
+
+
+@pytest.mark.parametrize("argv", [["symmetric", "--N", "64"],
+                                  ["symmetric", "--N", "-64"],
+                                  ["orbit", "x", "--grid", "200"]])
+def test_cli_caps_admit_their_bound(argv):
+    # parsing only: a run at the cap takes seconds
+    args = build_parser().parse_args(argv)
+    assert getattr(args, argv[-2][2:]) == int(argv[-1])
+
+
+@pytest.mark.parametrize("argv", [["symmetric", "--N", "65"],
+                                  ["symmetric", "--N", "-65"],
+                                  ["orbit", "u = x/(1-x); v = y/(1-y)",
+                                   "--grid", "201"]])
+def test_cli_caps_reject_beyond_their_bound(monkeypatch, capsys, argv):
+    # |N| above 64 and a grid above 200 are usage errors, exit 2, before
+    # any computation
+    def forbidden(*a, **k):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr("projflow.cli._cl.symmetric_family", forbidden)
+    monkeypatch.setattr("projflow.cli.parse_flow", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: projflow %s " % argv[0])
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "argument %s: %s: absolute value above the cap %d"
+        % (argv[-2], argv[-1], 64 if argv[0] == "symmetric" else 200))
 
 
 def test_cli_exit_parse_error():
