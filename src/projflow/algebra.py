@@ -61,7 +61,7 @@ so far by C raised to the gap to the next part, and the inner levels fold
 each part variable by variable.  Each step multiplies by one argument or C
 raised to a gap, taken from one cache of powers built by squaring.
 ``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
-only compare it by cross-multiplication.
+divide out its known factors (``HomBir.pullback_pair``).
 """
 from __future__ import annotations
 

@@ -5,11 +5,11 @@ then the radial map (xP/Q, yP/Q).  The stored triple is normalized so that
 structural equality coincides with equality of maps.
 
 Every action ends in one radial step, ``HomBir._radial``, which ``apply``
-reduces once.  ``push_forward`` builds ell o t o ell^{-1} for a small t from
-the terms of ell and t alone (ell^{-1}(x) = L^{-1}(x) * Q/P), so the
-conjugation certificate of ``classify.canonicalize`` never substitutes into
-the large conjugate f.  ``conjugate_flow`` applies a^{-1} to the pullback
-f o a, from which ``pullback_pair`` divides out P o L and Q o L.
+reduces once.  ``push_forward_phi`` builds ell o phi_N o ell^{-1} in closed
+form from ell's terms and T = P + Q * l_y, so the conjugation certificate of
+``classify.canonicalize`` substitutes into neither f nor phi_N.
+``conjugate_flow`` applies a^{-1} to the pullback f o a, from which
+``pullback_pair`` divides out P o L and Q o L.
 """
 from __future__ import annotations
 
@@ -37,10 +37,7 @@ class HomBir:
     def __init__(self, P, Q, L=None):
         if L is None:
             L = LinearMap2.identity()
-        if isinstance(P, int):
-            P = Poly.const(2, P)
-        if isinstance(Q, int):
-            Q = Poly.const(2, Q)
+        P, Q = (Poly.const(2, c) if isinstance(c, int) else c for c in (P, Q))
         if P.is_zero() or Q.is_zero():
             raise AlgebraError("P and Q must be nonzero")
         if not (P.is_homogeneous() and Q.is_homogeneous()):
@@ -128,16 +125,21 @@ class HomBir:
                 N, D = p, q
         return N, D
 
-    def push_forward(self, t):
-        """(N1, N2, D) with (N1/D, N2/D) = self o t o self^{-1}, not reduced:
-        ``_radial`` of t at self^{-1}(x) = L^{-1}(x) * Q/P (the inverse of
-        the radial part x * P/Q, P/Q being 0-homogenic).  D is zero when
-        self o t o self^{-1} is undefined."""
+    def push_forward_phi(self, N):
+        """(N1, N2, D) with (N1/D, N2/D) = self o phi_N o self^{-1}, not
+        reduced.  With l = L^{-1}(x) and T = P + Q * l_y, phi_N(self^{-1}(x))
+        = phi_N(l * Q/P) = (Q/P) * w for w = (l_x T^N, l_y P^N) / (P^(N-1) T)
+        if N >= 1 and (l_x P^(1-N), l_y P T^(-N)) / T^(1-N) if N <= 0; self
+        is 1-homogenic, so the result is (Q/P) * self(w), one ``_radial``."""
+        P, Q = self.P, self.Q
         lx, ly = self.L.inverse().coord_polys()
-        args = [RatFn(lx * self.Q, self.P, reduce=False),
-                RatFn(ly * self.Q, self.P, reduce=False)]
-        (a1, b1), (a2, b2) = (c.subs_pair(args) for c in (t.u, t.v))
-        return self._radial(a1, b1, a2, b2)
+        T = P + Q * ly
+        if N >= 1:
+            a1, a2, E = lx * T ** N, ly * P ** N, P ** (N - 1) * T
+        else:
+            a1, a2, E = lx * P ** (1 - N), ly * P * T ** -N, T ** (1 - N)
+        N1, N2, D = self._radial(a1, E, a2, E)
+        return Q * N1, Q * N2, P * D
 
     def _radial(self, a1, b1, a2, b2):
         """(N1, N2, D) with (N1/D, N2/D) = self(a1/b1, a2/b2), not reduced:
@@ -174,8 +176,7 @@ class HomBir:
 def _normalize_triple(P, Q, L):
     g = poly_gcd(P, Q)
     if not (g.is_constant() and g.constant_value() == 1):
-        P = divexact(P, g)
-        Q = divexact(Q, g)
+        P, Q = divexact(P, g), divexact(Q, g)
     # normalize L to primitive integer entries, first nonzero positive;
     # replacing L by sL requires Q -> sQ to keep the same map
     entries = (L.a, L.b, L.c, L.d)
@@ -195,8 +196,7 @@ def _normalize_triple(P, Q, L):
     if P.leading_coeff() < 0:
         c = -c
     if c != 1:
-        P = P * (1 / c)
-        Q = Q * (1 / c)
+        P, Q = P * (1 / c), Q * (1 / c)
     return P, Q, L
 
 

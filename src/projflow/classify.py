@@ -707,7 +707,7 @@ def _transported_invariant(vf, N, ell):
     phi_N (N >= 1): phi_N's invariant x y^(N-1) composed with ell^{-1}.
 
     With ell = (P, Q; L), ell^{-1}(x) = L^{-1}(x) * Q/P as in
-    ``HomBir.push_forward``, so W = lx ly^(N-1) Q^N / P^N for
+    ``HomBir.push_forward_phi``, so W = lx ly^(N-1) Q^N / P^N for
     (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  W is
     checked exactly against the orbit equation ``orbit_ode_reduce``, as one
     polynomial identity on the unreduced pair (num(x, 1), den(x, 1)): its
@@ -765,7 +765,7 @@ def canonicalize(f):
         _require_flow(f, vf, exc)
         raise
     if isinstance(verdict, RationalFlow):
-        if _conjugates_to(f, verdict.ell, canonical_flow(verdict.level)):
+        if _conjugates_to(f, verdict.ell, verdict.level):
             return verdict
         exc = VerificationFailed("canonical conjugation check failed")
         _require_flow(f, vf, exc)
@@ -779,29 +779,23 @@ def _require_flow(f, vf, cause=None):
         raise AlgebraError("not a flow: the translation equation fails") from cause
 
 
-def _conjugates_to(f, a, target):
-    """True iff a^{-1} o f o a == target, checked as f == a o target o a^{-1}.
+def _conjugates_to(f, a, N):
+    """True iff a^{-1} o f o a == phi_N, checked as f == a o phi_N o a^{-1}.
 
-    With a = rho o L and rho(x) = x * P/Q, P/Q is 0-homogenic, so
-    rho^{-1}(x) = x * Q/P and a^{-1}(x) = L^{-1}(x) * Q/P: the right side is
-    built from a's and target's own terms (``HomBir.push_forward``) as an
-    unreduced (N1, N2, D), and f never enters a substitution.  Each
-    coordinate n/d of f is then tested by h = D / d, exact when n/d is in
-    lowest terms, and N == h * n; when the division is inexact the test is
-    n * D == d * N.  Both tests are exact, and a vanishing D fails."""
-    N1, N2, D = a.push_forward(target)
-    if D.is_zero():
-        return False
-    for fc, N in ((f.u, N1), (f.v, N2)):
+    The right side is the closed form ``HomBir.push_forward_phi``, an
+    unreduced (N1, N2, D) built from a's own terms, so f never enters a
+    substitution and phi_N is never built.  Each coordinate n/d of f is
+    tested against its Ni/D by h = D / d, exact when n/d is in lowest
+    terms, and Ni == h * n; when the division is inexact the test is
+    n * D == d * Ni.  Both tests are exact."""
+    N1, N2, D = a.push_forward_phi(N)
+
+    def holds(fc, Ni):
         try:
-            h = divexact(D, fc.den)
+            return Ni == divexact(D, fc.den) * fc.num
         except AlgebraError:
-            if fc.num * D != fc.den * N:
-                return False
-            continue
-        if N != h * fc.num:
-            return False
-    return True
+            return fc.num * D == fc.den * Ni
+    return holds(f.u, N1) and holds(f.v, N2)
 
 
 def _pseudolog_chain(q):

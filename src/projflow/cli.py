@@ -4,9 +4,11 @@ Subcommands: parse, verify, vf, level, classify, orbit, series, zoo,
 symmetric, dual.  Exit codes: 0 success (non-rational verdicts included),
 1 other errors (a map without a vector field, a total degree above the
 monomial key's cap 2^32 - 1, and input too large to process included),
-2 parse or usage error (``symmetric --N`` beyond +-64 and ``orbit
---grid`` beyond 200 included), 3 identically singular input (a map whose
-Jacobian vanishes identically included), 4 a required root is irrational.
+2 parse or usage error (``symmetric --N`` beyond +-64, ``orbit --grid``
+outside 1..200 and ``series --order`` outside 2..400 included; the order
+cap bounds the order, not the work: a rational field has run past 100 s
+at order 100), 3 identically singular input (a map whose Jacobian vanishes
+identically included), 4 a required root is irrational.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ _NAMES = ("x", "y")
 # error (exit 2) instead of a run of minutes
 MAX_SYMMETRIC_N = 64
 MAX_GRID = 200
+MAX_ORDER = 400
 
 
 def _frac(s):
@@ -39,8 +42,9 @@ def _frac(s):
         raise argparse.ArgumentTypeError("not a rational number: %r" % s) from None
 
 
-def _capped_int(cap):
-    """An argparse type: an int of absolute value at most ``cap``."""
+def _capped_int(cap, least=None):
+    """An argparse type: an int of absolute value at most ``cap`` and, if
+    ``least`` is given, at least ``least``."""
     def capped(s):
         try:
             n = int(s)
@@ -49,6 +53,9 @@ def _capped_int(cap):
         if abs(n) > cap:
             raise argparse.ArgumentTypeError(
                 "%d: absolute value above the cap %d" % (n, cap))
+        if least is not None and n < least:
+            raise argparse.ArgumentTypeError(
+                "%d: below the least value %d" % (n, least))
         return n
     return capped
 
@@ -215,21 +222,18 @@ def cmd_series(args):
 
 
 def cmd_zoo(args):
-    rows = []
-    for e in _cl.zoo():
-        rows.append({
-            "name": e.name,
-            "level": e.level,
-            "orbit_W": e.orbit_W.to_string(_NAMES),
-            "w": e.vf.w.to_string(_NAMES),
-            "r": e.vf.r.to_string(_NAMES),
-            "coords": _coords_repr(e.coords),
-            "zeros_poles": [e.zeros, e.poles],
-            "translation_equation": verify_translation(e.flow),
-        })
+    rows = [{
+        "name": e.name,
+        "level": e.level,
+        "orbit_W": e.orbit_W.to_string(_NAMES),
+        "w": e.vf.w.to_string(_NAMES),
+        "r": e.vf.r.to_string(_NAMES),
+        "coords": _coords_repr(e.coords),
+        "zeros_poles": [e.zeros, e.poles],
+        "translation_equation": verify_translation(e.flow),
+    } for e in _cl.zoo()]
     if args.json:
-        json.dump(rows, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _emit(rows, args)
     else:
         for row in rows:
             sys.stdout.write("%-14s level=%d W=%s ok=%s\n" % (
@@ -276,12 +280,13 @@ def build_parser():
     p = add("orbit", cmd_orbit)
     p.add_argument("--point", nargs=2, type=_frac, default=(Fraction(1), Fraction(2)))
     p.add_argument("--range", nargs=2, type=_frac, default=(Fraction(-2), Fraction(2)))
-    p.add_argument("--grid", type=_capped_int(MAX_GRID), default=41,
-                   help="grid points per side, at most %d" % MAX_GRID)
+    p.add_argument("--grid", type=_capped_int(MAX_GRID, 1), default=41,
+                   help="grid points per side, 1 to %d" % MAX_GRID)
     p.add_argument("--csv")
     p.add_argument("--svg")
     p = add("series", cmd_series)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_capped_int(MAX_ORDER, 2), default=8,
+                   help="jet order, 2 to %d" % MAX_ORDER)
     p.add_argument("--direction", nargs=2, type=_frac,
                    default=(Fraction(1), Fraction(-1)))
     add("zoo", cmd_zoo, needs_input=False)

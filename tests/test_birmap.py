@@ -5,7 +5,6 @@ import pytest
 
 from apply_reference import apply_reference
 from projflow import (
-    Flow,
     HomBir,
     IdenticallySingular,
     LinearMap2,
@@ -150,27 +149,27 @@ def test_apply_matches_reference():
             route((RatFn.const(1, 2), RatFn.const(0, 2)))
 
 
-def test_push_forward_matches_composition():
-    # a o t o a^-1 built from a's and t's own terms equals the composition
-    # of coordinates, for maps of degree 0-2 with identity, swap and random
-    # L, on canonical flows (shared and distinct denominators) and dense t;
-    # a constant t whose image a kills gives D = 0
+def test_push_forward_phi_matches_composition():
+    # the closed form of a o phi_N o a^-1 equals a's coordinates at phi_N at
+    # a^-1's, composed by RatFn.subs (the outer one unreduced, by subs_pair,
+    # and compared cross-multiplied), for maps with identity, swap and a
+    # general L: N in -3..3 at degrees 0 and 1, N in -2..2 at degree 2 and,
+    # for the general L only, at degree 3
     rng = random.Random(17)
-    zero = Flow(RatFn(Poly.zero(2)), RatFn(Poly.zero(2)))
-    for deg in range(3):
-        for L in (LinearMap2.identity(), SWAP, LinearMap2(2, -1, 1, 3)):
-            a = HomBir(_rand_poly(rng, deg), _rand_poly(rng, deg), L)
-            ts = [canonical_flow(N) for N in (0, 2, -1)]
-            ts.append(Flow(RatFn(_rand_dense(rng, 2), _rand_dense(rng, 1)),
-                           RatFn(_rand_dense(rng, 1), _rand_dense(rng, 2))))
-            ax, ay = a.coords()
-            bx, by = a.inverse().coords()
-            for t in ts:
-                N1, N2, D = a.push_forward(t)
-                inner = [t.u.subs([bx, by]), t.v.subs([bx, by])]
-                assert RatFn(N1, D) == ax.subs(inner), (a, t)
-                assert RatFn(N2, D) == ay.subs(inner), (a, t)
-            assert a.push_forward(zero)[2].is_zero() == (a.degree() > 0)
+    Ls = (LinearMap2.identity(), SWAP, LinearMap2(2, -1, 1, 3))
+    cases = [(deg, L, range(-3, 4) if deg < 2 else range(-2, 3))
+             for deg in range(3) for L in Ls]
+    cases.append((3, Ls[2], range(-2, 3)))
+    for deg, L, levels in cases:
+        a = HomBir(_rand_poly(rng, deg), _rand_poly(rng, deg), L)
+        bx, by = a.inverse().coords()
+        for N in levels:
+            t = canonical_flow(N)
+            inner = [t.u.subs([bx, by]), t.v.subs([bx, by])]
+            N1, N2, D = a.push_forward_phi(N)
+            for Ni, c in zip((N1, N2), a.coords()):
+                n, d = c.subs_pair(inner)
+                assert Ni * d == D * n and not D.is_zero(), (a, N)
 
 
 def test_conjugate_flow_back_from_degree_3_conjugate():

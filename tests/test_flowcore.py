@@ -35,7 +35,7 @@ from projflow import (
     uniN,
     zoo,
 )
-from projflow import algebra, flowcore
+from projflow import algebra, birmap, classify, flowcore
 from projflow.flowcore import (_coord_jets, _jet_field, _linear_form_pair,
                                exact_isqrt)
 
@@ -159,6 +159,32 @@ def test_one_boundary_pass_per_map(monkeypatch):
         for g, lin in ((e.flow.u, X), (e.flow.v, Y)):
             nums, _ = _coord_jets(g, lin, 4)
             assert nums[0] == lin, e.name
+
+
+def test_certificate_evaluates_ell_twice(monkeypatch):
+    # the certificate f == ell o phi_N o ell^-1 is a closed form in ell's
+    # terms: each call evaluates ell's P and Q at one pair once each, and
+    # builds no phi_N, substitutes into no RatFn, splits no homogeneous part
+    # and takes no gcd
+    flows = [e.flow for e in zoo()]
+    flows += [f for seed in (2, 7)
+              for f in _seeded_conjugates(random.Random(seed))]
+    cases = [(f, canonicalize(f)) for f in flows]  # all RationalFlow
+    evaluated = []
+    eval_hom = Poly.eval_hom
+    monkeypatch.setattr(Poly, "eval_hom", lambda self, *args: (
+        evaluated.append(self) or eval_hom(self, *args)))
+
+    def forbidden(*args):
+        raise AssertionError("the certificate needs no such step")
+    for owner, name in ((RatFn, "subs_pair"), (Poly, "homogeneous_parts"),
+                        (algebra, "poly_gcd"), (birmap, "poly_gcd"),
+                        (classify, "canonical_flow")):
+        monkeypatch.setattr(owner, name, forbidden)
+    for f, res in cases:
+        evaluated.clear()
+        assert classify._conjugates_to(f, res.ell, res.level), f
+        assert evaluated == [res.ell.P, res.ell.Q], f
 
 
 def _boundary_reference(f):

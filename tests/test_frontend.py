@@ -249,7 +249,10 @@ def test_cli_bad_option_values_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("argv", [["symmetric", "--N", "64"],
                                   ["symmetric", "--N", "-64"],
-                                  ["orbit", "x", "--grid", "200"]])
+                                  ["orbit", "x", "--grid", "200"],
+                                  ["orbit", "x", "--grid", "1"],
+                                  ["series", "x", "--order", "2"],
+                                  ["series", "x", "--order", "400"]])
 def test_cli_caps_admit_their_bound(argv):
     # parsing only: a run at the cap takes seconds
     args = build_parser().parse_args(argv)
@@ -277,6 +280,33 @@ def test_cli_caps_reject_beyond_their_bound(monkeypatch, capsys, argv):
     assert err.splitlines()[-1].endswith(
         "argument %s: %s: absolute value above the cap %d"
         % (argv[-2], argv[-1], 64 if argv[0] == "symmetric" else 200))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "u = x/(1-x); v = y/(1-y)", "--grid", "0"],
+     "0: below the least value 1"),
+    (["series", "u = x/(1-x); v = y/(1-y)", "--order", "1"],
+     "1: below the least value 2"),
+    (["series", "u = x/(1-x); v = y/(1-y)", "--order", "401"],
+     "401: absolute value above the cap 400"),
+])
+def test_cli_grid_and_order_bounds_are_usage_errors(monkeypatch, capsys,
+                                                    argv, message):
+    # a grid below 1 once sampled one point silently, an order of 1 ended
+    # in an AlgebraError (exit 1) and a large order ran for minutes: all are
+    # usage errors, exit 2, before any computation
+    def forbidden(*a, **k):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr("projflow.cli.parse_flow", forbidden)
+    monkeypatch.setattr("projflow.cli.parse_input", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: projflow %s " % argv[0])
+    assert err.splitlines()[-1].endswith(
+        "argument %s: %s" % (argv[-2], message))
 
 
 def test_cli_exit_parse_error():
