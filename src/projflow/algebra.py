@@ -46,10 +46,15 @@ roots are counted by Sturm chains on the parts of ``_sqf_list``
 such a cofactor, and by ``largest_prime_factor``.
 
 Products, sums and exact division run on the stored keys and numerators and
-multiply or take the lcm of the denominators.  Exact division divides by
-the primitive part of the divisor, so every quotient coefficient is an
-integer (Gauss's lemma), and takes the leading term of the remainder from a
-heap.
+multiply or take the lcm of the denominators.  Every product of two term
+lists runs in ``_mul_ints``, which can add into a dict it is given: so
+``poly_dot``, a sum of products p * q, puts every product over the lcm of
+the products' denominators and accumulates all of them into one dict, with
+one reduction at the end.  ``Poly.euler`` gives x p_x + y p_y + s p by
+Euler's identity, each homogeneous part of degree j times j + s, with no
+product.  Exact division divides by the primitive part of the divisor, so
+every quotient coefficient is an integer (Gauss's lemma), and takes the
+leading term of the remainder from a heap.
 
 Substitution (``Poly.eval_hom``, and through it ``subs_polys`` and
 ``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) as the sum of C^(d - s) *
@@ -323,6 +328,13 @@ class Poly:
             n >>= 1
         return result
 
+    def euler(self, s):
+        """x p_x + y p_y (+ ...) + s p: by Euler's identity each homogeneous
+        part of degree j times j + s, with no product."""
+        shift = _W * (self.nvars - 1)
+        return Poly._of(self.nvars, {k: c * e for k, c in self.ints.items()
+                                     if (e := (k >> shift) + s)}, self.den)
+
     def derivative(self, i):
         nv = self.nvars
         # x_i^e -> e x_i^(e-1) lowers the total by one, and exponent i by
@@ -482,9 +494,12 @@ def _frac_str(c):
 
 # -- integer inner loops ---------------------------------------------------
 
-def _mul_ints(terms1, terms2):
-    """{key: nonzero int} product of two iterables of (key, int) pairs."""
-    acc = {}
+def _mul_ints(terms1, terms2, acc=None):
+    """{key: nonzero int} product of two iterables of (key, int) pairs,
+    plus ``acc`` when given: a {key: int} dict that the sum is built in, so
+    the caller uses the result, not ``acc``."""
+    if acc is None:
+        acc = {}
     get = acc.get
     for k1, c1 in terms1:
         for k2, c2 in terms2:
@@ -493,6 +508,29 @@ def _mul_ints(terms1, terms2):
     if 0 in acc.values():
         return {k: c for k, c in acc.items() if c}
     return acc
+
+
+def poly_dot(pairs):
+    """The sum of p * q over ``pairs`` of Polys, in one accumulation: every
+    product goes over the lcm of the products' denominators and into one
+    dict through ``_mul_ints``."""
+    nv = pairs[0][0].nvars
+    shift = _W * (nv - 1)
+    den, work = 1, []
+    for p, q in pairs:
+        if p.nvars != nv or q.nvars != nv:
+            raise AlgebraError("mixed variable counts")
+        if p.ints and q.ints:
+            _check_degree((max(p.ints) >> shift) + (max(q.ints) >> shift))
+            den = lcm(den, p.den * q.den)
+            work.append((p, q) if len(p.ints) <= len(q.ints) else (q, p))
+    acc = {}
+    for p, q in work:
+        s = den // (p.den * q.den)
+        terms = (p.ints.items() if s == 1
+                 else [(k, c * s) for k, c in p.ints.items()])
+        acc = _mul_ints(terms, q.ints.items(), acc)
+    return Poly._of(nv, acc, den)
 
 
 def _horner(items, i, nargs, power):
@@ -1015,7 +1053,8 @@ class RatFn:
         return RatFn(self.num ** n, self.den ** n)
 
     def derivative(self, i):
-        num = self.num.derivative(i) * self.den - self.num * self.den.derivative(i)
+        num = poly_dot([(self.num.derivative(i), self.den),
+                        (-self.num, self.den.derivative(i))])
         return RatFn(num, self.den * self.den)
 
     # -- evaluation / substitution ----------------------------------------

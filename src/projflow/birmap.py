@@ -4,10 +4,11 @@ An element acts as x -> L(x) * (P/Q)(L(x)), i.e. the linear change first,
 then the radial map (xP/Q, yP/Q).  The stored triple is normalized so that
 structural equality coincides with equality of maps.
 
-Every action ends in one radial step, ``HomBir._radial``, which ``apply``
-reduces once.  ``push_forward_phi`` builds ell o phi_N o ell^{-1} in closed
-form from ell's terms and T = P + Q * l_y, so the conjugation certificate of
-``classify.canonicalize`` substitutes into neither f nor phi_N.
+Every action ends in one radial step, which ``apply`` reduces once.
+``push_forward_phi`` builds ell o phi_N o ell^{-1} in closed form from
+ell's terms and T = P + Q * l_y, with Q divided out of its denominator, so
+the conjugation certificate of ``classify.canonicalize`` substitutes into
+neither f nor phi_N.
 ``conjugate_flow`` applies a^{-1} to the pullback f o a, from which
 ``pullback_pair`` divides out P o L and Q o L.
 """
@@ -24,6 +25,7 @@ from .algebra import (
     RatFn,
     _quotient,
     divexact,
+    poly_dot,
     poly_gcd,
 )
 from .flowcore import Flow, VectorField
@@ -98,18 +100,24 @@ class HomBir:
     # -- action ----------------------------------------------------------
     def apply(self, pair):
         """The map at a pair of rational functions, reduced; raises
-        IdenticallySingular where the map is undefined."""
+        IdenticallySingular where the map is undefined.  Over one
+        denominator E the pair is (M1, M2)/E after L, and the radial part
+        gives (M1 P(M), M2 P(M)) / (E Q(M)), as the powers of E cancel in
+        P/Q."""
         (a1, b1), (a2, b2) = ((p.num, p.den) if isinstance(p, RatFn)
                               else (p, Poly.const(p.nvars, 1)) for p in pair)
         if b1 != b2:
             # over lcm(b1, b2), so that a shared factor is not squared in E
             g = poly_gcd(b1, b2)
             c1, c2 = divexact(b1, g), divexact(b2, g)
-            a1, a2, b1, b2 = a1 * c2, a2 * c1, b1 * c2, b1 * c2
-        N1, N2, D = self._radial(a1, b1, a2, b2)
+            a1, a2, b1 = a1 * c2, a2 * c1, b1 * c2
+        L = self.L
+        M = [a1 * L.a + a2 * L.b, a1 * L.c + a2 * L.d]
+        PM = self.P.subs_polys(M)
+        D = b1 * self.Q.subs_polys(M)
         if D.is_zero():
             raise IdenticallySingular("map undefined on the pair")
-        return RatFn(N1, D), RatFn(N2, D)
+        return RatFn(M[0] * PM, D), RatFn(M[1] * PM, D)
 
     def pullback_pair(self, r):
         """(N, D) with N/D = r o self: r at L(x) * T/C (T = P o L, C = Q o L)
@@ -129,32 +137,23 @@ class HomBir:
         """(N1, N2, D) with (N1/D, N2/D) = self o phi_N o self^{-1}, not
         reduced.  With l = L^{-1}(x) and T = P + Q * l_y, phi_N(self^{-1}(x))
         = phi_N(l * Q/P) = (Q/P) * w for w = (l_x T^N, l_y P^N) / (P^(N-1) T)
-        if N >= 1 and (l_x P^(1-N), l_y P T^(-N)) / T^(1-N) if N <= 0; self
-        is 1-homogenic, so the result is (Q/P) * self(w), one ``_radial``."""
-        P, Q = self.P, self.Q
-        lx, ly = self.L.inverse().coord_polys()
+        if N >= 1 and (l_x P^(1-N), l_y P T^(-N)) / T^(1-N) if N <= 0.  self
+        is 1-homogenic, so the result is (Q/P) * self(w): with w = (a1, a2)/E
+        and M = L(a1, a2), that is (M1 P(M), M2 P(M)) / (P E Q(M)/Q).
+
+        Q divides Q(M): T = P + Q l_y is P mod Q, so (a1, a2) is P^k l mod
+        Q (k = N if N >= 1, else 1 - N), M = L(a1, a2) is P^k x mod Q as
+        L(l) = x, and Q(M) is Q(P^k x) = P^(k deg Q) Q mod Q, that is 0."""
+        P, Q, L = self.P, self.Q, self.L
+        lx, ly = L.inverse().coord_polys()
         T = P + Q * ly
         if N >= 1:
             a1, a2, E = lx * T ** N, ly * P ** N, P ** (N - 1) * T
         else:
             a1, a2, E = lx * P ** (1 - N), ly * P * T ** -N, T ** (1 - N)
-        N1, N2, D = self._radial(a1, E, a2, E)
-        return Q * N1, Q * N2, P * D
-
-    def _radial(self, a1, b1, a2, b2):
-        """(N1, N2, D) with (N1/D, N2/D) = self(a1/b1, a2/b2), not reduced:
-        over one denominator E the pair is (M1, M2)/E after L, and the
-        radial part gives Ni = Mi * P(M) and D = E * Q(M), as the powers of
-        E cancel in P/Q."""
-        if b1 == b2:
-            E = b1
-        else:
-            E = b1 * b2
-            a1, a2 = a1 * b2, a2 * b1
-        L = self.L
         M = [a1 * L.a + a2 * L.b, a1 * L.c + a2 * L.d]
-        PM = self.P.subs_polys(M)
-        return M[0] * PM, M[1] * PM, E * self.Q.subs_polys(M)
+        PM = P.subs_polys(M)
+        return M[0] * PM, M[1] * PM, P * E * divexact(Q.subs_polys(M), Q)
 
     def coords(self):
         """Coordinate functions of the map."""
@@ -231,8 +230,10 @@ def conjugate_vf_radial(vf, A):
     P, Q, D = vf.P, vf.Q, vf.D
     S = Poly.var(0, 2) * Q - Poly.var(1, 2) * P
     ab = a * b
-    Ax, Ay = (a.derivative(i) * b - a * b.derivative(i) for i in (0, 1))
-    return VectorField.of(ab * P - Ay * S, ab * Q + Ax * S, b * b * D)
+    Ax, Ay = (poly_dot([(a.derivative(i), b), (-a, b.derivative(i))])
+              for i in (0, 1))
+    return VectorField.of(poly_dot([(ab, P), (-Ay, S)]),
+                          poly_dot([(ab, Q), (Ax, S)]), b * b * D)
 
 
 def conjugate_vf(vf, a):

@@ -21,6 +21,7 @@ from .algebra import (
     LinearMap2,
     divexact,
     linear_factors_q,
+    poly_dot,
 )
 from .flowcore import (
     Flow,
@@ -307,7 +308,7 @@ def _linear_candidates(P, Q, D):
     """Linear changes from the rank analysis of the reduction step."""
     cands = [LinearMap2(1, 0, 0, 1)]
     droots, _ = _roots_of(D)
-    bass = P * Q.derivative(0) - P.derivative(0) * Q
+    bass = poly_dot([(P, Q.derivative(0)), (-P.derivative(0), Q)])
     broots, _ = _roots_of(bass)
     for (x0, y0), _m in droots:
         for (xi, chi), _m2 in broots:
@@ -350,7 +351,7 @@ def _linear_candidates(P, Q, D):
 def _radial_candidates(vf1):
     P1, Q1, D1 = vf1.P, vf1.Q, vf1.D
     droots, drem = _roots_of(D1)
-    bass1 = P1 * Q1.derivative(0) - P1.derivative(0) * Q1
+    bass1 = poly_dot([(P1, Q1.derivative(0)), (-P1.derivative(0), Q1)])
     cross = Y * P1 - X * Q1
     dens = []
     for poly in (bass1, cross):
@@ -757,7 +758,11 @@ def canonicalize(f):
         return Identity()
     field = _jet_field(f)
     if field is None:
-        return Degenerate(*_degenerate_form(f))
+        try:
+            return Degenerate(*_degenerate_form(f))
+        except NotDegenerate as exc:
+            raise AlgebraError("not a flow: the map fails the boundary "
+                               "condition and has no degenerate form") from exc
     vf = VectorField.of(*field)
     try:
         verdict = _classify_by_form(vf)
@@ -885,6 +890,9 @@ def dual(f):
     """Reflection of the univariate coefficients through the hyperboloid
     center, transported back; an involution on level-N flows, N >= 2."""
     vf = vector_field(f)
+    if level_of(vf).n in (0, 1):
+        # a field of level 0 or 1 has no univariate form to reflect
+        raise AlgebraError("dual needs level >= 2")
     q, ell = _univariate_form(vf)
     res = univariate_classify(q)
     if not (isinstance(res, dict) and res.get("kind") == "level"):

@@ -17,6 +17,7 @@ from .algebra import (
     Poly,
     RatFn,
     count_real_projective_roots,
+    poly_dot,
     poly_gcd,
     divexact,
     _quotient,
@@ -314,15 +315,20 @@ def verify_pde(f):
 
 def _pde_holds(f, P, Q, D):
     """Dphi (x - V) = phi for V = (P/D, Q/D): with X = x D - P, Y = y D - Q,
-    a coordinate n/d satisfies it iff d (X n_x + Y n_y - n D) == n (X d_x +
-    Y d_y), tested through the quotient by d when it is exact (always, for a
-    flow in lowest terms).  Both sides are linear in (P, Q, D) together, so
-    every representative of the field gives the same answer."""
-    X, Y = Poly.var(0, 2) * D - P, Poly.var(1, 2) * D - Q
+    a coordinate n/d satisfies it iff d A == n B for A = X n_x + Y n_y - n D
+    = D (x n_x + y n_y - n) - P n_x - Q n_y and B = X d_x + Y d_y, tested
+    through the quotient by d when it is exact (always, for a flow in lowest
+    terms).  x n_x + y n_y + s n comes from Euler's identity (``Poly.euler``),
+    so each side is one ``poly_dot`` of three products.  Both sides are
+    linear in (P, Q, D) together, so every representative of the field gives
+    the same answer."""
+    mP, mQ = -P, -Q
     for g in (f.u, f.v):
         n, d = g.num, g.den
-        A = X * n.derivative(0) + Y * n.derivative(1) - n * D
-        B = X * d.derivative(0) + Y * d.derivative(1)
+        A = poly_dot([(D, n.euler(-1)), (mP, n.derivative(0)),
+                      (mQ, n.derivative(1))])
+        B = poly_dot([(D, d.euler(0)), (mP, d.derivative(0)),
+                      (mQ, d.derivative(1))])
         h = _quotient(B, d)
         if not (A == n * h if h is not None else d * A == n * B):
             return False
@@ -412,9 +418,11 @@ def _jacobian(f):
     """Numerator of the Jacobian determinant of (u, v) = (a/b, c/d):
     (a_x b - a b_x)(c_y d - c d_y) - (a_y b - a b_y)(c_x d - c d_x)."""
     a, b, c, d = f.u.num, f.u.den, f.v.num, f.v.den
-    UX, UY = (a.derivative(i) * b - a * b.derivative(i) for i in (0, 1))
-    VX, VY = (c.derivative(i) * d - c * d.derivative(i) for i in (0, 1))
-    return UX * VY - UY * VX
+    UX, UY = (poly_dot([(a.derivative(i), b), (-a, b.derivative(i))])
+              for i in (0, 1))
+    VX, VY = (poly_dot([(c.derivative(i), d), (-c, d.derivative(i))])
+              for i in (0, 1))
+    return poly_dot([(UX, VY), (-UY, VX)])
 
 
 # -- level -----------------------------------------------------------------
@@ -461,8 +469,9 @@ def level_of(vf):
     T = y * P - x * Q
     if T.is_zero():
         return LevelResult.level(0)
-    Sx, Sy = (D * (y * P.derivative(i) - x * Q.derivative(i))
-              - D.derivative(i) * T for i in (0, 1))
+    yD, mxD = y * D, -x * D
+    Sx, Sy = (poly_dot([(yD, P.derivative(i)), (mxD, Q.derivative(i)),
+                        (-D.derivative(i), T)]) for i in (0, 1))
     if Sx.is_zero() or Sy.is_zero():
         return LevelResult.level(1)
     ratio = RatFn(Sy, Sx)

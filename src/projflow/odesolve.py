@@ -31,6 +31,7 @@ from .algebra import (
     _primitive,
     _rem,
     factor_list_q,
+    poly_dot,
 )
 
 DEGREE_CAP = 200
@@ -64,8 +65,8 @@ class LinODE:
             raise ZeroDivisionError("zero denominator polynomial")
         (pn, pd), (qn, qd), (rn, rd) = ((c.num, c.den)
                                         for c in (self.p, self.q, self.r))
-        lhs = (pn * qd * (n.derivative(0) * d - n * d.derivative(0))
-               + qn * pd * n * d) * rd
+        wronskian = poly_dot([(n.derivative(0), d), (-n, d.derivative(0))])
+        lhs = poly_dot([(pn * qd, wronskian), (qn * pd, n * d)]) * rd
         return lhs == rn * pd * qd * d * d
 
     def __repr__(self):

@@ -22,6 +22,7 @@ from projflow.algebra import (
     poly_lcm,
     linear_factors_q,
     count_real_projective_roots,
+    poly_dot,
 )
 
 import eval_reference
@@ -245,6 +246,41 @@ def kernel_polys(draw, nvars):
         return Poly.const(nvars, Fraction(draw(st.integers(-6, 6)) or 1,
                                           draw(st.integers(1, 5))))
     return draw(rational_polys(nvars))
+
+
+@st.composite
+def dot_pairs(draw):
+    """1 to 4 pairs of polynomials in 1 to 3 variables, zero and constants
+    included; some pairs may be followed by their negation, which cancels."""
+    n = draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        p, q = draw(kernel_polys(n)), draw(kernel_polys(n))
+        pairs.append((p, q))
+        if draw(st.booleans()):
+            pairs.append((-p, q) if draw(st.booleans()) else (q, -p))
+    return draw(st.permutations(pairs))
+
+
+@given(dot_pairs())
+@settings(max_examples=120, deadline=2000)
+def test_poly_dot_matches_sum_of_products(pairs):
+    expect = Poly.zero(pairs[0][0].nvars)
+    for p, q in pairs:
+        expect = expect + p * q
+    got = poly_dot(pairs)
+    assert got == expect
+    assert got.den > 0 and gcd(got.den, *got.ints.values()) == 1
+    assert all(got.ints.values())
+
+
+@given(st.integers(1, 3).flatmap(kernel_polys), st.integers(-2, 2))
+@settings(max_examples=80, deadline=2000)
+def test_euler_matches_derivatives(p, s):
+    expect = p * s
+    for i in range(p.nvars):
+        expect = expect + Poly.var(i, p.nvars) * p.derivative(i)
+    assert p.euler(s) == expect
 
 
 @given(st.integers(1, 3).flatmap(kernel_polys))

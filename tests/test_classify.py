@@ -60,6 +60,7 @@ from projflow.classify import (
     _transported_invariant,
 )
 from projflow.cli import _coords_repr, main
+from projflow.flowcore import NotDegenerate
 from projflow.parser import parse_flow, print_flow, print_vector_field
 
 SCHEMA = json.load(open(
@@ -288,6 +289,16 @@ def test_classify_degenerate_zero_flow():
     res = classify_degenerate(Flow(zero, zero))
     assert isinstance(res, Degenerate)
     assert (res.c, res.A, res.B) == (0, 0, 0)
+
+
+def test_canonicalize_rejects_a_non_flow_without_degenerate_form():
+    # 2 x fails the boundary condition, and the map has no degenerate form
+    f = Flow(RatFn(2 * X), RatFn(2 * Y))
+    with pytest.raises(AlgebraError, match="^not a flow: the map fails the "
+                       "boundary condition and has no degenerate form$") as e:
+        canonicalize(f)
+    assert isinstance(e.value.__cause__, NotDegenerate)
+    assert not verify_translation(f)
 
 
 def test_canonicalize_pseudolog(capsys):

@@ -161,6 +161,28 @@ def test_one_boundary_pass_per_map(monkeypatch):
             assert nums[0] == lin, e.name
 
 
+def test_pde_is_two_sums_of_products_per_coordinate(monkeypatch):
+    # each side of Dphi (x - V) = phi is one poly_dot of three products,
+    # with x n_x + y n_y from Euler's identity: no Poly sum is formed
+    flows = [e.flow for e in zoo()]
+    flows += [f for seed in (2, 7)
+              for f in _seeded_conjugates(random.Random(seed))]
+    cases = [(f, _jet_field(f)) for f in flows]
+    dots = []
+    dot = flowcore.poly_dot
+    monkeypatch.setattr(flowcore, "poly_dot",
+                        lambda pairs: dots.append(1) or dot(pairs))
+
+    def forbidden(self, other):
+        raise AssertionError("the PDE check forms no Poly sum")
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Poly, name, forbidden)
+    for f, field in cases:
+        dots.clear()
+        assert flowcore._pde_holds(f, *field), f
+        assert len(dots) <= 4, (f, len(dots))
+
+
 def test_certificate_evaluates_ell_twice(monkeypatch):
     # the certificate f == ell o phi_N o ell^-1 is a closed form in ell's
     # terms: each call evaluates ell's P and Q at one pair once each, and

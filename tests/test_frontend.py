@@ -108,10 +108,13 @@ def test_cli_classify_non_flows(capsys):
         out = capsys.readouterr()
         assert "not a flow" in out.err and out.out == "", text
     # these fail it and are rejected as degenerate candidates
-    for text in ("u = x/(x+y+1); v = y/(x+y+2)", "u = x*(y+2); v = y/(y+1)"):
+    for text in ("u = x/(x+y+1); v = y/(x+y+2)", "u = x*(y+2); v = y/(y+1)",
+                 "u = 2*x; v = 2*y"):
         assert main(["classify", text, "--json"]) == 1, text
         out = capsys.readouterr()
-        assert "not a flow" not in out.err and out.out == "", text
+        assert out.err == ("error: not a flow: the map fails the boundary "
+                           "condition and has no degenerate form\n"), text
+        assert out.out == "", text
 
 
 def test_cli_classify_zero_field(capsys):
@@ -456,3 +459,12 @@ def test_cli_dual():
     code, out, _ = run_cli("dual", "u = x*(y+1); v = y/(y+1)")
     assert code == 0
     assert "x/(x + 1)" in out or "x/(1 + x)" in out
+
+
+@pytest.mark.parametrize("text", ["u = x/(x + y + 1); v = y/(x + y + 1)",
+                                  "u = x; v = y"])
+def test_cli_dual_below_level_2(capsys, text):
+    # a level-0 flow and the identity have no univariate form to reflect
+    assert main(["dual", text]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: dual needs level >= 2\n")

@@ -81,6 +81,63 @@ def test_monomial_keys_stay_in_algebra():
     assert not readers, readers
 
 
+def _own_nodes(fn):
+    """The nodes of a function's body, without those of nested functions."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        n = stack.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(n))
+
+
+def _loop_key(loop):
+    """k for a loop ``for k, c in ...`` over (key, coefficient) terms."""
+    t = loop.target
+    if isinstance(t, ast.Tuple) and t.elts and isinstance(t.elts[0], ast.Name):
+        return t.elts[0].id
+    return None
+
+
+def _nested_loop_keys(fn):
+    """(outer key, inner key, inner scope) for each pair of nested loops of
+    ``fn``, statements and comprehensions alike."""
+    comps = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for n in _own_nodes(fn):
+        if isinstance(n, comps):
+            for i, a in enumerate(n.generators):
+                for b in n.generators[i + 1:]:
+                    yield _loop_key(a), _loop_key(b), n
+        if not isinstance(n, ast.For):
+            continue
+        for m in ast.walk(n):
+            if isinstance(m, ast.For) and m is not n:
+                yield _loop_key(n), _loop_key(m), m
+            elif isinstance(m, comps):
+                for g in m.generators:
+                    yield _loop_key(n), _loop_key(g), m
+
+
+def test_one_product_loop():
+    # a product of term lists adds the two monomial keys of each pair of
+    # terms; only algebra._mul_ints does so, and every product and sum of
+    # products (``poly_dot``) goes through it
+    loops = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for k1, k2, scope in _nested_loop_keys(fn):
+                if k1 and k2 and any(
+                        isinstance(b, ast.BinOp) and isinstance(b.op, ast.Add)
+                        and {getattr(b.left, "id", None),
+                             getattr(b.right, "id", None)} == {k1, k2}
+                        for b in ast.walk(scope)):
+                    loops.add("%s.%s" % (path.stem, fn.name))
+    assert loops == {"algebra._mul_ints"}, loops
+
+
 def test_private_parameters_are_passed():
     # a _name parameter is an internal knob; one that no call in the
     # package or its tests passes by keyword only ever takes its default
