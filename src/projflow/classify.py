@@ -5,8 +5,10 @@ univariate normal form, canonical conjugator and orbit invariant;
 ``canonicalize`` runs it on the field of a flow and certifies the result.
 Degenerate detection, denominator reduction and the quadratic-form case
 analysis name the obstruction of a field with no rational univariate form.
-Also: the level-N coordinate maps, duality, symmetric families and a
-catalogue of named flows.
+The level-N coordinate maps and duality read the certified verdict of
+``canonicalize``; the dual is ell o phi_{-N} o ell^{-1} with x and y swapped,
+from ``HomBir.push_forward_phi``.  Also: symmetric families and a catalogue
+of named flows.
 """
 from __future__ import annotations
 
@@ -27,18 +29,17 @@ from .flowcore import (
     Flow,
     VectorField,
     HyperboloidPoint,
+    DegenerateJacobian,
     NotDegenerate,
     check_boundary,
     exact_isqrt,
     level_of,
-    vector_field,
     _degenerate_form,
     _jet_field,
     _pde_holds,
 )
 from .birmap import (
     HomBir,
-    conjugate_flow,
     conjugate_vf_linear,
     conjugate_vf_radial,
 )
@@ -53,16 +54,6 @@ from .odesolve import (
 
 X = Poly.var(0, 2)
 Y = Poly.var(1, 2)
-
-
-def _rf(p, q=None):
-    if isinstance(p, Poly):
-        p = RatFn(p)
-    if q is None:
-        return p
-    if isinstance(q, Poly):
-        q = RatFn(q)
-    return p / q
 
 
 # -- verdicts --------------------------------------------------------------
@@ -179,10 +170,10 @@ def canonical_flow(N):
     """phi_N = x (y+1)^{N-1} . y/(y+1), valid for every integer N."""
     yp1 = Y + 1
     if N >= 1:
-        u = _rf(X * yp1 ** (N - 1))
+        u = RatFn(X * yp1 ** (N - 1))
     else:
-        u = _rf(X, yp1 ** (1 - N))
-    return Flow(u, _rf(Y, yp1))
+        u = RatFn(X, yp1 ** (1 - N))
+    return Flow(u, RatFn(Y, yp1))
 
 
 _QUADRATIC = ((2, 0), (1, 1), (0, 2))
@@ -365,9 +356,9 @@ def _radial_candidates(vf1):
         for (xi, chi) in dens:
             if x0 * chi - y0 * xi == 0:
                 continue
-            out.append(_rf(num, X * chi - Y * xi))
+            out.append(RatFn(num, X * chi - Y * xi))
         if y0 != 0:
-            out.append(_rf(num, Y))
+            out.append(RatFn(num, Y))
     return out, drem
 
 
@@ -435,11 +426,11 @@ def step2_obstruction(vf):
     disc = V * V - 4 * U * W
     if U == 0 and V == 0:
         # w = W y^2:  u = x + W y^2
-        return {"kind": "rational", "flow": Flow(_rf(X + W * Y * Y), _rf(Y)),
+        return {"kind": "rational", "flow": Flow(RatFn(X + W * Y * Y), RatFn(Y)),
                 "normal": "x+zy^2"}
     if V == 0 and W == 0:
         return {"kind": "rational",
-                "flow": Flow(_rf(X, Poly.const(2, 1) - U * X), _rf(Y)),
+                "flow": Flow(RatFn(X, Poly.const(2, 1) - U * X), RatFn(Y)),
                 "normal": "x/(1-zx)"}
     if disc == 0:
         # a perfect square, linearly conjugate to z x^2
@@ -632,8 +623,8 @@ def uniN(N, sigma, tau):
     tail = tau * X - Y
     num = core + sigma * tail
     den = tau * core - (N - sigma * tau) * tail
-    u = _rf(num, den) * _rf(Y, Y + 1)
-    return Flow(u, _rf(Y, Y + 1))
+    u = RatFn(num, den) * RatFn(Y, Y + 1)
+    return Flow(u, RatFn(Y, Y + 1))
 
 
 def kapa(N, kappa):
@@ -641,22 +632,10 @@ def kapa(N, kappa):
     kappa = Fraction(kappa)
     yp = (Y + 1) ** N
     den = (Y + 1) * (yp * (Y - kappa * X) + kappa * X)
-    return Flow(_rf(X * Y, den), _rf(Y, Y + 1))
+    return Flow(RatFn(X * Y, den), RatFn(Y, Y + 1))
 
 
 # -- main pipeline ---------------------------------------------------------
-
-def _univariate_form(vf):
-    """(QuadVF, ell) via the radial conjugation from the univariate-form
-    equation."""
-    A = homogenize_0(solve_differ(vf)["particular"])
-    ell = HomBir.from_A(A)
-    out = conjugate_vf_radial(vf, A)
-    q = _quad_uvw(out)
-    if q is None:
-        raise VerificationFailed("radial conjugation missed the normal form")
-    return q, ell
-
 
 def classify_vf(vf):
     """Classification of a 2-homogenic vector field (w, r).
@@ -687,11 +666,16 @@ def _classify_by_form(vf):
         return NonIntegerLevel(lvl.value)
     if lvl.tag == "Level" and lvl.n == 0:
         J = RatFn(vf.P, X * vf.D)  # w = x J and r = y J
-        return RationalFlow(0, HomBir.from_A(_rf(-Y) / J), _rf(X, Y), None)
+        return RationalFlow(0, HomBir.from_A(RatFn(-Y) / J), RatFn(X, Y), None)
     try:
-        q, ell = _univariate_form(vf)
+        A = homogenize_0(solve_differ(vf)["particular"])
     except NoRationalSolution:
         return None
+    # the radial conjugation by A puts the field in univariate form
+    ell = HomBir.from_A(A)
+    q = _quad_uvw(conjugate_vf_radial(vf, A))
+    if q is None:
+        raise VerificationFailed("radial conjugation missed the normal form")
     res = univariate_classify(q)
     if isinstance(res, NonIntegerLevel):
         return res
@@ -831,18 +815,27 @@ def orbit_invariant(vf, N):
     no conjugator; a RationalFlow carries phi_N's invariant through its
     conjugator instead (``_transported_invariant``)."""
     if N == 0:
-        return _rf(X, Y)
+        return RatFn(X, Y)
     sol = rational_solutions(orbit_ode_reduce(vf, N))
     g = sol["homogeneous_basis"]
     if g is None:
         raise NoRationalSolution("no rational orbit invariant")
-    W = homogenize_0(g) * _rf(Poly(2, {(0, N): Fraction(1)}))
+    W = homogenize_0(g) * RatFn(Poly(2, {(0, N): Fraction(1)}))
     return W.scale_num_monic()
 
 
+def _flow_verdict(f):
+    """``canonicalize(f)``; a degenerate flow raises DegenerateJacobian, as
+    it has no vector field to give coordinates or a dual."""
+    verdict = canonicalize(f)
+    if isinstance(verdict, Degenerate):
+        raise DegenerateJacobian("Jacobian vanishes identically")
+    return verdict
+
+
 def _coords(f, kind, error):
-    """The coordinates ``classify_vf`` gives the field of f, of type kind."""
-    coords = getattr(classify_vf(vector_field(f)), "coords", None)
+    """The coordinates ``canonicalize`` certifies for f, of type kind."""
+    coords = getattr(_flow_verdict(f), "coords", None)
     if not isinstance(coords, kind):
         raise AlgebraError(error)
     return coords
@@ -870,42 +863,29 @@ def phat_map(f):
     return _coords(f, PHatValue, "phat_map needs a level-1 flow")
 
 
-def _flow_from_uvw(q, N):
-    """The univariate flow whose vector field is (q, -y^2)."""
-    res = univariate_classify(q)
-    if not (isinstance(res, dict) and res.get("kind") == "level"
-            and res["N"] == N):
-        raise AlgebraError("triple is not on the level-%d hyperboloid" % N)
-    if res["family"] == "uniN":
-        out = uniN(N, res["sigma"], res["tau"])
-    else:
-        out = kapa(N, res["kappa"])
-    got = _quad_uvw(vector_field(out))
-    if got is None or got.triple() != q.triple():
-        raise VerificationFailed("family reconstruction mismatch")
-    return out
-
-
 def dual(f):
     """Reflection of the univariate coefficients through the hyperboloid
-    center, transported back; an involution on level-N flows, N >= 2."""
-    vf = vector_field(f)
-    if level_of(vf).n in (0, 1):
-        # a field of level 0 or 1 has no univariate form to reflect
+    center, transported back; an involution on level-N flows, N >= 2.
+
+    Let ell_0 put the field of f in univariate form (U, V, W).(-y^2), the
+    field of a univariate flow U_f, and let U* be the univariate flow of the
+    reflected triple R(U, V, W) = (-U, -V - 2, -W); the dual is
+    i0 o ell_0 o U* o ell_0^{-1} o i0, with i0 the swap of x and y.  R
+    commutes with both moves of ``_chain_to_canonical``: after a shear by b
+    both orders give (-U, -2bU - V - 2, -Ub^2 - Vb - W - b), after the
+    involution both give (W, V, U).  So the pieces c that take (U, V, W) to
+    phi_N's (0, N - 1, 0) take R(U, V, W) to (0, -N - 1, 0), the triple of
+    kapa(N, 0) = phi_{-N}: U* = c o phi_{-N} o c^{-1}.  With the certified
+    ell = ell_0 o c of ``canonicalize``, the dual is
+    i0 o ell o phi_{-N} o ell^{-1} o i0, that is ``push_forward_phi(-N)``
+    with x and y swapped."""
+    verdict = _flow_verdict(f)
+    if not isinstance(verdict, RationalFlow) or verdict.level < 2:
         raise AlgebraError("dual needs level >= 2")
-    q, ell = _univariate_form(vf)
-    res = univariate_classify(q)
-    if not (isinstance(res, dict) and res.get("kind") == "level"):
-        raise AlgebraError("dual needs an integer-level flow")
-    N = res["N"]
-    if N < 2:
-        raise AlgebraError("dual needs level >= 2")
-    star = QuadVF(-q.U, -q.V - 2, -q.W)
-    ustar = _flow_from_uvw(star, N)
-    i0 = HomBir.linear(LinearMap2(0, 1, 1, 0))
-    # phi* = i0 o ell o U* o ell^{-1} o i0 = conjugate of U* by (ell^{-1} o i0)
-    outer = ell.inverse().compose(i0)
-    return conjugate_flow(ustar, outer)
+    N1, N2, D = verdict.ell.push_forward_phi(-verdict.level)
+    yx = [Y, X]
+    D = D.subs_polys(yx)
+    return Flow(RatFn(N2.subs_polys(yx), D), RatFn(N1.subs_polys(yx), D))
 
 
 # -- symmetric families ----------------------------------------------------
@@ -919,7 +899,7 @@ def symmetric_family(N, which="Phi"):
     if which == "phi_tor_1":
         if N != 1:
             raise AlgebraError("phi_tor_1 has level 1")
-        return Flow(_rf(X, X + 1), _rf(Y, Y + 1))
+        return Flow(RatFn(X, X + 1), RatFn(Y, Y + 1))
     if which == "Psi":
         if N != 1:
             raise AlgebraError("Psi has level 1")
@@ -934,12 +914,12 @@ def _Phi(N):
         num_u = sp ** N * s + (X - Y)
         num_v = sp ** N * s + (Y - X)
         den = 2 * sp ** (N + 1)
-        return Flow(_rf(num_u, den), _rf(num_v, den))
+        return Flow(RatFn(num_u, den), RatFn(num_v, den))
     M = -N
     num_u = sp ** M * (X - Y) + s
     num_v = sp ** M * (Y - X) + s
     den = 2 * sp
-    return Flow(_rf(num_u, den), _rf(num_v, den))
+    return Flow(RatFn(num_u, den), RatFn(num_v, den))
 
 
 def _Psi():
@@ -947,7 +927,7 @@ def _Psi():
     den_u = (Y - X) * (X * X + X * Y - X + Y)
     num_v = 2 * X * Y * Y * (X + Y) + (X - Y) ** 2 * Y
     den_v = (X - Y) * (Y * Y + X * Y - Y + X)
-    return Flow(_rf(num_u, den_u), _rf(num_v, den_v))
+    return Flow(RatFn(num_u, den_u), RatFn(num_v, den_v))
 
 
 # -- the catalogue ---------------------------------------------------------
@@ -975,75 +955,75 @@ def zoo():
                                 coords, zp[0], zp[1]))
 
     xy1 = X + Y + 1
-    add("phi_pr", Flow(_rf(X, xy1), _rf(Y, xy1)), 0, _rf(X, Y),
+    add("phi_pr", Flow(RatFn(X, xy1), RatFn(Y, xy1)), 0, RatFn(X, Y),
         (-X * (X + Y), -Y * (X + Y)), None, (1, 0))
     d01 = X * X * Y + X * Y * Y + X * X + Y * Y
-    add("phi0_1", Flow(_rf(X * (X * X + Y * Y), d01),
-                       _rf(Y * (X * X + Y * Y), d01)), 0, _rf(X, Y),
-        (_rf(-X * X * Y * (X + Y), X * X + Y * Y),
-         _rf(-X * Y * Y * (X + Y), X * X + Y * Y)), None, (3, 0))
+    add("phi0_1", Flow(RatFn(X * (X * X + Y * Y), d01),
+                       RatFn(Y * (X * X + Y * Y), d01)), 0, RatFn(X, Y),
+        (RatFn(-X * X * Y * (X + Y), X * X + Y * Y),
+         RatFn(-X * Y * Y * (X + Y), X * X + Y * Y)), None, (3, 0))
     d02 = X * X + Y
-    add("phi0_2", Flow(_rf(X * Y, d02), _rf(Y * Y, d02)), 0, _rf(X, Y),
-        (_rf(-X ** 3, Y), _rf(-X * X)), None, (2, 1))
+    add("phi0_2", Flow(RatFn(X * Y, d02), RatFn(Y * Y, d02)), 0, RatFn(X, Y),
+        (RatFn(-X ** 3, Y), RatFn(-X * X)), None, (2, 1))
     d03 = X * Y + X + Y
-    add("phi0_3", Flow(_rf(X * (X + Y), d03), _rf(Y * (X + Y), d03)), 0,
-        _rf(X, Y),
-        (_rf(-X * X * Y, X + Y), _rf(-X * Y * Y, X + Y)), None, (2, 1))
+    add("phi0_3", Flow(RatFn(X * (X + Y), d03), RatFn(Y * (X + Y), d03)), 0,
+        RatFn(X, Y),
+        (RatFn(-X * X * Y, X + Y), RatFn(-X * Y * Y, X + Y)), None, (2, 1))
 
     sq = (X - Y) ** 2
-    add("phi_sph_inf", Flow(_rf(sq + X), _rf(sq + Y)), 1, _rf(X - Y),
+    add("phi_sph_inf", Flow(RatFn(sq + X), RatFn(sq + Y)), 1, RatFn(X - Y),
         (sq, sq), PHatValue(Fraction(1)), (2, 0))
     dsph = (X + 1) ** 2 + (Y + 1) ** 2
-    add("phi_sph_1", Flow(_rf(X * X + Y * Y + 2 * X, dsph),
-                          _rf(X * X + Y * Y + 2 * Y, dsph)), 1,
-        _rf(X * X + Y * Y, X - Y),
+    add("phi_sph_1", Flow(RatFn(X * X + Y * Y + 2 * X, dsph),
+                          RatFn(X * X + Y * Y + 2 * Y, dsph)), 1,
+        RatFn(X * X + Y * Y, X - Y),
         (-half * X * X + half * Y * Y - X * Y,
          half * X * X - half * Y * Y - X * Y), PHatValue(Fraction(1)), (0, 0))
-    add("phi_tor_inf", Flow(_rf(X), _rf(Y, Y + 1)), 1, _rf(X),
+    add("phi_tor_inf", Flow(RatFn(X), RatFn(Y, Y + 1)), 1, RatFn(X),
         (Poly.zero(2), -Y * Y), PHatValue(Fraction(0)), (2, 0))
-    add("phi_tor_1", Flow(_rf(X, X + 1), _rf(Y, Y + 1)), 1,
-        _rf(X * Y, X - Y), (-X * X, -Y * Y), PHatValue(Fraction(1)), (0, 0))
+    add("phi_tor_1", Flow(RatFn(X, X + 1), RatFn(Y, Y + 1)), 1,
+        RatFn(X * Y, X - Y), (-X * X, -Y * Y), PHatValue(Fraction(1)), (0, 0))
     n11 = X * X + Y * Y * X + Y ** 3
-    add("phi1_1", Flow(_rf(n11 ** 2, (Y * Y + X) * X * X),
-                       _rf(Y * n11, X * (Y * Y + X))), 1,
-        _rf((X + Y) * Y, X),
-        (_rf(Y * Y * (X + 2 * Y), X), _rf(Y ** 4, X * X)),
+    add("phi1_1", Flow(RatFn(n11 ** 2, (Y * Y + X) * X * X),
+                       RatFn(Y * n11, X * (Y * Y + X))), 1,
+        RatFn((X + Y) * Y, X),
+        (RatFn(Y * Y * (X + 2 * Y), X), RatFn(Y ** 4, X * X)),
         PHatValue(Fraction(0)), (2, 2))
-    add("Psi", _Psi(), 1, _rf(X * Y, X - Y),
-        (_rf(X * X * (X + Y) ** 2, (X - Y) ** 2),
-         _rf(Y * Y * (X + Y) ** 2, (X - Y) ** 2)),
+    add("Psi", _Psi(), 1, RatFn(X * Y, X - Y),
+        (RatFn(X * X * (X + Y) ** 2, (X - Y) ** 2),
+         RatFn(Y * Y * (X + Y) ** 2, (X - Y) ** 2)),
         PHatValue(Fraction(-1)), (2, 2))
-    add("Phi_1", _Phi(1), 1, _rf((X + Y) ** 2, X - Y),
+    add("Phi_1", _Phi(1), 1, RatFn((X + Y) ** 2, X - Y),
         (-3 * half * X * X - X * Y + half * Y * Y,
          half * X * X - X * Y - 3 * half * Y * Y),
         PHatValue(Fraction(1)), (1, 0))
-    add("Phi_1_prime", _Phi(-1), 1, _rf(X - Y),
+    add("Phi_1_prime", _Phi(-1), 1, RatFn(X - Y),
         (-half * (X + Y) ** 2, -half * (X + Y) ** 2),
         PHatValue(Fraction(-1)), (2, 0))
-    add("phi_-1", canonical_flow(-1), 1, _rf(Y * Y, X),
+    add("phi_-1", canonical_flow(-1), 1, RatFn(Y * Y, X),
         (-2 * X * Y, -Y * Y), PHatValue(None), (1, 0))
 
-    add("phi_2", canonical_flow(2), 2, _rf(X * Y),
+    add("phi_2", canonical_flow(2), 2, RatFn(X * Y),
         (X * Y, -Y * Y), HyperboloidPoint(0, 1, 0, 2), (1, 0))
-    add("phi2_1", Flow(_rf((Y * Y + X) ** 3, X * X),
-                       _rf(Y * (Y * Y + X), X)), 2, _rf(Y ** 3, X),
-        (_rf(3 * Y * Y), _rf(Y ** 3, X)), HyperboloidPoint(0, 1, 0, 2),
+    add("phi2_1", Flow(RatFn((Y * Y + X) ** 3, X * X),
+                       RatFn(Y * (Y * Y + X), X)), 2, RatFn(Y ** 3, X),
+        (RatFn(3 * Y * Y), RatFn(Y ** 3, X)), HyperboloidPoint(0, 1, 0, 2),
         (2, 1))
     d22 = X * X + X * Y + 2 * X + 1
-    add("phi2_2", Flow(_rf(X * xy1, d22), _rf(Y, d22 * xy1)), 2,
-        _rf((X + Y) ** 2 * X, Y),
+    add("phi2_2", Flow(RatFn(X * xy1, d22), RatFn(Y, d22 * xy1)), 2,
+        RatFn((X + Y) ** 2 * X, Y),
         (-X * X + X * Y, -3 * X * Y - Y * Y), HyperboloidPoint(0, 1, 0, 2),
         (0, 0))
     n23 = Y * Y + X
     d23 = X + 2 * X * Y + Y ** 3
-    add("phi2_3", Flow(_rf(n23 ** 3, d23 ** 2), _rf(Y * n23, d23)), 2,
-        _rf(Y ** 4, X * (X - Y)),
-        (-4 * X * Y + 3 * Y * Y, _rf(Y ** 3 - 2 * X * Y * Y, X)),
+    add("phi2_3", Flow(RatFn(n23 ** 3, d23 ** 2), RatFn(Y * n23, d23)), 2,
+        RatFn(Y ** 4, X * (X - Y)),
+        (-4 * X * Y + 3 * Y * Y, RatFn(Y ** 3 - 2 * X * Y * Y, X)),
         HyperboloidPoint(-2, 1, 0, 2), (1, 1))
-    add("Phi_2", _Phi(2), 2, _rf((X + Y) ** 3, X - Y),
+    add("Phi_2", _Phi(2), 2, RatFn((X + Y) ** 3, X - Y),
         (-2 * X * X - X * Y + Y * Y, X * X - X * Y - 2 * Y * Y),
         HyperboloidPoint(-1, -1, 1, 2), (1, 0))
-    add("phi_3", canonical_flow(3), 3, _rf(X * Y * Y),
+    add("phi_3", canonical_flow(3), 3, RatFn(X * Y * Y),
         (2 * X * Y, -Y * Y), HyperboloidPoint(0, 2, 0, 3), (1, 0))
     return entries
 

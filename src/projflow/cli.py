@@ -2,8 +2,9 @@
 
 Subcommands: parse, verify, vf, level, classify, orbit, series, zoo,
 symmetric, dual.  Exit codes: 0 success (non-rational verdicts included),
-1 other errors (a map without a vector field, a total degree above the
-monomial key's cap 2^32 - 1, and input too large to process included),
+1 other errors (a map without a vector field, a map that is not a flow
+given to classify or dual, a total degree above the monomial key's cap
+2^32 - 1, and input too large to process included),
 2 parse or usage error (``symmetric --N`` beyond +-64, ``orbit --grid``
 outside 1..200 and ``series --order`` outside 2..400 included; the order
 cap bounds the order, not the work: a rational field has run past 100 s

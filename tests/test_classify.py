@@ -97,22 +97,27 @@ def test_canonicalize_certificate():
         assert conjugate_flow(entry.flow, res.ell) == canonical_flow(res.level)
 
 
+def _seeded_hombir(rng, deg):
+    """A map (P, Q; L) of degree deg with coefficients in {-1, 0, 1}."""
+    while True:
+        P, Q = (sum((rng.randint(-1, 1) * X ** i * Y ** (deg - i)
+                     for i in range(deg + 1)), Poly.zero(2))
+                for _ in range(2))
+        a, b, c, d = (rng.randint(-1, 1) for _ in range(4))
+        if P.is_zero() or Q.is_zero() or a * d == b * c:
+            continue
+        h = HomBir(P, Q, LinearMap2(a, b, c, d))
+        if h.degree() == deg:
+            return h
+
+
 def _seeded_conjugates(rng):
     """(N, h, h^-1 o phi_N o h) for N in {1, -1, 2} and two maps (P, Q; L)
     of degree 1 and two of degree 2, with coefficients in {-1, 0, 1}: the
     draw of test_flowcore.test_vector_field_routes_agree."""
     out = []
     for deg in (1, 1, 2, 2):
-        while True:
-            P, Q = (sum((rng.randint(-1, 1) * X ** i * Y ** (deg - i)
-                         for i in range(deg + 1)), Poly.zero(2))
-                    for _ in range(2))
-            a, b, c, d = (rng.randint(-1, 1) for _ in range(4))
-            if P.is_zero() or Q.is_zero() or a * d == b * c:
-                continue
-            h = HomBir(P, Q, LinearMap2(a, b, c, d))
-            if h.degree() == deg:
-                break
+        h = _seeded_hombir(rng, deg)
         N = rng.choice((1, -1, 2))
         out.append((N, h, conjugate_flow(canonical_flow(N), h)))
     return out
@@ -612,6 +617,38 @@ def test_dual_swaps_Phi2():
     g = dual(lookup("Phi_2").flow)
     assert verify_translation(g)
     assert dual(g) == lookup("Phi_2").flow
+
+
+def test_dual_commutes_with_conjugation():
+    # off the zoo: the dual of a^-1 o f o a is the dual of f conjugated by
+    # i0 o a o i0, for seeded maps a of degree 1 and 2
+    i0 = HomBir.linear(LinearMap2(0, 1, 1, 0))
+    rng = random.Random(31)
+    flows = [canonical_flow(3)] + [e.flow for e in zoo() if e.level == 2]
+    cases = 0
+    for f in flows:
+        g = dual(f)
+        for deg in (1, 2, 2):
+            a = _seeded_hombir(rng, deg)
+            expect = conjugate_flow(g, i0.compose(a).compose(i0))
+            assert dual(conjugate_flow(f, a)) == expect, (f, a)
+            cases += 1
+    assert cases == 18
+
+
+@pytest.mark.parametrize("fn, text", [
+    (dual, "u = x*(y+1) + y^2; v = y/(y+1)"),
+    (dual, "u = x*(y+1)^2 + x^2; v = y/(y+1)"),
+    (pN_map, "u = x*(y+1) + y^2; v = y/(y+1)"),
+    (pN_map, "u = x*(y+1)^2 + x^2; v = y/(y+1)"),
+    (phat_map, "u = x/(x+1) + x^2; v = y/(y+1)"),
+])
+def test_dual_and_coordinates_reject_non_flows(fn, text):
+    # each map has a 2-homogenic jet field of level 2 or 1 but fails the
+    # translation equation: dual and the coordinate maps reject it as
+    # canonicalize does
+    with pytest.raises(AlgebraError, match="^not a flow: "):
+        fn(parse_flow(text))
 
 
 # -- symmetric families ----------------------------------------------------

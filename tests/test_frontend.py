@@ -468,3 +468,15 @@ def test_cli_dual_below_level_2(capsys, text):
     assert main(["dual", text]) == 1
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "error: dual needs level >= 2\n")
+
+
+@pytest.mark.parametrize("text, err", [
+    ("u = x*(y+1) + y^2; v = y/(y+1)", "the translation equation fails"),
+    ("u = x^2; v = x^2",
+     "the map fails the boundary condition and has no degenerate form"),
+])
+def test_cli_dual_rejects_non_flows(capsys, text, err):
+    # dual reports a map that is not a flow as classify does
+    assert main(["dual", text]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: not a flow: %s\n" % err)

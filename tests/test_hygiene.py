@@ -191,3 +191,11 @@ def test_sympy_in_algebra_only_for_factoring():
         if any(_imports_sympy(n) for n in ast.walk(top)):
             users.add(getattr(top, "name", "line %d" % top.lineno))
     assert users == {"factor_list_q", "largest_prime_factor"}, users
+
+
+def test_classify_reaches_flows_only_through_canonicalize():
+    # dual and the coordinate maps read the certified verdict of
+    # canonicalize: classify builds no field of a flow and conjugates no flow
+    tree = ast.parse((SRC / "classify.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not names & {"conjugate_flow", "vector_field"}
