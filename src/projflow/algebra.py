@@ -319,6 +319,11 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise AlgebraError("negative power of a polynomial")
+        if len(self.ints) == 1:
+            # keys add under products, so a term's power is one term
+            (k, c), = self.ints.items()
+            _check_degree(self.total_degree() * n)
+            return Poly._of(self.nvars, {k * n: c ** n}, self.den ** n)
         result = Poly.const(self.nvars, 1)
         base = self
         while n:
@@ -664,10 +669,11 @@ def _quotient(p, d):
 
 def _form_list(p):
     """(c, den) with c the list of p.den * p, for p a form in x, y or any
-    polynomial in x alone."""
+    polynomial in x alone; for any other p in x, y, the coefficient list in
+    x of p.den * p(x, 1), the terms that meet at y = 1 summed."""
     c = [0] * (p.total_degree() + 1)
     for k, v in p.ints.items():
-        c[k & _MAX_DEG] = v
+        c[k & _MAX_DEG] += v
     return c, p.den
 
 

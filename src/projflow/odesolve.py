@@ -277,10 +277,7 @@ def rational_solutions(ode):
 
 def _on_y1(p):
     """2-variable polynomial p(x, y) -> univariate p(x, 1)."""
-    terms = {}
-    for (i, _), c in p.terms.items():
-        terms[(i,)] = terms.get((i,), 0) + c
-    return Poly(1, terms)
+    return _list_poly(*_form_list(p), nvars=1)
 
 
 def dehomogenize(f):
@@ -292,12 +289,18 @@ def dehomogenize(f):
 
 
 def homogenize_0(f):
-    """Univariate f(t) -> 0-homogenic A(x, y) = f(x/y)."""
+    """Univariate f(t) -> 0-homogenic A(x, y) = f(x/y).
+
+    Both sides become forms of degree k, the larger of the two degrees.
+    Not reduced again: the side of degree k has no factor y, so the forms
+    stay coprime, and the grlex leading term of the denominator is its
+    univariate one."""
     k = max(f.num.total_degree(), f.den.total_degree())
 
     def conv(p):
-        return Poly(2, {(i, k - i): c for (i,), c in p.terms.items()})
-    return RatFn(conv(f.num), conv(f.den))
+        c, den = _form_list(p)
+        return _list_poly(c + [0] * (k + 1 - len(c)), den)
+    return RatFn(conv(f.num), conv(f.den), reduce=False)
 
 
 def differ_ode(vf):

@@ -5,6 +5,17 @@ integer literals (fractions spelled as divisions, e.g. 3/4).  Decimal
 literals are rejected to keep the kernel exact.  Flows are written
 "u = expr; v = expr", vector fields "(expr, expr)".
 
+Every node of an expression is an unreduced pair (num, den) of
+polynomials: a sum over one denominator adds the numerators, and any other
+sum, product or quotient multiplies across.  Reduced forms are unique, so
+one reduction per coordinate at the end gives what reducing at every node
+gave: ``parse_expr`` and each coordinate of a flow make one ``RatFn``, and
+a field (a/b, c/d) is the one ``VectorField`` over b*d, normalized by two
+gcds.  A ``^`` reduces its base first when the base's denominator is not
+constant, so a power never raises an unreduced pair and the degree of a
+pair stays bounded by what its leaves and powers contribute; the degree cap
+applies to the pairs as they are built.
+
 Parentheses and unary signs may nest at most MAX_NESTING levels deep
 around any operand; deeper input raises ParseError instead of exhausting
 the interpreter stack.  So do integer literals of more digits than
@@ -14,9 +25,8 @@ that limit) and a pair that is not a 2-homogenic vector field.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
-from .algebra import AlgebraError, CapExceeded, Poly, RatFn
+from .algebra import AlgebraError, CapExceeded, Poly, RatFn, poly_dot
 from .flowcore import Flow, VectorField
 
 
@@ -32,8 +42,9 @@ MAX_NESTING = 100
 # The digit limit of int(str) (0: none); Python 3.10.0-3.10.6 has no limit.
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-_X = RatFn(Poly.var(0, 2))
-_Y = RatFn(Poly.var(1, 2))
+_ONE = Poly.const(2, 1)
+_X = (Poly.var(0, 2), _ONE)
+_Y = (Poly.var(1, 2), _ONE)
 
 
 class _Lexer:
@@ -52,6 +63,7 @@ class _Lexer:
 
     def _scan(self):
         src, i, n = self.src, 0, len(self.src)
+        limit = _int_max_str_digits()
         while i < n:
             ch = src[i]
             if ch.isspace():
@@ -61,14 +73,12 @@ class _Lexer:
                 j = i
                 while j < n and "0" <= src[j] <= "9":
                     j += 1
-                line, col = self._loc(i)
                 if j < n and src[j] == ".":
                     raise ParseError("decimal literals are not allowed",
-                                     line, col)
-                limit = _int_max_str_digits()
+                                     *self._loc(i))
                 if j - i > limit > 0:
                     raise ParseError("integer literal of more than %d digits"
-                                     % limit, line, col)
+                                     % limit, *self._loc(i))
                 self.tokens.append(("int", int(src[i:j]), i))
                 i = j
                 continue
@@ -83,8 +93,7 @@ class _Lexer:
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
-            line, col = self._loc(i)
-            raise ParseError("unexpected character %r" % ch, line, col)
+            raise ParseError("unexpected character %r" % ch, *self._loc(i))
         self.tokens.append(("end", None, n))
 
     def peek(self):
@@ -119,6 +128,14 @@ class _Lexer:
 _BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
 
 
+def _sum(n1, d1, n2, d2):
+    """The pair of n1/d1 + n2/d2: over an equal denominator the numerators
+    add."""
+    if d1 == d2:
+        return n1 + n2, d1
+    return poly_dot([(n1, d2), (n2, d1)]), d1 * d2
+
+
 def _parse_expr(lx, min_prec=0):
     left = _parse_unary(lx)
     while True:
@@ -127,17 +144,18 @@ def _parse_expr(lx, min_prec=0):
         if prec is None or prec < min_prec:
             return left
         lx.next()
-        right = _parse_expr(lx, prec + 1)
+        n1, d1 = left
+        n2, d2 = _parse_expr(lx, prec + 1)
         if kind == "+":
-            left = left + right
+            left = _sum(n1, d1, n2, d2)
         elif kind == "-":
-            left = left - right
+            left = _sum(n1, d1, -n2, d2)
         elif kind == "*":
-            left = left * right
+            left = n1 * n2, d1 * d2
         else:
-            if right.is_zero():
+            if n2.is_zero():
                 lx.error("division by the zero polynomial")
-            left = left / right
+            left = n1 * d2, d1 * n2
 
 
 def _parse_unary(lx):
@@ -145,33 +163,36 @@ def _parse_unary(lx):
     if tok[0] not in ("-", "+"):
         return _parse_power(lx)
     lx.enter(lx.next())
-    operand = _parse_unary(lx)
+    num, den = _parse_unary(lx)
     lx.depth -= 1
-    return -operand if tok[0] == "-" else operand
+    return (-num, den) if tok[0] == "-" else (num, den)
 
 
 def _parse_power(lx):
-    base = _parse_atom(lx)
-    if lx.peek()[0] == "^":
+    num, den = _parse_atom(lx)
+    if lx.peek()[0] != "^":
+        return num, den
+    lx.next()
+    sign = 1
+    if lx.peek()[0] == "-":
         lx.next()
-        sign = 1
-        if lx.peek()[0] == "-":
-            lx.next()
-            sign = -1
-        tok = lx.expect("int")
-        exp = sign * tok[1]
-        if exp >= 0:
-            return base ** exp
-        if base.is_zero():
-            lx.error("zero raised to a negative power", tok)
-        return RatFn.const(1, 2) / base ** (-exp)
-    return base
+        sign = -1
+    tok = lx.expect("int")
+    exp = sign * tok[1]
+    if not den.is_constant():
+        base = RatFn(num, den)
+        num, den = base.num, base.den
+    if exp >= 0:
+        return num ** exp, den ** exp
+    if num.is_zero():
+        lx.error("zero raised to a negative power", tok)
+    return den ** -exp, num ** -exp
 
 
 def _parse_atom(lx):
     kind, val, _pos = lx.next()
     if kind == "int":
-        return RatFn.const(Fraction(val), 2)
+        return Poly.const(2, val), _ONE
     if kind == "name":
         if val == "x":
             return _X
@@ -193,7 +214,7 @@ def parse_expr(src):
     e = _parse_expr(lx)
     if lx.peek()[0] != "end":
         lx.error("trailing input")
-    return e
+    return RatFn(*e)
 
 
 def parse_flow(src):
@@ -214,7 +235,7 @@ def parse_flow(src):
         lx.next()
     if lx.peek()[0] != "end":
         lx.error("trailing input")
-    return Flow(u, v)
+    return Flow(RatFn(*u), RatFn(*v))
 
 
 def parse_vector_field(src):
@@ -228,8 +249,9 @@ def parse_vector_field(src):
     lx.expect(")")
     if lx.peek()[0] != "end":
         lx.error("trailing input")
+    (a, b), (c, d) = w, r
     try:
-        return VectorField(w, r)
+        return VectorField.of(a * d, c * b, b * d)
     except CapExceeded:
         raise
     except AlgebraError as exc:

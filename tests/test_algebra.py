@@ -320,6 +320,20 @@ def test_key_views_match_sympy(p):
     assert p.to_string() == expected
 
 
+@pytest.mark.parametrize("nv", [1, 2, 3])
+@pytest.mark.parametrize("coeff", [Fraction(1), Fraction(-5, 3),
+                                   Fraction(7, 2)])
+def test_monomial_power_matches_repeated_product(nv, coeff):
+    # a single term's power is one term: the key times n, the coefficient
+    # and the denominator to the n
+    for exps in ((0, 0, 0), (3, 0, 1), (1, 2, 2)):
+        p = Poly(nv, {exps[:nv]: coeff})
+        want = Poly.const(nv, 1)
+        for n in range(6):
+            assert p ** n == want, (exps, n)
+            want = want * p
+
+
 def test_degree_cap_at_its_boundary():
     # a monomial key holds total degree 2^_W - 1; only single monomials are
     # built, so every check costs nothing
@@ -338,6 +352,11 @@ def test_degree_cap_at_its_boundary():
                 p * v
             with pytest.raises(CapExceeded):
                 Poly(nv, {tuple(a + (j == i) for j, a in enumerate(e)): 1})
+    # -x*y to the n has total degree 2n: the largest n that fits, and the next
+    n = top // 2
+    assert ((-X * Y) ** n).terms == {(n, n): -1}
+    with pytest.raises(CapExceeded):
+        (-X * Y) ** (n + 1)
     # a monomial of total degree at the cap decodes, differentiates and strips
     a = top - 5
     m = Poly(3, {(a, 2, 3): 1})

@@ -5,11 +5,12 @@ import sys
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projflow import lookup, zoo
 from projflow.parser import (
     ParseError,
+    _Lexer,
     _int_max_str_digits,
     parse_expr,
     parse_flow,
@@ -19,6 +20,8 @@ from projflow.parser import (
     print_vector_field,
 )
 from projflow.cli import build_parser, main
+
+import parse_reference
 
 SCHEMA = json.load(open(
     os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -88,6 +91,60 @@ def test_parse_nesting_limit():
                  "x*(" * deep + "x" + ")" * deep):
         with pytest.raises(ParseError):
             parse_expr(text)
+
+
+def test_lexer_finds_positions_only_on_errors(monkeypatch):
+    # a line and column cost a scan of the text before the token, so a
+    # valid input, however many literals it has, computes none
+    def spy(self, pos):
+        raise AssertionError("position computed at %d" % pos)
+    monkeypatch.setattr(_Lexer, "_loc", spy)
+    parse_expr(" +\n".join("%d*x^%d" % (i, i % 7) for i in range(300)))
+    parse_vector_field("(-1/2*x^2 - x*y + 1/2*y^2,\n 1/2*x^2 - x*y)")
+    for entry in zoo():
+        parse_flow(print_flow(entry.flow))
+        parse_vector_field(print_vector_field(entry.vf))
+
+
+_LEAVES = st.sampled_from(["x", "y", "0", "1", "2", "10", "1/x", "x/(y + 1)",
+                           "(x - y)/(x + 2*y)"])
+
+
+def _exprs(depth):
+    """Expression texts of trees at most ``depth`` operators deep over
+    leaves that include quotients: binary operators with and without
+    parentheses, powers with small signed exponents and unary signs."""
+    if not depth:
+        return _LEAVES
+    sub = _exprs(depth - 1)
+    return st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub, st.booleans()).map(
+            lambda t: ("(%s %s %s)" if t[3] else "%s %s %s") % t[:3]),
+        st.tuples(sub, st.integers(-3, 3)).map(lambda t: "(%s)^%d" % t),
+        st.tuples(_LEAVES, st.integers(-3, 3)).map(lambda t: "%s^%d" % t),
+        st.tuples(st.sampled_from("-+"), sub, st.booleans()).map(
+            lambda t: ("%s(%s)" if t[2] else "%s%s") % t[:2]),
+        _LEAVES)
+
+
+@given(_exprs(5))
+@example("x/(y - y)")
+@example("(x - x)^-2")
+@example("(0/(x + 1))^-1")
+@example("(x/x)^-1 + (y/(x*y))^2")
+@example("0^0 - x/2/3")
+@settings(max_examples=300, deadline=None)
+def test_parse_expr_matches_per_node_fold(text):
+    # the pair fold with one reduction at the end gives the reduced RatFn
+    # of a fold that reduces at every node, and the same errors
+    try:
+        want = parse_reference.parse_expr(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_expr(text)
+        assert str(got.value) == str(exc)
+        return
+    assert parse_expr(text) == want
 
 
 def test_cli_deep_nesting_is_parse_error(capsys):

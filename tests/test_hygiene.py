@@ -199,3 +199,40 @@ def test_classify_reaches_flows_only_through_canonicalize():
     tree = ast.parse((SRC / "classify.py").read_text())
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not names & {"conjugate_flow", "vector_field"}
+
+
+def test_parser_reduces_once_per_coordinate(monkeypatch):
+    # the parser folds (num, den) pairs of polynomials with no RatFn
+    # arithmetic and takes one outermost poly_gcd per nonzero coordinate,
+    # plus one per power whose base has a non-constant denominator
+    from projflow import algebra, flowcore, zoo
+    from projflow.parser import parse_input, print_flow, print_vector_field
+
+    real, depth, calls = algebra.poly_gcd, [0], [0]
+
+    def counted(p, q):
+        calls[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return real(p, q)
+        finally:
+            depth[0] -= 1
+
+    def forbidden(*args):
+        raise AssertionError("RatFn arithmetic while parsing")
+
+    monkeypatch.setattr(algebra, "poly_gcd", counted)
+    monkeypatch.setattr(flowcore, "poly_gcd", counted)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+               "__pow__"):
+        monkeypatch.setattr(algebra.RatFn, op, forbidden)
+    texts = [(print_flow(e.flow), 0) for e in zoo()]
+    texts += [(print_vector_field(e.vf), 0) for e in zoo()]
+    texts += [("u = (x/(x + y))^3 + 1/(x + y)^2; v = (y/(y + 1))^-2", 2),
+              ("((x^3 + y^3)*(x - y)^-1, "
+               "(x*y/(x + 2*y))^2*(x + y)^2/(x*y))", 1)]
+    for text, powers in texts:
+        calls[0] = 0
+        parse_input(text)
+        assert calls[0] == 2 + powers, (text, calls[0])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projflow import (
     AlgebraError,
@@ -126,6 +126,43 @@ def test_dehomogenize_homogenize_roundtrip():
     A = RatFn(X * X + 3 * X * Y, Y * Y - X * Y)
     t = dehomogenize(A)
     assert homogenize_0(t) == A
+
+
+def test_dehomogenize_sums_terms_that_meet_at_y1():
+    # x*y^2 and -x*y, x^3*y and -x^3 meet at y = 1 and cancel
+    f = RatFn(X * Y * Y - X * Y + X ** 3 * Y - X ** 3 + 2 * X * X,
+              X * Y * Y + 3 - Y)
+    assert dehomogenize(f) == RatFn(2 * T * T, T + 2)
+    with pytest.raises(AlgebraError):
+        dehomogenize(RatFn(X, X * Y - X + Y - 1))
+
+
+def _homogenize_by_terms(f):
+    """homogenize_0 as it was: each side's terms as a form of degree k
+    through ``Poly.terms``, then reduced."""
+    k = max(f.num.total_degree(), f.den.total_degree())
+
+    def conv(p):
+        return Poly(2, {(i, k - i): c for (i,), c in p.terms.items()})
+    return RatFn(conv(f.num), conv(f.den))
+
+
+_coeffs = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                   max_size=5)
+
+
+@given(_coeffs, _coeffs.filter(any))
+@example([1], [1, 0, 1])               # a constant numerator
+@example([-2, 0, 0, 1], [5])           # a constant denominator
+@example([1, 0, 0, 1], [-2, 1])        # a denominator of lower degree
+@example([], [3])                      # zero
+@settings(max_examples=100, deadline=None)
+def test_homogenize_0_matches_terms_construction(num, den):
+    f = RatFn(*(Poly(1, {(i,): c for i, c in enumerate(cs)})
+                for cs in (num, den)))
+    A = homogenize_0(f)
+    assert A == _homogenize_by_terms(f)
+    assert dehomogenize(A) == f
 
 
 def test_solve_differ_sphere_family():
