@@ -36,6 +36,10 @@ class NotDegenerate(AlgebraError):
     pass
 
 
+_X, _Y = Poly.var(0, 2), Poly.var(1, 2)
+_ZERO, _ONE = Poly.zero(2), Poly.const(2, 1)
+
+
 def _rx():
     return RatFn.var(0, 2)
 
@@ -202,17 +206,21 @@ class HyperboloidPoint:
 # -- boundary condition and jets ------------------------------------------
 
 def _coord_jets(g, lin, K):
-    """Exact z-expansion of g(xz, yz)/z to K terms for a coordinate g with
-    the boundary condition lim g(xz, yz)/z = lin (x or y), as numerators
-    over powers of one polynomial: returns (nums, pows), the k-th jet being
-    nums[k-1] / pows[k-1] with pows[k-1] = b_m^(k-1); None without it.
+    """Exact z-expansion of g(xz, yz)/z to K >= 1 terms for a coordinate g
+    with the boundary condition lim g(xz, yz)/z = lin (x or y), as
+    numerators over powers of one polynomial: returns (nums, pows), the k-th
+    jet being nums[k-1] / pows[k-1] with pows[k-1] = b_m^(k-1); None
+    without it.
 
     With g = a/b split into homogeneous parts a_i, b_i and m the lowest
     degree in b, the condition is that a has no part below m + 1 and
     a_(m+1) = lin b_m.  The coefficient of z^(k-1) is then
     c_k = (a_(m+k) - sum_(j<k) c_j b_(m+k-j)) / b_m, c_1 = lin, and on the
     numerators N_k = c_k b_m^(k-1) the recurrence is
-    N_k = a_(m+k) b_m^(k-2) - sum_(j<k) N_j b_(m+k-j) b_m^(k-1-j).
+    N_k = a_(m+k) b_m^(k-2) - sum_(j<k) N_j E_(k-j) with
+    E_i = b_(m+i) b_m^(i-1), which depends on i alone.  So each order forms
+    one new E_i (none where b has no part of degree m + i, and E_1 = b_(m+1)
+    with no product) and one power of b_m, and N_k is one ``poly_dot``.
     """
     nparts = g.num.homogeneous_parts()
     dparts = g.den.homogeneous_parts()
@@ -220,25 +228,24 @@ def _coord_jets(g, lin, K):
     bm = dparts[m]
     if min(nparts, default=m) != m + 1 or nparts[m + 1] != lin * bm:
         return None
-    zero = Poly.zero(2)
-    pows = [Poly.const(2, 1)]  # pows[i] = b_m^i
+    pows = [_ONE]  # pows[i] = b_m^i
+    mE = {}  # mE[i] = -E_i, for the parts b_(m+i) that b has
     nums = [lin]
     for k in range(2, K + 1):
+        part = dparts.get(m + k - 1)
+        if part is not None:
+            mE[k - 1] = -part * pows[k - 2]
+        nums.append(poly_dot([(nparts.get(m + k, _ZERO), pows[k - 2])]
+                             + [(nums[k - i - 1], e) for i, e in mE.items()]))
         pows.append(pows[-1] * bm)
-        acc = nparts.get(m + k, zero) * pows[k - 2]
-        for j in range(1, k):
-            part = dparts.get(m + k - j)
-            if part is not None:
-                acc = acc - nums[j - 1] * part * pows[k - 1 - j]
-        nums.append(acc)
-    return nums[:K], pows
+    return nums, pows
 
 
 def _flow_jets(f, K):
     """``_coord_jets`` of both coordinates, or None when f fails the
     boundary condition."""
-    u = _coord_jets(f.u, Poly.var(0, 2), K)
-    v = u and _coord_jets(f.v, Poly.var(1, 2), K)
+    u = _coord_jets(f.u, _X, K)
+    v = u and _coord_jets(f.v, _Y, K)
     return (u, v) if v else None
 
 
@@ -249,12 +256,16 @@ def check_boundary(f):
 
 def _jet_field(f):
     """Unreduced (P, Q, D) with (w, r) = (P/D, Q/D) the second jets
-    (a_(m+2) - x b_(m+1))/b_m of f, over the larger b_m when one divides the
-    other; None when f fails the boundary condition."""
+    (a_(m+2) - x b_(m+1))/b_m of f: over their common b_m when the two
+    coordinates' b_m are equal, with no division; else over the larger b_m
+    when one divides the other.  None when f fails the boundary
+    condition."""
     jets = _flow_jets(f, 2)
     if jets is None:
         return None
     (u, (_, bu)), (v, (_, bv)) = jets
+    if bu == bv:
+        return u[1], v[1], bu
     if (h := _quotient(bv, bu)) is not None:
         return u[1] * h, v[1], bv
     if (h := _quotient(bu, bv)) is not None:
@@ -317,19 +328,23 @@ def _pde_holds(f, P, Q, D):
     """Dphi (x - V) = phi for V = (P/D, Q/D): with X = x D - P, Y = y D - Q,
     a coordinate n/d satisfies it iff d A == n B for A = X n_x + Y n_y - n D
     = D (x n_x + y n_y - n) - P n_x - Q n_y and B = X d_x + Y d_y, tested
-    through the quotient by d when it is exact (always, for a flow in lowest
-    terms).  x n_x + y n_y + s n comes from Euler's identity (``Poly.euler``),
-    so each side is one ``poly_dot`` of three products.  Both sides are
-    linear in (P, Q, D) together, so every representative of the field gives
-    the same answer."""
+    through the quotient h = B/d when it is exact (always, for a flow in
+    lowest terms).  x n_x + y n_y + s n comes from Euler's identity
+    (``Poly.euler``), so each side is one ``poly_dot`` of three products.
+    B and h depend on d alone, so a second coordinate over the same d reuses
+    them.  Both sides are linear in (P, Q, D) together, so every
+    representative of the field gives the same answer."""
     mP, mQ = -P, -Q
+    side = None  # (d, B, h) of the last denominator
     for g in (f.u, f.v):
         n, d = g.num, g.den
+        if side is None or side[0] != d:
+            B = poly_dot([(D, d.euler(0)), (mP, d.derivative(0)),
+                          (mQ, d.derivative(1))])
+            side = d, B, _quotient(B, d)
+        _, B, h = side
         A = poly_dot([(D, n.euler(-1)), (mP, n.derivative(0)),
                       (mQ, n.derivative(1))])
-        B = poly_dot([(D, d.euler(0)), (mP, d.derivative(0)),
-                      (mQ, d.derivative(1))])
-        h = _quotient(B, d)
         if not (A == n * h if h is not None else d * A == n * B):
             return False
     return True
@@ -465,11 +480,10 @@ def level_of(vf):
     numerators over D^2 are D (y P_i - x Q_i) - D_i T.
     """
     P, Q, D = vf.P, vf.Q, vf.D
-    x, y = Poly.var(0, 2), Poly.var(1, 2)
-    T = y * P - x * Q
+    T = _Y * P - _X * Q
     if T.is_zero():
         return LevelResult.level(0)
-    yD, mxD = y * D, -x * D
+    yD, mxD = _Y * D, -_X * D
     Sx, Sy = (poly_dot([(yD, P.derivative(i)), (mxD, Q.derivative(i)),
                         (-D.derivative(i), T)]) for i in (0, 1))
     if Sx.is_zero() or Sy.is_zero():

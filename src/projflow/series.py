@@ -97,7 +97,9 @@ def expand_from_vf(vf, K):
 
 
 def expand_flow(f, K):
-    """Exact jets of (u(xz,yz)/z, v(xz,yz)/z) to order K."""
+    """Exact jets of (u(xz,yz)/z, v(xz,yz)/z) to order K >= 2."""
+    if K < 2:
+        raise AlgebraError("order must be >= 2")
     jets = _flow_jets(f, K)
     if jets is None:
         raise AlgebraError("flow does not satisfy the boundary condition")

@@ -32,13 +32,15 @@ from projflow import (
     kapa,
     lookup,
     poly_gcd,
+    symmetric_family,
     uniN,
     zoo,
 )
 from projflow import algebra, birmap, classify, flowcore
-from projflow.flowcore import (_coord_jets, _jet_field, _linear_form_pair,
-                               exact_isqrt)
+from projflow.flowcore import (_coord_jets, _flow_jets, _jet_field,
+                               _linear_form_pair, exact_isqrt)
 
+import jets_reference
 from pde_reference import jacobian_field, pde_second_order
 from test_acceptance import _degenerate, _mutants, _perturbed
 
@@ -181,6 +183,95 @@ def test_pde_is_two_sums_of_products_per_coordinate(monkeypatch):
         dots.clear()
         assert flowcore._pde_holds(f, *field), f
         assert len(dots) <= 4, (f, len(dots))
+
+
+def test_shared_denominator_side_is_formed_once(monkeypatch):
+    # B = D d.euler(0) - P d_x - Q d_y and h = B/d depend on d alone, so
+    # over a shared denominator the PDE takes three sums of products and one
+    # division; the jet field divides nothing when the lowest parts b_m of
+    # the two denominators agree
+    ladder = [symmetric_family(N) for N in (1, -1, 2, -2, 3, -3, 4, -4)]
+    maps = ladder + [e.flow for e in zoo()]
+    shared = [f for f in maps if f.u.den == f.v.den]
+    lowest = [f for f in maps
+              if (jets := _flow_jets(f, 2))[0][1][1] == jets[1][1][1]]
+    assert len(shared) == 17 and len(lowest) == 23
+    cases = [(f, _jet_field(f)) for f in shared]
+    dots, quotients = [], []
+    dot, quotient = flowcore.poly_dot, flowcore._quotient
+    monkeypatch.setattr(flowcore, "poly_dot",
+                        lambda pairs: dots.append(1) or dot(pairs))
+    monkeypatch.setattr(flowcore, "_quotient",
+                        lambda p, d: quotients.append(1) or quotient(p, d))
+    for f, field in cases:
+        dots.clear()
+        quotients.clear()
+        assert flowcore._pde_holds(f, *field), f
+        assert (len(dots), len(quotients)) == (3, 1), f
+    for f in lowest:
+        quotients.clear()
+        assert _jet_field(f) is not None and quotients == [], f
+
+
+def test_jets_take_one_sum_of_products_per_order(monkeypatch):
+    # N_k = a_(m+k) b_m^(k-2) - sum_(j<k) N_j E_(k-j) with E_i =
+    # b_(m+i) b_m^(i-1) is one poly_dot per order: no Poly sum is formed
+    coords = [(g, lin) for e in zoo()
+              for g, lin in ((e.flow.u, X), (e.flow.v, Y))]
+    orders = (2, 20)
+    refs = {K: [jets_reference.coord_jets(g, lin, K) for g, lin in coords]
+            for K in orders}
+    dots = []
+    dot = flowcore.poly_dot
+    monkeypatch.setattr(flowcore, "poly_dot",
+                        lambda pairs: dots.append(1) or dot(pairs))
+
+    def forbidden(self, other):
+        raise AssertionError("the jet recurrence forms no Poly sum")
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Poly, name, forbidden)
+    for K in orders:
+        for (g, lin), ref in zip(coords, refs[K]):
+            dots.clear()
+            assert _coord_jets(g, lin, K) == ref, (g, K)
+            assert len(dots) == K - 1, (g, K, len(dots))
+
+
+_qc = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _qform(draw, deg):
+    return sum((draw(_qc) * X ** i * Y ** (deg - i) for i in range(deg + 1)),
+               Poly.zero(2))
+
+
+@st.composite
+def boundary_coordinates(draw):
+    """(g, lin): g = a/b unreduced, with rational coefficients, from
+    homogeneous parts.  b_m is a nonzero constant (m = 0) or form of degree
+    m = 1 or 2; each b_(m+i), i = 1..3, and each a_(m+k), k = 2..4, may be
+    absent.  a_(m+1) is lin b_m, or the other variable times b_m when the
+    boundary condition is to fail."""
+    m = draw(st.integers(0, 2))
+    lin, other = draw(st.sampled_from(((X, Y), (Y, X))))
+    bm = _qform(draw, m)
+    if bm.is_zero():
+        bm = X ** m
+    b, a = bm, (other if draw(st.integers(0, 5)) == 0 else lin) * bm
+    for i in (1, 2, 3):
+        if draw(st.booleans()):
+            b = b + _qform(draw, m + i)
+        if draw(st.booleans()):
+            a = a + _qform(draw, m + i + 1)
+    return RatFn(a, b, reduce=False), lin
+
+
+@given(boundary_coordinates(), st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_coord_jets_match_per_term_recurrence(case, K):
+    # tests/jets_reference builds each jet numerator term by term
+    g, lin = case
+    assert _coord_jets(g, lin, K) == jets_reference.coord_jets(g, lin, K)
 
 
 def test_certificate_evaluates_ell_twice(monkeypatch):

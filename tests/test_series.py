@@ -61,6 +61,12 @@ def test_order_precondition():
         expand_from_vf(VectorField(X * Y, Poly.zero(2)), 1)
 
 
+def test_expand_flow_order_precondition():
+    for K in (1, 0, -3):
+        with pytest.raises(AlgebraError, match="order must be >= 2"):
+            expand_flow(canonical_flow(2), K)
+
+
 def test_genus1_diagonal_coefficients():
     vf = VectorField(X * X - 2 * X * Y, -2 * X * Y + Y * Y)
     jets = expand_from_vf(vf, 9)
