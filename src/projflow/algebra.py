@@ -711,10 +711,24 @@ def _lmul(a, b):
 
 
 def _lderive(c, P, Q):
-    """The list of c_x P + c_y Q, for forms c, P and Q."""
+    """The list of c_x P + c_y Q, for forms c, P and Q, in one pass over c:
+    for c of degree k, entry a - 1 + t gains c_a (a P_t + (k - a) Q_(t-1)),
+    with P_t = 0 past the end of P and Q_(-1) = 0.  The list is as long as
+    the sum of the two products as lists, zeros included: [] for a constant
+    c or for P = Q = []."""
     k = len(c) - 1
-    return _ladd(_lmul([a * c[a] for a in range(1, k + 1)], P),
-                 _lmul([(k - a) * v for a, v in enumerate(c[:-1])], Q))
+    if k < 1 or not (P or Q):
+        return []
+    pairs = list(zip_longest(P + [0], [0] + Q, fillvalue=0))
+    # out[i] holds entry i - 1; its first and last entries stay 0
+    out = [0] * (k + len(pairs))
+    for a, v in enumerate(c):
+        if v:
+            u, w, i = a * v, (k - a) * v, a
+            for p, q in pairs:
+                out[i] += u * p + w * q
+                i += 1
+    return out[1:-1]
 
 
 def _ldiff(c):

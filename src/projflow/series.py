@@ -5,11 +5,12 @@ c_1 = x, y) or from its vector field (``expand_from_vf``: the Lie
 recurrence u_(i+1) = (u_(i),x w + u_(i),y r) / i).  Both recurrences run on
 polynomial numerators over a known denominator and reduce each jet once.
 Every polynomial of the Lie recurrence is a binary form, so it runs on the
-integer coefficient lists of ``algebra`` rather than on ``Poly``; on a
+integer coefficient lists of ``algebra`` rather than on ``Poly``, where
+n_x P + n_y Q is one pass over the list of n (``_lderive``); on a
 polynomial field every jet is a polynomial and the Lie step skips the
-quotient rule.  Also diagonal series, which evaluate each jet's numerator
-and denominator on integers by a homogeneous Horner pass, and the
-denominator-prime diagnostic."""
+quotient rule and all denominator work.  Also diagonal series, which
+evaluate each jet's numerator and denominator on integers by a homogeneous
+Horner pass, and the denominator-prime diagnostic."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -59,7 +60,9 @@ def expand_from_vf(vf, K):
     common denominator.  Each jet is reduced by ``_form_gcd``, normalized
     as ``RatFn`` would (d primitive, positive leading entry) and built once.
     A constant d is 1, and then the step is (n_x P + n_y Q) / (i D); for a
-    polynomial field every jet takes that step and needs no gcd.
+    polynomial field every jet takes that step, one pass of ``_lderive``
+    over the list of n, with no gcd or content and one shared constant
+    denominator.
     """
     if K < 2:
         raise AlgebraError("order must be >= 2")
@@ -67,7 +70,7 @@ def expand_from_vf(vf, K):
     (P, p), (Q, q), (D, _) = (_form_list(f) for f in (vf.P, vf.Q, vf.D))
     L = lcm(p, q)
     P, Q = [c * (L // p) for c in P], [c * (L // q) for c in Q]
-    zero = RatFn(Poly.zero(2))
+    zero, one = RatFn(Poly.zero(2)), _list_poly([1])
     tables = []
     for start in ([0, 1], [1, 0]):  # x and y
         n, s, d = start, 1, [1]
@@ -84,14 +87,19 @@ def expand_from_vf(vf, K):
                 g = _form_gcd(num, den)
                 if len(g) > 1:
                     num, den = _ldiv(num, g), _ldiv(den, g)
-            c = _content(den)
-            d = [v // c for v in den]
-            if c < 0:
-                c, num = -c, [-v for v in num]
+                c = _content(den)
+                d = [v // c for v in den]
+                if c < 0:
+                    c, num = -c, [-v for v in num]
+                dpoly = _list_poly(d)
+            else:
+                # a one-entry den is [1], and so is d: D is unit-normal,
+                # and the quotient rule gives len(den) > 1
+                c, dpoly = 1, one
             s *= i * L * c
             h = gcd(s, *num)
             n, s = [v // h for v in num], s // h
-            jets.append(RatFn(_list_poly(n, s), _list_poly(d), reduce=False))
+            jets.append(RatFn(_list_poly(n, s), dpoly, reduce=False))
         tables.append(jets)
     return JetTable(K, *tables)
 

@@ -1,10 +1,20 @@
 """The Lie recurrence of ``series.expand_from_vf`` in ``Poly`` arithmetic,
 kept as an oracle for the version on integer lists: with w = P/D, r = Q/D
 and the current jet n/d, the next jet is ((n_x P + n_y Q) d - n (d_x P +
-d_y Q)) / (i d^2 D), reduced by ``RatFn``."""
+d_y Q)) / (i d^2 D), reduced by ``RatFn``.  Also the Lie step on lists as
+two convolutions, an oracle for the one-pass ``algebra._lderive``."""
 from fractions import Fraction
 
 from projflow import RatFn
+from projflow.algebra import _ladd, _lmul
+
+
+def lderive(c, P, Q):
+    """The list of c_x P + c_y Q: the lists of c_x and c_y, each convolved
+    with its factor, then summed."""
+    k = len(c) - 1
+    return _ladd(_lmul([a * c[a] for a in range(1, k + 1)], P),
+                 _lmul([(k - a) * v for a, v in enumerate(c[:-1])], Q))
 
 
 def field_jets(vf, K):

@@ -276,22 +276,45 @@ def test_field_jets_satisfy_lie_recurrence(case):
 
 def test_polynomial_field_jets_take_two_products_per_step(monkeypatch):
     # a polynomial jet has denominator 1, so a step of the Lie recurrence on
-    # a polynomial field multiplies the list of n_x by P and that of n_y by
-    # Q: the terms of the quotient rule that vanish with d_x and d_y are
-    # never formed
+    # a polynomial field is one pass of ``_lderive`` over the jet, forming
+    # n_x P + n_y Q: the terms of the quotient rule that vanish with d_x and
+    # d_y are never formed, and the denominator takes no gcd or content
     vf = VectorField(X * X - 2 * X * Y, -2 * X * Y + Y * Y)
     K = 12
     calls = []
-    lmul = algebra._lmul
+    lderive = series_mod._lderive
 
-    def counting(a, b):
+    def counting(c, P, Q):
         calls.append(1)
-        return lmul(a, b)
+        return lderive(c, P, Q)
 
-    monkeypatch.setattr(algebra, "_lmul", counting)
-    monkeypatch.setattr(series_mod, "_lmul", counting)
+    def forbidden(*args):
+        raise AssertionError("called on a polynomial field")
+
+    monkeypatch.setattr(series_mod, "_lderive", counting)
+    for name in ("_lmul", "_form_gcd", "_content"):
+        monkeypatch.setattr(algebra, name, forbidden)
+        monkeypatch.setattr(series_mod, name, forbidden)
     expand_from_vf(vf, K)
-    assert len(calls) == 2 * 2 * (K - 1)
+    assert len(calls) == 2 * (K - 1)
+
+
+_big = st.integers(-2 ** 200, 2 ** 200)
+
+
+@st.composite
+def form_lists(draw, max_len):
+    """A list of at most max_len integers, often with zeros at either end."""
+    core = draw(st.lists(st.one_of(st.just(0), _small, _big), max_size=max_len))
+    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return ([0] * lead + core + [0] * trail)[:max_len]
+
+
+@given(form_lists(13), form_lists(4), form_lists(4))
+@settings(max_examples=300, deadline=None)
+def test_lderive_matches_two_convolutions(c, P, Q):
+    # equal lists, so of equal length, trailing zeros included
+    assert algebra._lderive(c, P, Q) == series_reference.lderive(c, P, Q)
 
 
 def _seeded_field(rng, k, irreducible=False):
@@ -321,3 +344,8 @@ def test_field_jets_match_the_poly_recurrence():
             jets = expand_from_vf(vf, 12)
             assert (jets.u_parts, jets.v_parts) == \
                 series_reference.field_jets(vf, 12)
+    # the genus-1 field to order 30: long lists, where an index slip of the
+    # Lie step would show
+    vf = VectorField(X * X - 2 * X * Y, -2 * X * Y + Y * Y)
+    jets = expand_from_vf(vf, 30)
+    assert (jets.u_parts, jets.v_parts) == series_reference.field_jets(vf, 30)
