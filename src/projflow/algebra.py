@@ -1185,6 +1185,14 @@ class LinearMap2:
             raise AlgebraError("singular linear map")
 
     @classmethod
+    def _of(cls, a, b, c, d):
+        """The map of Fraction entries with a d != b c, taken as they are:
+        products, inverses and nonzero multiples of invertible maps."""
+        m = object.__new__(cls)
+        m.a, m.b, m.c, m.d = a, b, c, d
+        return m
+
+    @classmethod
     def identity(cls):
         return cls(1, 0, 0, 1)
 
@@ -1197,11 +1205,12 @@ class LinearMap2:
 
     def inverse(self):
         dt = self.det()
-        return LinearMap2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+        return LinearMap2._of(self.d / dt, -self.b / dt, -self.c / dt,
+                              self.a / dt)
 
     def compose(self, other):
         """self after other (matrix product self * other)."""
-        return LinearMap2(
+        return LinearMap2._of(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -1223,8 +1232,9 @@ class LinearMap2:
         return None
 
     def __mul__(self, s):
-        s = _rational(s)
-        return LinearMap2(self.a * s, self.b * s, self.c * s, self.d * s)
+        if not _rational(s):
+            raise AlgebraError("singular linear map")
+        return LinearMap2._of(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap2):

@@ -2,7 +2,10 @@
 
 An element acts as x -> L(x) * (P/Q)(L(x)), i.e. the linear change first,
 then the radial map (xP/Q, yP/Q).  The stored triple is normalized so that
-structural equality coincides with equality of maps.
+structural equality coincides with equality of maps.  The constructor and
+``compose`` divide P and Q by their gcd; ``from_A`` and the closed-form
+moves ``compose_linear`` and ``compose_involution``, which the canonical
+chain of ``classify`` takes, start from coprime P and Q and only rescale.
 
 Every action ends in one radial step, which ``apply`` reduces once.
 ``push_forward_phi`` builds ell o phi_N o ell^{-1} in closed form from
@@ -39,7 +42,8 @@ class HomBir:
     def __init__(self, P, Q, L=None):
         if L is None:
             L = LinearMap2.identity()
-        P, Q = (Poly.const(2, c) if isinstance(c, int) else c for c in (P, Q))
+        P, Q = (Poly.const(2, c) if isinstance(c, (int, Fraction)) else c
+                for c in (P, Q))
         if P.is_zero() or Q.is_zero():
             raise AlgebraError("P and Q must be nonzero")
         if not (P.is_homogeneous() and Q.is_homogeneous()):
@@ -53,6 +57,14 @@ class HomBir:
 
     # -- constructors ---------------------------------------------------
     @classmethod
+    def _coprime(cls, P, Q, L):
+        """The map (P, Q; L) for coprime forms P and Q of one degree: only
+        the scale of L and the joint content are normalized."""
+        h = object.__new__(cls)
+        h.P, h.Q, h.L = _rescale(P, Q, L)
+        return h
+
+    @classmethod
     def identity(cls):
         return cls(1, 1)
 
@@ -62,10 +74,13 @@ class HomBir:
 
     @classmethod
     def from_A(cls, A):
-        """Radial map xA, yA for a 0-homogenic rational A."""
+        """Radial map xA, yA for a 0-homogenic rational A, whose num and
+        den are coprime by the invariant of ``RatFn``."""
         if A.homogeneity_degree() != 0:
             raise AlgebraError("A must be 0-homogenic")
-        return cls(A.num, A.den, LinearMap2.identity())
+        if A.is_zero():
+            raise AlgebraError("P and Q must be nonzero")
+        return cls._coprime(A.num, A.den, LinearMap2.identity())
 
     @classmethod
     def involution_i(cls):
@@ -90,6 +105,25 @@ class HomBir:
         P2 = other.P.subs_polys([lx, ly])
         Q2 = other.Q.subs_polys([lx, ly])
         return HomBir(self.P * P2, self.Q * Q2, self.L.compose(other.L))
+
+    def compose_linear(self, M):
+        """self o linear(M) for a LinearMap2 M, that is (P, Q; L M): the
+        radial part P/Q is unchanged and follows L M."""
+        return HomBir._coprime(self.P, self.Q, self.L.compose(M))
+
+    def compose_involution(self):
+        """self o involution_i(), that is (P l_x, Q l_y; L swap) as in
+        ``compose``, with (l_x, l_y) = det(L) L^{-1}(x).  P and Q are coprime
+        and l_x, l_y are independent linear forms, so the only common
+        factors are l_y when it divides P and l_x when it divides Q, each
+        at most once; each is tested by one exact division."""
+        P, Q, L = self.P, self.Q, self.L
+        x, y = Poly.var(0, 2), Poly.var(1, 2)
+        lx, ly = x * L.d - y * L.b, y * L.a - x * L.c
+        p, q = _quotient(P, ly), _quotient(Q, lx)
+        P2 = (P if p is None else p) * (lx if q is None else 1)
+        Q2 = (Q if q is None else q) * (ly if p is None else 1)
+        return HomBir._coprime(P2, Q2, LinearMap2._of(L.b, L.a, L.d, L.c))
 
     def inverse(self):
         lx, ly = self.L.coord_polys()
@@ -176,6 +210,11 @@ def _normalize_triple(P, Q, L):
     g = poly_gcd(P, Q)
     if not (g.is_constant() and g.constant_value() == 1):
         P, Q = divexact(P, g), divexact(Q, g)
+    return _rescale(P, Q, L)
+
+
+def _rescale(P, Q, L):
+    """The normalized triple of (P, Q; L) for coprime P and Q."""
     # normalize L to primitive integer entries, first nonzero positive;
     # replacing L by sL requires Q -> sQ to keep the same map
     entries = (L.a, L.b, L.c, L.d)

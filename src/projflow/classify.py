@@ -197,31 +197,33 @@ def _quad_uvw(vf):
 
 class _Chain:
     """A HomBir ``ell`` followed by pieces that act on a univariate triple
-    ``q``.  Each move composes ``ell`` with one piece and updates (U, V, W)
+    ``q``.  Each move updates ell's normalized triple in closed form
+    (``HomBir.compose_linear``, ``HomBir.compose_involution``) and (U, V, W)
     by its exact formula; ``conjugate_vf`` is the long way round."""
 
     def __init__(self, q, ell):
         self.q, self.ell = q, ell
 
-    def _apply(self, piece, U, V, W):
-        self.ell = self.ell.compose(piece)
+    def _apply(self, ell, U, V, W):
+        self.ell = ell
         self.q = QuadVF(U, V, W)
 
     def shear(self, b):
         """x -> x + b y."""
         U, V, W = self.q.triple()
-        self._apply(HomBir.linear(LinearMap2(1, b, 0, 1)),
+        self._apply(self.ell.compose_linear(LinearMap2(1, b, 0, 1)),
                     U, 2 * b * U + V, U * b * b + V * b + W + b)
 
     def involution(self):
         """``HomBir.involution_i()``."""
         U, V, W = self.q.triple()
-        self._apply(HomBir.involution_i(), -W, -V - 2, -U)
+        self._apply(self.ell.compose_involution(), -W, -V - 2, -U)
 
     def x_scale(self, p):
         """x -> p x."""
         U, V, W = self.q.triple()
-        self._apply(HomBir.linear(LinearMap2(p, 0, 0, 1)), p * U, V, W / p)
+        self._apply(self.ell.compose_linear(LinearMap2(p, 0, 0, 1)),
+                    p * U, V, W / p)
 
 
 def _chain_to_canonical(uvw, N, ell):

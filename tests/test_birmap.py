@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apply_reference import apply_reference
 from projflow import (
@@ -288,3 +289,75 @@ def test_radial_and_linear_pieces():
     li = HomBir.linear(LinearMap2(1, 2, 0, 1))
     assert conjugate_vf(vf, li) == conjugate_vf_linear(
         vf, LinearMap2(1, 2, 0, 1))
+
+
+def test_scalar_constants_are_coerced():
+    half = Fraction(1, 2)
+    h = HomBir(half, 1)
+    assert h == HomBir(1, 2) == HomBir.linear(LinearMap2(half, 0, 0, half))
+    x, y = h.coords()
+    assert (x, y) == (RatFn(X * half), RatFn(Y * half))
+
+
+_ENTRY = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def _invertible(m):
+    # M + t id is singular for at most two t
+    a, b, c, d = m
+    t = next(t for t in (0, 1, 2, 3) if (a + t) * (d + t) != b * c)
+    return LinearMap2(a + t, b, c, d + t)
+
+
+_MAPS = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY).map(_invertible)
+
+
+@st.composite
+def planted_hombirs(draw):
+    """A normalized HomBir of degree 0-3 with a Fraction L; from degree 1,
+    l_y = det(L) L^{-1}(x)_y may be planted in P and l_x in Q, so that
+    composing with the involution cancels either or both."""
+    L = draw(_MAPS)
+    a, b, c, d = L.a, L.b, L.c, L.d
+    deg = draw(st.integers(0, 3))
+
+    def form(k):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=k + 1,
+                           max_size=k + 1))
+        f = sum((cf * X ** i * Y ** (k - i) for i, cf in enumerate(cs)
+                 if cf), Poly.zero(2))
+        return Y ** k if f.is_zero() else f
+    if deg == 0:
+        P, Q = form(0), form(0)
+    else:
+        lx, ly = X * d - Y * b, Y * a - X * c
+        P = form(deg - 1) * (ly if draw(st.booleans()) else form(1))
+        Q = form(deg - 1) * (lx if draw(st.booleans()) else form(1))
+    return HomBir(P, Q, L)
+
+
+@given(planted_hombirs(), _ENTRY, _ENTRY.map(lambda p: p or 1), _MAPS)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_moves_match_compose(ell, b, p, M0):
+    # each move of the canonical chain updates the normalized triple in
+    # closed form; the general compose (gcd and normalization) is the
+    # reference, and the triple is unique, so the two are structurally equal
+    for M in (LinearMap2(1, b, 0, 1), LinearMap2(1, 0, 0, 1),
+              LinearMap2(p, 0, 0, 1), M0):
+        assert ell.compose_linear(M) == ell.compose(HomBir.linear(M))
+    assert ell.compose_involution() == ell.compose(HomBir.involution_i())
+
+
+@pytest.mark.parametrize("plant_y, plant_x, change", [
+    (False, False, 1), (True, False, 0), (False, True, 0), (True, True, -1)])
+def test_involution_move_cancels_planted_forms(plant_y, plant_x, change):
+    # ell o i = (P l_x, Q l_y; L swap) loses l_y when it divides P and l_x
+    # when it divides Q
+    L = LinearMap2(2, 1, -1, 3)
+    lx, ly = X * 3 - Y, Y * 2 + X
+    P = (X + Y) * (ly if plant_y else X - Y)
+    Q = (X - 2 * Y) * (lx if plant_x else X)
+    ell = HomBir(P, Q, L)
+    moved = ell.compose_involution()
+    assert moved.degree() == ell.degree() + change
+    assert moved == ell.compose(HomBir.involution_i())

@@ -300,6 +300,50 @@ def test_certificate_evaluates_ell_twice(monkeypatch):
         assert evaluated == [res.ell.P, res.ell.Q], f
 
 
+def test_chain_and_radial_map_take_no_gcd(monkeypatch):
+    # each move of the canonical chain updates ell's normalized triple in
+    # closed form: no gcd, substitution, general compose or normalizing
+    # constructor; the radial map of a reduced A takes no gcd either
+    seeded = [f for seed in (2, 7)
+              for f in _seeded_conjugates(random.Random(seed))]
+    flows = [e.flow for e in zoo()] + seeded
+    scope, ran, seen = [], [], []
+
+    def watch(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            if scope:
+                seen.append((scope[-1], name))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    for owner, name in ((algebra, "poly_gcd"), (birmap, "poly_gcd"),
+                        (Poly, "eval_hom"), (HomBir, "compose"),
+                        (HomBir, "__init__")):
+        watch(owner, name)
+
+    def enter(step, fn):
+        def run(*args):
+            ran.append(step)
+            scope.append(step)
+            try:
+                return fn(*args)
+            finally:
+                scope.pop()
+        return run
+
+    monkeypatch.setattr(classify, "_chain_to_canonical",
+                        enter("chain", classify._chain_to_canonical))
+    monkeypatch.setattr(HomBir, "from_A", classmethod(
+        enter("from_A", HomBir.from_A.__func__)))
+    for f in flows:
+        canonicalize(f)
+    assert ran.count("chain") >= len(seeded) and "from_A" in ran
+    assert [c for c in seen if c[0] == "chain"] == []
+    assert ("from_A", "poly_gcd") not in seen
+
+
 def _boundary_reference(f):
     """check_boundary by the lowest parts: g(xz, yz) = z^k (p/q) (1 + O(z))
     with homogeneous p and q, and the condition is k = 1, p = x q (y q)."""
