@@ -65,8 +65,9 @@ outer level joins the parts from the lowest degree up, multiplying the sum
 so far by C raised to the gap to the next part, and the inner levels fold
 each part variable by variable.  Each step multiplies by one argument or C
 raised to a gap, taken from one cache of powers built by squaring.
-``RatFn.subs_pair`` returns the substituted pair unreduced, for callers that
-divide out its known factors (``HomBir.pullback_pair``).
+``RatFn.subs_pair`` returns the substituted pair unreduced.  A caller that
+knows common factors of a pair or a triple over one denominator divides
+them out by ``_divide_known`` instead of taking a gcd of the whole.
 """
 from __future__ import annotations
 
@@ -172,18 +173,16 @@ class Poly:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def _of(cls, nvars, ints, den=1):
+    def _of(cls, nvars, ints, den=1, reduce=True):
         """The Poly ints / den, for ``ints`` mapping monomial keys to
-        nonzero ints and ``den`` a positive int; reduced to lowest terms."""
-        if den != 1:
+        nonzero ints and a positive int ``den``, reduced if ``reduce``."""
+        if reduce and den != 1:
             g = _int_gcd(den, *ints.values())
             if g != 1:
                 ints = {k: c // g for k, c in ints.items()}
                 den //= g
         p = object.__new__(cls)
-        p.nvars = nvars
-        p.ints = ints
-        p.den = den
+        p.nvars, p.ints, p.den = nvars, ints, den
         return p
 
     @classmethod
@@ -664,6 +663,22 @@ def _quotient(p, d):
     return Poly._of(nv, out, g * p.den)
 
 
+def _divide_known(polys, factors):
+    """``polys`` divided by each nonconstant factor in turn while every
+    quotient is exact, the last (a nonzero denominator) tried first."""
+    for g in factors:
+        while not g.is_constant():
+            qs = []
+            for p in reversed(polys):
+                if (q := _quotient(p, g)) is None:
+                    break
+                qs.append(q)
+            if len(qs) < len(polys):
+                break
+            polys = qs[::-1]
+    return polys
+
+
 # -- binary forms as integer lists (see the module docstring) ---------------
 # Zero is [], leading zeros are a power of x and trailing zeros one of y.
 
@@ -677,10 +692,11 @@ def _form_list(p):
     return c, p.den
 
 
-def _list_poly(c, den=1, nvars=2):
+def _list_poly(c, den=1, nvars=2, reduce=True):
     """The Poly of the list c over den: a form in x, y, or in x alone."""
     top = (len(c) - 1) << _W if nvars == 2 else 0
-    return Poly._of(nvars, {top | a: v for a, v in enumerate(c) if v}, den)
+    return Poly._of(nvars, {top | a: v for a, v in enumerate(c) if v}, den,
+                    reduce)
 
 
 def _split(c):
@@ -758,14 +774,17 @@ def _ldiv(f, g):
     return q if len(f) > n and not any(r[:n]) else None
 
 
-def _rem(f, g):
-    """The remainder of f by g over Q, for lists of rationals low to high
-    with g's last entry nonzero; without trailing zeros."""
-    r = list(f)
-    while len(r) >= len(g):
-        q = Fraction(r.pop()) / g[-1]
-        for i, v in enumerate(g[:-1], len(r) - len(g) + 1):
-            r[i] -= q * v
+def _prem(f, g):
+    """s^k (f rem g) for integer lists, s = |lc g| and k = max(0, len(f) -
+    len(g) + 1): each step takes s r - sign(lc g) r_top x^(deg r - deg g) g;
+    without trailing zeros."""
+    r, n = list(f), len(g) - 1
+    s, sign = (g[-1], 1) if g[-1] > 0 else (-g[-1], -1)
+    while len(r) > n:
+        c = sign * r.pop()
+        r = [s * v for v in r]
+        for j, v in enumerate(g[:-1], len(r) - n):
+            r[j] -= c * v
     while r and not r[-1]:
         r.pop()
     return r
@@ -952,6 +971,15 @@ def poly_lcm(p, q):
 
 # -- rational functions ---------------------------------------------------
 
+def _unit_den(*polys):
+    """``polys`` over the content of the last, a denominator, signed so
+    that it has a positive leading coefficient."""
+    c = polys[-1].content()
+    if polys[-1].leading_coeff() < 0:
+        c = -c
+    return polys if c == 1 else tuple(p * (1 / c) for p in polys)
+
+
 class RatFn:
     """Reduced rational function num/den over Q.
 
@@ -971,19 +999,10 @@ class RatFn:
         if reduce:
             if num.is_zero():
                 den = Poly.const(num.nvars, 1)
-            else:
-                g = poly_gcd(num, den)
-                if not (g.is_constant() and g.constant_value() == 1):
-                    num = divexact(num, g)
-                    den = divexact(den, g)
-            c = den.content()
-            if den.leading_coeff() < 0:
-                c = -c
-            if c != 1:
-                num = num * (1 / c)
-                den = den * (1 / c)
-        self.num = num
-        self.den = den
+            elif not (g := poly_gcd(num, den)).is_constant():
+                num, den = divexact(num, g), divexact(den, g)
+            num, den = _unit_den(num, den)
+        self.num, self.den = num, den
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -1062,10 +1081,7 @@ class RatFn:
         content and sign of num move to the new numerator."""
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero rational function")
-        c = self.num.content()
-        if self.num.leading_coeff() < 0:
-            c = -c
-        return RatFn(self.den * (1 / c), self.num * (1 / c), reduce=False)
+        return RatFn(*_unit_den(self.den, self.num), reduce=False)
 
     def __pow__(self, n):
         if n < 0:
@@ -1177,10 +1193,8 @@ class LinearMap2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        self.a = Fraction(_rational(a))
-        self.b = Fraction(_rational(b))
-        self.c = Fraction(_rational(c))
-        self.d = Fraction(_rational(d))
+        self.a, self.b, self.c, self.d = (Fraction(_rational(e))
+                                          for e in (a, b, c, d))
         if self.det() == 0:
             raise AlgebraError("singular linear map")
 
@@ -1403,16 +1417,7 @@ def _sturm_count(f):
     a, b = f, _ldiff(f)
     lead = [(f[-1], len(f) - 1), (b[-1], len(b) - 1)]
     while len(b) > 1:
-        r, n = list(a), len(b) - 1
-        s, sign = (b[-1], 1) if b[-1] > 0 else (-b[-1], -1)
-        while len(r) > n:
-            # s r - sign(lc b) r_top x^(deg r - deg b) b cancels the top
-            c = sign * r.pop()
-            r = [s * v for v in r]
-            for j, v in enumerate(b[:-1], len(r) - n):
-                r[j] -= c * v
-            while r and not r[-1]:
-                r.pop()
+        r = _prem(a, b)
         if not r:
             break
         g = _int_gcd(*r)

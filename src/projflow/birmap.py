@@ -7,7 +7,8 @@ structural equality coincides with equality of maps.  The constructor and
 moves ``compose_linear`` and ``compose_involution``, which the canonical
 chain of ``classify`` takes, start from coprime P and Q and only rescale.
 
-Every action ends in one radial step, which ``apply`` reduces once.
+Every action ends in one radial step; ``apply`` divides out the factors it
+knows (``algebra._divide_known``) and then reduces what is left once.
 ``push_forward_phi`` builds ell o phi_N o ell^{-1} in closed form from
 ell's terms and T = P + Q * l_y, with Q divided out of its denominator, so
 the conjugation certificate of ``classify.canonicalize`` substitutes into
@@ -26,6 +27,7 @@ from .algebra import (
     LinearMap2,
     Poly,
     RatFn,
+    _divide_known,
     _quotient,
     divexact,
     poly_dot,
@@ -50,10 +52,7 @@ class HomBir:
             raise AlgebraError("P and Q must be homogeneous")
         if P.total_degree() != Q.total_degree():
             raise AlgebraError("P and Q must have equal degree")
-        P, Q, L = _normalize_triple(P, Q, L)
-        self.P = P
-        self.Q = Q
-        self.L = L
+        self.P, self.Q, self.L = _normalize_triple(P, Q, L)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -137,7 +136,7 @@ class HomBir:
         IdenticallySingular where the map is undefined.  Over one
         denominator E the pair is (M1, M2)/E after L, and the radial part
         gives (M1 P(M), M2 P(M)) / (E Q(M)), as the powers of E cancel in
-        P/Q."""
+        P/Q.  Its known factors E, Q and P are divided out before reducing."""
         (a1, b1), (a2, b2) = ((p.num, p.den) if isinstance(p, RatFn)
                               else (p, Poly.const(p.nvars, 1)) for p in pair)
         if b1 != b2:
@@ -151,7 +150,9 @@ class HomBir:
         D = b1 * self.Q.subs_polys(M)
         if D.is_zero():
             raise IdenticallySingular("map undefined on the pair")
-        return RatFn(M[0] * PM, D), RatFn(M[1] * PM, D)
+        N1, N2, D = _divide_known((M[0] * PM, M[1] * PM, D),
+                                  (b1, self.Q, self.P))
+        return RatFn(N1, D), RatFn(N2, D)
 
     def pullback_pair(self, r):
         """(N, D) with N/D = r o self: r at L(x) * T/C (T = P o L, C = Q o L)
@@ -161,11 +162,7 @@ class HomBir:
         if not self.L.is_identity():
             T, C = T.subs_polys(ls), C.subs_polys(ls)
         N, D = r.subs_pair([RatFn(l * T, C, reduce=False) for l in ls])
-        for g in (T, C) if self.degree() else ():
-            while ((q := _quotient(D, g)) is not None
-                   and (p := _quotient(N, g)) is not None):
-                N, D = p, q
-        return N, D
+        return _divide_known((N, D), (T, C))
 
     def push_forward_phi(self, N):
         """(N1, N2, D) with (N1/D, N2/D) = self o phi_N o self^{-1}, not
@@ -255,7 +252,12 @@ def conjugate_vf_linear(vf, L):
 
 
 def conjugate_vf_radial(vf, A):
-    """Vector field of ell_{P,Q}^{-1} o phi o ell_{P,Q} with A = P/Q.
+    """Vector field of ell_{P,Q}^{-1} o phi o ell_{P,Q} with A = P/Q."""
+    return VectorField.of(*_radial_field(vf, A))
+
+
+def _radial_field(vf, A):
+    """The unreduced numerators and denominator of ``conjugate_vf_radial``.
 
     The field is (A w - A_y s, A r + A_x s) with s = x r - y w; for A = a/b
     it has the numerators a b P - (a_y b - a b_y) S and
@@ -271,8 +273,8 @@ def conjugate_vf_radial(vf, A):
     ab = a * b
     Ax, Ay = (poly_dot([(a.derivative(i), b), (-a, b.derivative(i))])
               for i in (0, 1))
-    return VectorField.of(poly_dot([(ab, P), (-Ay, S)]),
-                          poly_dot([(ab, Q), (Ax, S)]), b * b * D)
+    return (poly_dot([(ab, P), (-Ay, S)]), poly_dot([(ab, Q), (Ax, S)]),
+            b * b * D)
 
 
 def conjugate_vf(vf, a):

@@ -21,6 +21,8 @@ from .algebra import (
     RatFn,
     VerificationFailed,
     LinearMap2,
+    _divide_known,
+    _quotient,
     divexact,
     linear_factors_q,
     poly_dot,
@@ -42,6 +44,7 @@ from .birmap import (
     HomBir,
     conjugate_vf_linear,
     conjugate_vf_radial,
+    _radial_field,
 )
 from .odesolve import (
     NoRationalSolution,
@@ -188,11 +191,12 @@ def _coeffs(p, exps=_QUADRATIC):
     return [terms.get(e, Fraction(0)) for e in exps]
 
 
-def _quad_uvw(vf):
-    """Read (U, V, W) off a univariate-form vector field, or None."""
-    if not vf.D.is_constant() or vf.Q != -Y * Y:
-        return None
-    return QuadVF(*_coeffs(vf.P))
+def _quad_uvw(P, Q, D):
+    """Read (U, V, W) off the field (P/D, Q/D), reduced or not, or None
+    unless it is the univariate form (U x^2 + V x y + W y^2, -y^2): that
+    is Q = -y^2 D, and D divides P."""
+    w = _quotient(P, D) if Q == -Y * Y * D else None
+    return None if w is None else QuadVF(*_coeffs(w))
 
 
 class _Chain:
@@ -675,7 +679,7 @@ def _classify_by_form(vf):
         return None
     # the radial conjugation by A puts the field in univariate form
     ell = HomBir.from_A(A)
-    q = _quad_uvw(conjugate_vf_radial(vf, A))
+    q = _quad_uvw(*_radial_field(vf, A))
     if q is None:
         raise VerificationFailed("radial conjugation missed the normal form")
     res = univariate_classify(q)
@@ -695,13 +699,17 @@ def _transported_invariant(vf, N, ell):
 
     With ell = (P, Q; L), ell^{-1}(x) = L^{-1}(x) * Q/P as in
     ``HomBir.push_forward_phi``, so W = lx ly^(N-1) Q^N / P^N for
-    (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  W is
-    checked exactly against the orbit equation ``orbit_ode_reduce``, as one
+    (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  As
+    gcd(P, Q) = 1, the sides can share only lx and ly, so with those divided
+    out (``_divide_known``) they are coprime and take no gcd.  W is checked
+    exactly against the orbit equation ``orbit_ode_reduce``, as one
     polynomial identity on the unreduced pair (num(x, 1), den(x, 1)): its
     solutions form one line, so W is then the invariant ``orbit_invariant``
     returns."""
     lx, ly = ell.L.inverse().coord_polys()
-    W = RatFn(lx * ly ** (N - 1) * ell.Q ** N, ell.P ** N).scale_num_monic()
+    num, den = _divide_known((lx * ly ** (N - 1) * ell.Q ** N, ell.P ** N),
+                             (lx, ly))
+    W = RatFn(num * (1 / num.leading_coeff()), den.unit_normal(), reduce=False)
     if not orbit_ode_reduce(vf, N).solved_by(_on_y1(W.num), _on_y1(W.den)):
         raise VerificationFailed("transported invariant does not solve the "
                                  "orbit equation")

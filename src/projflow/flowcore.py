@@ -21,6 +21,7 @@ from .algebra import (
     poly_gcd,
     divexact,
     _quotient,
+    _unit_den,
 )
 
 
@@ -38,14 +39,7 @@ class NotDegenerate(AlgebraError):
 
 _X, _Y = Poly.var(0, 2), Poly.var(1, 2)
 _ZERO, _ONE = Poly.zero(2), Poly.const(2, 1)
-
-
-def _rx():
-    return RatFn.var(0, 2)
-
-
-def _ry():
-    return RatFn.var(1, 2)
+_RX, _RY = RatFn.var(0, 2), RatFn.var(1, 2)
 
 
 class Flow:
@@ -54,19 +48,15 @@ class Flow:
     __slots__ = ("u", "v")
 
     def __init__(self, u, v):
-        if isinstance(u, Poly):
-            u = RatFn(u)
-        if isinstance(v, Poly):
-            v = RatFn(v)
-        self.u = u
-        self.v = v
+        self.u, self.v = (RatFn(f) if isinstance(f, Poly) else f
+                          for f in (u, v))
 
     @classmethod
     def identity(cls):
-        return cls(_rx(), _ry())
+        return cls(_RX, _RY)
 
     def is_identity(self):
-        return self.u == _rx() and self.v == _ry()
+        return self.u == _RX and self.v == _RY
 
     def __eq__(self, other):
         if not isinstance(other, Flow):
@@ -109,11 +99,7 @@ class VectorField:
         g = poly_gcd(poly_gcd(D, P), Q)
         if not g.is_constant():
             P, Q, D = divexact(P, g), divexact(Q, g), divexact(D, g)
-        c = D.content()
-        if D.leading_coeff() < 0:
-            c = -c
-        if c != 1:
-            P, Q, D = P * (1 / c), Q * (1 / c), D * (1 / c)
+        P, Q, D = _unit_den(P, Q, D)
         d = D.total_degree() + 2
         if not (D.is_homogeneous() and all(
                 f.is_zero() or f.is_homogeneous() and f.total_degree() == d
@@ -147,9 +133,8 @@ class LevelResult:
     __slots__ = ("tag", "n", "value")
 
     def __init__(self, tag, n=None, value=None):
-        self.tag = tag  # Level | NonIntegerSquare | Indeterminate
-        self.n = n
-        self.value = value
+        # tag: Level | NonIntegerSquare | Indeterminate
+        self.tag, self.n, self.value = tag, n, value
 
     @classmethod
     def level(cls, n):
@@ -377,7 +362,7 @@ def _degenerate_form(f):
     R(A, B) = 1, for a map that fails the boundary condition; raises
     NotDegenerate when f has no such form."""
     if f.u.is_zero() and f.v.is_zero():
-        return _ry(), Fraction(0), Fraction(0), Fraction(0)
+        return _RY, Fraction(0), Fraction(0), Fraction(0)
     base = f.v if f.u.is_zero() else f.u
     k, S = _split_inverse(base)          # S = (A or B) * R
     # normalize R to a primitive representative; constants go into A, B
@@ -525,13 +510,13 @@ def zeros_poles(vf):
 
 def is_i0_symmetric(f):
     """True iff v(x, y) = u(y, x)."""
-    swapped = f.u.subs([_ry(), _rx()])
+    swapped = f.u.subs([_RY, _RX])
     return f.v == swapped
 
 
 def level0_J(f):
     """Recover the 1-homogenic J with f = x/(1-J), y/(1-J); raises otherwise."""
-    x, y = _rx(), _ry()
+    x, y = _RX, _RY
     if f.u.is_zero() or f.v.is_zero():
         raise NotLevel0Form("coordinate vanishes")
     J = 1 - x / f.u
@@ -544,7 +529,7 @@ def level0_J(f):
 
 def level0_flow(J):
     """The level-0 flow x/(1-J), y/(1-J)."""
-    x, y = _rx(), _ry()
+    x, y = _RX, _RY
     if not J.is_zero() and J.homogeneity_degree() != 1:
         raise NotLevel0Form("J not 1-homogenic")
     return Flow(x / (1 - J), y / (1 - J))

@@ -28,8 +28,8 @@ from .algebra import (
     _ldiv,
     _list_poly,
     _lmul,
+    _prem,
     _primitive,
-    _rem,
     factor_list_q,
     poly_dot,
 )
@@ -121,18 +121,17 @@ def _indicial_candidate(pi, A, B):
     lists.
 
     Reduced mod pi both sides have degree below deg pi, so the congruence
-    is the identity e * a = b of a = A pi' rem pi and b = B rem pi.
+    is the identity e * a = b of a = A pi' rem pi and b = B rem pi.  Both
+    are integer pseudo-remainders (``_prem``) of lists padded to one
+    length, so they carry one power of lc(pi), which cancels in e.
     """
-    a = _rem(_lmul(A, _ldiff(pi)), pi)
-    b = _rem(B, pi)
+    f = _lmul(A, _ldiff(pi))
+    n = max(len(f), len(B))
+    a, b = (_prem(c + [0] * (n - len(c)), pi) for c in (f, B))
     if not a or len(a) != len(b):
         return None
-    e = Fraction(b[-1]) / a[-1]
-    if b != [e * v for v in a]:
-        return None
-    if e > 0 and e.denominator == 1:
-        return int(e)
-    return None
+    e, r = divmod(b[-1], a[-1])
+    return e if not r and e > 0 and b == [e * v for v in a] else None
 
 
 def _solve_linear_system(rows, rhs, ncols):

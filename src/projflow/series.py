@@ -58,7 +58,8 @@ def expand_from_vf(vf, K):
     These are binary forms, so the step runs on the integer lists of
     ``algebra``: n over a positive integer s, d, D, and P and Q over their
     common denominator.  Each jet is reduced by ``_form_gcd``, normalized
-    as ``RatFn`` would (d primitive, positive leading entry) and built once.
+    as ``RatFn`` would (d primitive, positive leading entry) and built once,
+    n over s with no second gcd, as the step divides both by gcd(s, *n).
     A constant d is 1, and then the step is (n_x P + n_y Q) / (i D); for a
     polynomial field every jet takes that step, one pass of ``_lderive``
     over the list of n, with no gcd or content and one shared constant
@@ -99,7 +100,8 @@ def expand_from_vf(vf, K):
             s *= i * L * c
             h = gcd(s, *num)
             n, s = [v // h for v in num], s // h
-            jets.append(RatFn(_list_poly(n, s), dpoly, reduce=False))
+            jets.append(RatFn(_list_poly(n, s, reduce=False), dpoly,
+                              reduce=False))
         tables.append(jets)
     return JetTable(K, *tables)
 

@@ -6,7 +6,7 @@ eliminated over Q.  Tests compare ``odesolve.rational_solutions`` with
 from fractions import Fraction
 
 from projflow import CapExceeded, Poly, RatFn
-from projflow.algebra import _form_list, _quotient, _rem, divexact, poly_gcd
+from projflow.algebra import _form_list, _quotient, divexact, poly_gcd
 from projflow.odesolve import DEGREE_CAP
 
 
@@ -44,6 +44,19 @@ def _multiplicity(Q, pi):
     while (q := _quotient(Q, pi)) is not None:
         Q, m = q, m + 1
     return m, Q
+
+
+def _rem(f, g):
+    """The remainder of f by g over Q, for lists of rationals low to high
+    with g's last entry nonzero; without trailing zeros."""
+    r = list(f)
+    while len(r) >= len(g):
+        q = Fraction(r.pop()) / g[-1]
+        for i, v in enumerate(g[:-1], len(r) - len(g) + 1):
+            r[i] -= q * v
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _indicial_candidate(pi, A, B):

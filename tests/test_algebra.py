@@ -658,6 +658,37 @@ def test_poly_gcd_planted_factor_of_high_degree(nvars, seed):
     assert poly_gcd(q, p) == g.unit_normal()
 
 
+@st.composite
+def known_factor_cases(draw):
+    """(polys, factors): a pair or a triple over one denominator, each a
+    cofactor times planted powers 0-2 of 1-3 known factors, constants
+    among them; a factor planted with power 0 somewhere does not divide."""
+    n = draw(st.integers(1, 3))
+    factors = [draw(kernel_polys(n).filter(lambda p: not p.is_zero()))
+               for _ in range(draw(st.integers(1, 3)))]
+    polys = [draw(kernel_polys(n)) for _ in range(draw(st.integers(1, 2)))]
+    polys.append(draw(rational_polys(n).filter(lambda p: not p.is_zero())))
+    for i, p in enumerate(polys):
+        for g in factors:
+            p = p * g ** draw(st.integers(0, 2))
+        polys[i] = p
+    return polys, factors
+
+
+@given(known_factor_cases())
+@settings(max_examples=80, deadline=None)
+def test_divide_known_then_reduce_equals_reduce(case):
+    # dividing out known factors changes no reduced value, and leaves each
+    # nonconstant factor dividing at most some of the results
+    polys, factors = case
+    out = algebra._divide_known(polys, factors)
+    assert [RatFn(p, out[-1]) for p in out[:-1]] == [
+        RatFn(p, polys[-1]) for p in polys[:-1]]
+    for g in factors:
+        assert g.is_constant() or not all(
+            algebra._quotient(p, g) is not None for p in out)
+
+
 # -- gcd in two variables on images at y = xi ---------------------------------
 
 # (p, q, their gcd); no pair is a pair of forms

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apply_reference import apply_reference
+from projflow import algebra, birmap
 from projflow import (
     HomBir,
     IdenticallySingular,
@@ -182,6 +183,36 @@ def test_conjugate_flow_back_from_degree_3_conjugate():
                LinearMap2(-2, -1, -2, 0))
     f = conjugate_flow(canonical_flow(2), h)
     assert conjugate_flow(f, canonicalize(f).ell) == canonical_flow(2)
+
+
+def test_forward_conjugation_divides_out_known_factors(monkeypatch):
+    # a^-1 applied to the pullback divides its triple (N1, N2, D) by the
+    # pair's denominator and the map's Q and P before it reduces, so no
+    # gcd sees the full unreduced pair
+    triples, gcds = [], []
+    divide, gcd = birmap._divide_known, algebra.poly_gcd
+
+    def recording_divide(polys, factors):
+        out = divide(polys, factors)
+        if len(polys) == 3:
+            triples.append((polys, out))
+        return out
+
+    def recording_gcd(p, q):
+        gcds.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(birmap, "_divide_known", recording_divide)
+    monkeypatch.setattr(algebra, "poly_gcd", recording_gcd)
+    rng = random.Random(13)
+    for deg, N in ((2, 2), (2, -2), (3, -1), (3, 2)):
+        h = _rand_hombir(rng, deg)
+        triples.clear()
+        gcds.clear()
+        conjugate_flow(canonical_flow(N), h)
+        ((*_, D), out), = triples
+        assert out[-1].total_degree() < D.total_degree(), (deg, N)
+        assert not any(D in args for args in gcds), (deg, N)
 
 
 def test_involution_i_plus_example():

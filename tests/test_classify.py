@@ -50,9 +50,13 @@ from projflow import (
     verify_translation,
     zoo,
 )
+from projflow import algebra as algebra_module
+from projflow import birmap as birmap_module
 from projflow import classify as classify_module
+from projflow import flowcore as flowcore_module
 from projflow import odesolve as odesolve_module
 from projflow.algebra import divexact
+from projflow.birmap import _radial_field, conjugate_vf_radial
 from projflow.classify import (
     _Chain,
     _conjugates_to,
@@ -61,6 +65,7 @@ from projflow.classify import (
 )
 from projflow.cli import _coords_repr, main
 from projflow.flowcore import NotDegenerate
+from projflow.odesolve import NoRationalSolution, homogenize_0, solve_differ
 from projflow.parser import parse_flow, print_flow, print_vector_field
 
 SCHEMA = json.load(open(
@@ -253,7 +258,8 @@ def test_chain_moves_match_conjugate_vf():
                            ("x_scale", (frac() or Fraction(1),))):
             ch = _Chain(q, HomBir.identity())
             getattr(ch, move)(*args)
-            want = _quad_uvw(conjugate_vf(q.vector_field(), ch.ell))
+            v = conjugate_vf(q.vector_field(), ch.ell)
+            want = _quad_uvw(v.P, v.Q, v.D)
             assert want == ch.q, (q, move, args)
 
 
@@ -534,6 +540,87 @@ def test_transported_invariant_rejects_wrong_conjugator(transport_cases,
                         lambda q, N, ell: chain(q, N, ell).compose(shear))
     with pytest.raises(VerificationFailed):
         classify_vf(transport_cases[0][0])
+
+
+def _reduced_uvw(vf):
+    """(U, V, W) read off a reduced field in univariate form, or None."""
+    if not vf.D.is_constant() or vf.Q != -Y * Y:
+        return None
+    return QuadVF(*(vf.P.terms.get(e, 0) for e in ((2, 0), (1, 1), (0, 2))))
+
+
+def test_radial_read_matches_reduced_field(transport_cases):
+    # (U, V, W) from the unreduced numerators of the radial conjugate, as
+    # from the reduced field; a perturbed A misses the univariate form
+    fields = [vf for vf, _ in transport_cases]
+    fields += [vector_field(e.flow) for e in zoo() if e.level != 0]
+    reads = []
+    for vf in fields:
+        try:
+            A = homogenize_0(solve_differ(vf)["particular"])
+        except NoRationalSolution:
+            continue
+        for B in (A, A * RatFn(X + 2 * Y, X - Y), A + 1):
+            got = _quad_uvw(*_radial_field(vf, B))
+            assert got == _reduced_uvw(conjugate_vf_radial(vf, B)), (vf, B)
+            reads.append(got is None)
+    assert reads.count(False) >= len(transport_cases) and True in reads
+
+
+def test_radial_read_failure_shapes(transport_cases, monkeypatch):
+    # r != -y^2, or a denominator that does not divide w's numerator:
+    # either one is no univariate form, and the pipeline says so
+    vf = transport_cases[0][0]
+    P, Q, D = _radial_field(vf, homogenize_0(solve_differ(vf)["particular"]))
+    lin = X + 7 * Y
+    divexact(P, D)
+    with pytest.raises(AlgebraError):
+        divexact(P, D * lin)
+    for shape in ((P, 2 * Q, D), (P, Q * lin, D * lin)):
+        monkeypatch.setattr(classify_module, "_radial_field",
+                            lambda vf, A, shape=shape: shape)
+        with pytest.raises(VerificationFailed):
+            classify_module._classify_by_form(vf)
+
+
+def test_radial_read_and_transported_invariant_take_no_gcd(monkeypatch):
+    # the radial read divides once by the known denominator, and the
+    # transported invariant divides out l_x and l_y; neither takes a gcd
+    # of two nonconstant polynomials
+    scope, seen, ran = [], [], set()
+
+    def watch(owner):
+        gcd = owner.poly_gcd
+
+        def spy(p, q):
+            if scope and not (p.is_constant() or q.is_constant()):
+                seen.append(scope[-1])
+            return gcd(p, q)
+        monkeypatch.setattr(owner, "poly_gcd", spy)
+
+    def enter(name):
+        fn = getattr(classify_module, name)
+
+        def run(*args):
+            ran.add(name)
+            scope.append(name)
+            try:
+                return fn(*args)
+            finally:
+                scope.pop()
+        monkeypatch.setattr(classify_module, name, run)
+
+    for owner in (algebra_module, flowcore_module, birmap_module):
+        watch(owner)
+    for name in ("_radial_field", "_quad_uvw", "_transported_invariant"):
+        enter(name)
+    flows = [e.flow for e in zoo()]
+    flows += [f for seed in (2, 7)
+              for _, _, f in _seeded_conjugates(random.Random(seed))]
+    for f in flows:
+        canonicalize(f)
+    assert ran == {"_radial_field", "_quad_uvw", "_transported_invariant"}
+    assert seen == []
 
 
 def test_canonicalize_solves_one_ode(monkeypatch):

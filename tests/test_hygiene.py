@@ -138,6 +138,23 @@ def test_one_product_loop():
     assert loops == {"algebra._mul_ints"}, loops
 
 
+def test_one_known_factor_loop():
+    # dividing by a known factor for as long as the division is exact is
+    # algebra._divide_known; no other function keeps a loop of its own
+    loops = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for n in _own_nodes(fn):
+                if isinstance(n, ast.While) and any(
+                        isinstance(c, ast.Call)
+                        and getattr(c.func, "id", None) == "_quotient"
+                        for c in ast.walk(n)):
+                    loops.add("%s.%s" % (path.stem, fn.name))
+    assert loops == {"algebra._divide_known"}, loops
+
+
 def test_private_parameters_are_passed():
     # a _name parameter is an internal knob; one that no call in the
     # package or its tests passes by keyword only ever takes its default

@@ -25,7 +25,7 @@ from projflow import (
     canonical_flow,
 )
 from projflow import odesolve
-from projflow.algebra import _form_list
+from projflow.algebra import _form_list, _ladd, _ldiff, _lmul
 
 import odesolve_reference
 
@@ -257,6 +257,38 @@ def test_indicial_candidate_solves_its_congruence():
         assert got == want, (pi, A, B, e)
         seen.add(want is None)
     assert seen == {True, False}
+
+
+def _uni_poly(c):
+    return Poly(1, {(k,): Fraction(v) for k, v in enumerate(c) if v})
+
+
+@given(st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(
+           lambda c: c[-1]),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+       st.lists(st.integers(-4, 4), max_size=3),
+       st.integers(-2, 4), st.integers(1, 3), st.integers(1, 3), st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(pi=[-3, 0, -2], A=[1], C=[], e=2, s=1, t=1, planted=True)
+@example(pi=[1, 2], A=[0, 0, 5], C=[1], e=3, s=2, t=3, planted=True)
+def test_indicial_candidate_matches_fraction_remainders(pi, A, C, e, s, t,
+                                                        planted):
+    # the integer pseudo-remainders against the Fraction remainders of the
+    # reference, with lc(pi) of either sign and lists longer or shorter than
+    # pi; a planted B = s (e A pi' + pi C) against t A has the ratio e s / t
+    if not any(A):
+        return
+    if planted:
+        B = _ladd(_lmul([e * s * v for v in A], _ldiff(pi)),
+                  _lmul([s * v for v in C], pi))
+    else:
+        B = [e, s, t] + C
+    A = [t * v for v in A]
+    if not any(B):
+        return
+    want = odesolve_reference._indicial_candidate(
+        _uni_poly(pi), _uni_poly(A), _uni_poly(B))
+    assert odesolve._indicial_candidate(pi, A, B) == want
 
 
 def test_orbit_ode_phi2():
