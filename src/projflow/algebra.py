@@ -2,15 +2,15 @@
 
 A polynomial is stored as integer numerators over one denominator: ``ints``
 maps packed monomial keys to nonzero ints and ``den`` is a positive int
-coprime to all of them, so equality and hashing are structural.  A key is
-one int: the total degree in the top field, then every exponent but the
-last in a field of ``_W`` bits, the last exponent being the total degree
-minus the others.  Comparing keys therefore compares monomials in graded
-lexicographic order with x > y (> z), the canonical order, and adding two
-keys multiplies the monomials.  A total degree above ``2**_W - 1`` would
-spill out of its field, so the operations that can raise a degree (the
-constructor, products and substitution) check it and raise
-``CapExceeded``.  Exponent tuples appear only at the edges, decoded
+coprime to all of them, so equality and hashing are structural.  A
+polynomial is in x, y or in x alone.  A key is one int: for x^a y^b the
+total degree a + b in the top field and a in a field of ``_W`` bits below
+it, for x^a in x alone just a.  Comparing keys therefore compares
+monomials in graded lexicographic order with x > y, the canonical order,
+and adding two keys multiplies the monomials.  A total degree above
+``2**_W - 1`` would spill out of its field, so the operations that can
+raise a degree (the constructor, products and substitution) check it and
+raise ``CapExceeded``.  Exponent tuples appear only at the edges, decoded
 by shifts and masks: the ``Poly(nvars, terms)`` constructor, the read-only
 ``Poly.terms`` view ({exponent tuple: Fraction}, built afresh on each read),
 printing, evaluation and the grouping of the Horner scheme below.
@@ -30,20 +30,20 @@ A binary form of degree k is also one list of k + 1 integers, c[a] the
 coefficient of x^a y^(k - a), and a polynomial in x alone its coefficient
 list.  The list-form section works on such lists: conversions, products,
 derivatives, exact division, homogeneous evaluation and ``_form_gcd``, a
-heuristic gcd (GCDHEU).  ``poly_gcd`` takes it for a pair in one variable
-or a pair of forms, and ``series.expand_from_vf`` and
+heuristic gcd (GCDHEU).  ``poly_gcd`` takes it for a pair in x alone or a
+pair of forms, and ``series.expand_from_vf`` and
 ``odesolve.rational_solutions`` run on the lists.  Any other pair takes
-``_heu_gcd``, GCDHEU in the last variable over ``poly_gcd`` of the images
-at a point, so a pair in x, y ends in ``_form_gcd`` on lists.  Both run
-until their division check accepts, which they are shown to do, so no gcd
-has a fallback.  Factorization over Q also runs on the lists: Yun's
-square-free split (``_sqf_list``, on ``_form_gcd``) and rational roots by
-p-adic lifting (``_rational_roots``) give ``linear_factors_q`` and
-``factor_list_q``, which leaves to sympy's Zassenhaus only a square-free
-cofactor of degree 4 or more without rational roots.  Real projective
-roots are counted by Sturm chains on the parts of ``_sqf_list``
-(``_sturm_count``).  So sympy is imported only by ``factor_list_q``, on
-such a cofactor, and by ``largest_prime_factor``.
+``_heu_gcd``, GCDHEU in y: the images at a point y = xi are lists in x,
+and their ``_form_gcd`` is read back into keys of x, y by balanced xi-adic
+digits, with no recursion.  Both run until their division check accepts,
+which they are shown to do, so no gcd has a fallback.  Factorization over
+Q also runs on the lists: Yun's square-free split (``_sqf_list``, on
+``_form_gcd``) and rational roots by p-adic lifting (``_rational_roots``)
+give ``linear_factors_q`` and ``factor_list_q``, which leaves to sympy's
+Zassenhaus only a square-free cofactor of degree 4 or more without
+rational roots.  Real projective roots are counted by Sturm chains on the
+parts of ``_sqf_list`` (``_sturm_count``).  So sympy is imported only by
+``factor_list_q``, on such a cofactor, and by ``largest_prime_factor``.
 
 Products, sums and exact division run on the stored keys and numerators and
 multiply or take the lcm of the denominators.  Every product of two term
@@ -76,7 +76,7 @@ from heapq import heapify, heappop, heappush
 from itertools import groupby, zip_longest
 from math import gcd as _int_gcd, isqrt, lcm
 
-VAR_NAMES = ("x", "y", "z", "t")
+VAR_NAMES = ("x", "y")
 
 # bits per field of a monomial key; the largest total degree a key holds
 _W = 32
@@ -123,44 +123,45 @@ def _check_degree(d):
                           % (d, _MAX_DEG))
 
 
+def _check_nvars(nvars):
+    """Raise AlgebraError unless ``nvars`` is 1 (x alone) or 2 (x, y)."""
+    if nvars != 2 and nvars != 1:
+        raise AlgebraError("a polynomial is in x alone or in x, y, not in "
+                           "%r variables" % (nvars,))
+
+
 def _key(exps):
     """The monomial key of an exponent tuple (see the module docstring)."""
     if min(exps) < 0:
         raise AlgebraError("negative exponent in %r" % (exps,))
     k = sum(exps)
     _check_degree(k)
-    for a in exps[:-1]:
-        k = (k << _W) | a
-    return k
+    return k << _W | exps[0] if len(exps) == 2 else k
 
 
 def _exps(k, nvars):
     """The exponent tuple of the monomial key ``k``."""
-    if nvars == 2:
-        a = k & _MAX_DEG
-        return a, (k >> _W) - a
-    out = [0] * nvars
-    for i in range(nvars - 2, -1, -1):
-        out[i] = k & _MAX_DEG
-        k >>= _W
-    out[-1] = k - sum(out)
-    return tuple(out)
+    if nvars == 1:
+        return (k,)
+    a = k & _MAX_DEG
+    return a, (k >> _W) - a
 
 
 class Poly:
-    """Sparse polynomial in ``nvars`` variables over Q.
+    """Sparse polynomial over Q in x, y (``nvars`` 2) or x alone (1).
 
     Stored as ``ints`` / ``den``: ``ints`` maps monomial keys to nonzero
     ints and ``den`` is a positive int with gcd(den, *ints.values()) = 1,
     so equal polynomials have equal fields.  The key of x^a y^b is
-    (a + b) << _W | a, of x^a y^b z^c it is ((a + b + c) << _W | a) << _W
-    | b, and of x^a in one variable it is a: the total degree is
-    ``k >> _W * (nvars - 1)``.
+    (a + b) << _W | a, and of x^a in x alone it is a: the total degree is
+    ``k >> _W * (nvars - 1)``.  The constructors raise AlgebraError for
+    any other ``nvars``.
     """
 
     __slots__ = ("nvars", "ints", "den")
 
     def __init__(self, nvars, terms=None):
+        _check_nvars(nvars)
         terms = {tuple(e): _rational(c) for e, c in (terms or {}).items()}
         if any(len(e) != nvars for e in terms):
             raise AlgebraError("exponent tuple length differs from %d" % nvars)
@@ -187,16 +188,22 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars):
+        _check_nvars(nvars)
         return cls._of(nvars, {})
 
     @classmethod
     def const(cls, nvars, c):
+        _check_nvars(nvars)
         c = _rational(c)
         return cls._of(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, i, nvars):
-        return cls._of(nvars, {_key(_ex(nvars, i)): 1})
+        _check_nvars(nvars)
+        if i not in range(nvars):
+            raise AlgebraError("no variable %r among %d" % (i, nvars))
+        # total degree 1, and an x field of 1 for x
+        return cls._of(nvars, {1 << _W * (nvars - 1) | (i == 0): 1})
 
     # -- predicates / views ---------------------------------------------
     @property
@@ -333,33 +340,26 @@ class Poly:
         return result
 
     def euler(self, s):
-        """x p_x + y p_y (+ ...) + s p: by Euler's identity each homogeneous
+        """x p_x + y p_y + s p: by Euler's identity each homogeneous
         part of degree j times j + s, with no product."""
         shift = _W * (self.nvars - 1)
         return Poly._of(self.nvars, {k: c * e for k, c in self.ints.items()
                                      if (e := (k >> shift) + s)}, self.den)
 
     def derivative(self, i):
-        nv = self.nvars
-        # x_i^e -> e x_i^(e-1) lowers the total by one, and exponent i by
-        # one in its field unless i is the last variable, which has none
-        step = 1 << _W * (nv - 1)
-        ints = {}
-        if i < nv - 1:
-            at = _W * (nv - 2 - i)
-            step += 1 << at
-            for k, c in self.ints.items():
-                if e := (k >> at) & _MAX_DEG:
-                    ints[k - step] = c * e
-        elif nv == 2:
-            for k, c in self.ints.items():
-                if e := (k >> _W) - (k & _MAX_DEG):
-                    ints[k - step] = c * e
+        # a term's exponent of the variable, read from its field, becomes
+        # its factor; the total degree falls by one, and for x its field too
+        if self.nvars == 1:
+            ints = {k - 1: c * k for k, c in self.ints.items() if k}
+        elif i == 0:
+            step = (1 << _W) + 1
+            ints = {k - step: c * e for k, c in self.ints.items()
+                    if (e := k & _MAX_DEG)}
         else:
-            for k, c in self.ints.items():
-                if e := _exps(k, nv)[i]:
-                    ints[k - step] = c * e
-        return Poly._of(nv, ints, self.den)
+            step = 1 << _W
+            ints = {k - step: c * e for k, c in self.ints.items()
+                    if (e := (k >> _W) - (k & _MAX_DEG))}
+        return Poly._of(self.nvars, ints, self.den)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -891,51 +891,46 @@ def _form_gcd(f, g):
 
 
 def _image_at(p, xi):
-    """The Poly in one variable fewer of p with its last variable set to
-    the integer xi.  With s = _W * (nvars - 2), a key k whose last exponent
-    is c gives the image key k2 = (k >> _W) - (c << s), and back, the key
-    of z^c times the image term is (k2 + (c << s)) << _W | e for e the last
-    exponent of k2 (in x, y, k2 itself)."""
-    nv = p.nvars
-    at = _W * (nv - 2)
-    img = {}
-    get = img.get
+    """The list in x of p(x, xi), for p in x, y and an integer xi: the
+    term c x^a y^b adds c xi^b to entry a, and the zeros at the top are
+    dropped, so an image that vanishes is []."""
+    c = [0] * (max(k & _MAX_DEG for k in p.ints) + 1)
     for k, v in p.ints.items():
-        c = (k >> _W) - (k & _MAX_DEG) if nv == 2 else _exps(k, nv)[-1]
-        k2 = (k >> _W) - (c << at)
-        img[k2] = get(k2, 0) + v * xi ** c
-    return Poly._of(nv - 1, {k: v for k, v in img.items() if v})
+        a = k & _MAX_DEG
+        c[a] += v * xi ** ((k >> _W) - a)
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
 def _heu_gcd(p, q):
-    """The gcd of two nonconstant polynomials in two or more variables,
-    primitive: GCDHEU in the last variable z over ``poly_gcd`` of the
-    images in one variable fewer, on p and q made primitive.  At each point
-    xi of ``_heu_points`` where neither image (``_image_at``) vanishes,
-    their gcd over the integers is their ``poly_gcd`` times the gcd of
-    their contents; the balanced xi-adic digits of its coefficients are
-    polynomials in z, and their primitive part is gcd(p, q) if
+    """The gcd of two nonconstant polynomials in x, y that are not both
+    forms, primitive: GCDHEU in y over ``_form_gcd`` of the images, on p
+    and q made primitive.  At each point xi of ``_heu_points`` where
+    neither image (``_image_at``) vanishes, the gcd of the images over the
+    integers is their ``_form_gcd`` times the gcd of their contents; the
+    balanced xi-adic digits of its entry a are the coefficients of x^a y^0,
+    x^a y^1, ..., and the primitive part of that polynomial is gcd(p, q) if
     ``_quotient`` shows it divides both.  It ends as ``_form_gcd`` does:
     with p = H A and q = H B, for all but finitely many xi the gcd of the
     images of A and B is an integer dividing a fixed nonzero one
     (resultants bound a common factor and a common content alike), so the
-    image gcd is H(.., xi) times an integer c of a finite set, and once
+    image gcd is H(x, xi) times an integer c of a finite set, and once
     xi > 2 |c| |H| for all of them its digits are those of c H."""
     p, q = p.unit_normal(), q.unit_normal()
-    nv = p.nvars
-    at = _W * (nv - 2)
     m = min(max(map(abs, p.ints.values())), max(map(abs, q.ints.values())))
     for xi in _heu_points(m):
         fp, fq = _image_at(p, xi), _image_at(q, xi)
-        if fp.ints and fq.ints:
-            c = _int_gcd(*fp.ints.values(), *fq.ints.values())
+        if fp and fq:
+            c = _int_gcd(*fp, *fq)
             ints = {}
-            for k2, v in poly_gcd(fp, fq).ints.items():
-                last = k2 if nv == 2 else _exps(k2, nv - 1)[-1]
-                for j, d in enumerate(_balanced_digits(c * v, xi)):
+            for a, v in enumerate(_form_gcd(fp, fq)):
+                # digit b of entry a is the coefficient of x^a y^b, counted
+                # by its total degree t = a + b
+                for t, d in enumerate(_balanced_digits(c * v, xi), a):
                     if d:
-                        ints[(k2 + (j << at)) << _W | last] = d
-            h = Poly._of(nv, ints).unit_normal()
+                        ints[t << _W | a] = d
+            h = Poly._of(2, ints).unit_normal()
             if (not any(h.ints) or _quotient(p, h) is not None
                     and _quotient(q, h) is not None):
                 return h
@@ -944,12 +939,12 @@ def _heu_gcd(p, q):
 def poly_gcd(p, q):
     """GCD with primitive integer coefficients, positive grlex leading.
 
-    Polynomials in one variable, and pairs of forms in two of any degrees,
-    take ``_form_gcd`` on their lists; every other pair takes ``_heu_gcd``,
-    GCDHEU in the last variable over ``poly_gcd`` of the images, which in
-    x, y are lists again.  Both run until their division check accepts, so
-    there is no fallback.  The result is put through ``unit_normal``, so
-    the route does not show in it."""
+    Polynomials in x alone, and pairs of forms in x, y of any degrees,
+    take ``_form_gcd`` on their lists; every other pair in x, y takes
+    ``_heu_gcd``, GCDHEU in y over ``_form_gcd`` of the images at y = xi.
+    Both run until their division check accepts, so there is no fallback.
+    The result is put through ``unit_normal``, so the route does not show
+    in it."""
     if p.is_zero():
         return q.unit_normal()
     if q.is_zero():
@@ -957,7 +952,7 @@ def poly_gcd(p, q):
     if p.is_constant() or q.is_constant():
         return Poly.const(p.nvars, 1)
     nv = p.nvars
-    if nv == 1 or nv == 2 and p.is_homogeneous() and q.is_homogeneous():
+    if nv == 1 or p.is_homogeneous() and q.is_homogeneous():
         return _list_poly(_form_gcd(_form_list(p)[0], _form_list(q)[0]),
                           nvars=nv)
     return _heu_gcd(p, q)
@@ -1398,12 +1393,6 @@ def linear_factors_q(p):
         return rem.constant_value(), factors, Poly.const(2, 1)
     scale = rem.content() if rem.leading_coeff() > 0 else -rem.content()
     return scale, factors, rem * (1 / scale)
-
-
-def _ex(nvars, i):
-    e = [0] * nvars
-    e[i] = 1
-    return tuple(e)
 
 
 # -- real projective root counting ----------------------------------------

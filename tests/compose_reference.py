@@ -1,40 +1,48 @@
 """Reference check of the translation equation by composition: phi is
-composed with itself in three variables, independently of the boundary
-condition, the PDE system and the degenerate form that ``verify_translation``
-decides by.  Tests compare every route of the package against it."""
+composed with itself in three variables, in sympy's ZZ[x, y, z], so
+independently of projflow's polynomial kernel, and of the boundary
+condition, the PDE system and the degenerate form that
+``verify_translation`` decides by.  Tests compare every route of the
+package against it."""
 import random
 from fractions import Fraction
+from math import lcm
 
-from projflow import IdenticallySingular, Poly, RatFn
+from sympy import ZZ
+from sympy.polys.rings import ring
 
+from projflow import IdenticallySingular
 
-def _poly_scale_z(p):
-    """Bivariate p(x, y) -> trivariate p(xz, yz)."""
-    return Poly(3, {(i, j, i + j): c for (i, j), c in p.terms.items()})
-
-
-def _poly_to3(p):
-    return Poly(3, {(i, j, 0): c for (i, j), c in p.terms.items()})
+_R, _, _, _Z = ring("x,y,z", ZZ)
 
 
-def _pair_normalize(num, den):
-    """Cheap normalization of an unreduced trivariate pair: cancel the
-    common monomial factor and make the denominator primitive with a
-    positive leading coefficient."""
-    if num.is_zero():
-        return num, Poly.const(3, 1)
-    common = tuple(min(e[i] for e in list(num.terms) + list(den.terms))
-                   for i in range(3))
-    if any(common):
-        num = num.strip_monomial(common)
-        den = den.strip_monomial(common)
-    c = den.content()
-    if den.leading_coeff() < 0:
-        c = -c
-    if c != 1:
-        num = num * (1 / c)
-        den = den * (1 / c)
-    return num, den
+def _integer_pair(f):
+    """({(i, j): int} of f.num, the same of f.den), both times one integer:
+    the lcm of the denominators of their coefficients."""
+    terms = f.num.terms, f.den.terms
+    L = lcm(*(c.denominator for t in terms for c in t.values()))
+    return tuple({e: c.numerator * (L // c.denominator) for e, c in t.items()}
+                 for t in terms)
+
+
+def _powers(p, n):
+    """[1, p, ..., p^n] in ZZ[x, y, z]."""
+    out = [_R.one]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
+
+
+def _substituted(terms, d, A, B, C, O):
+    """C^d p((1 - z) A/C, (1 - z) B/C) for p with ``terms`` of total degree
+    at most d, from the tables of powers A, B, C and O of 1 - z: each
+    homogeneous part of degree s, summed over its terms c A^i B^j, times
+    (1 - z)^s C^(d - s)."""
+    parts = {}
+    for (i, j), c in terms.items():
+        t = A[i] * B[j] * c
+        parts[i + j] = parts[i + j] + t if i + j in parts else t
+    return sum((p * (O[s] * C[d - s]) for s, p in parts.items()), _R.zero)
 
 
 def sample_check(f, trials=6, seed=20240814):
@@ -64,29 +72,41 @@ def sample_check(f, trials=6, seed=20240814):
 
 
 def verify_compose(f):
-    """The translation equation by composing phi with itself in three
-    variables: a numeric pre-check on sample points, then exact equality of
-    the two sides as trivariate fractions.  Raises IdenticallySingular when
-    the composition is nowhere defined."""
+    """The translation equation (1 - z) phi(x, y) = phi(phi(xz, yz) (1 - z)
+    / z) by composing phi with itself in ZZ[x, y, z]: a numeric pre-check
+    on sample points, then the two sides compared by cross-multiplication.
+    Raises IdenticallySingular when the composition is nowhere defined."""
     if not sample_check(f):
         return False
-    z = Poly.var(2, 3)
-    one = Poly.const(3, 1)
-    # phi(xz, yz) as unreduced trivariate pairs
-    n1, d1 = _pair_normalize(_poly_scale_z(f.u.num), _poly_scale_z(f.u.den))
-    n2, d2 = _pair_normalize(_poly_scale_z(f.v.num), _poly_scale_z(f.v.den))
-    if d1.is_zero() or d2.is_zero():
-        raise IdenticallySingular("inner substitution degenerates")
-    # arguments X = n1 (1-z) / (z d1), Y = n2 (1-z) / (z d2); common denominator
-    omz = one - z
-    A = n1 * omz * d2
-    B = n2 * omz * d1
-    C = z * d1 * d2
-    args = [RatFn(A, C, reduce=False), RatFn(B, C, reduce=False)]
-    for coord in (f.u, f.v):
-        rn, rd = _pair_normalize(*coord.subs_pair(args))
-        ln = _poly_to3(coord.num) * omz
-        ld = _poly_to3(coord.den)
+    coords = [_integer_pair(c) for c in (f.u, f.v)]
+    # phi(xz, yz), each coordinate with the common power z^m of its pair
+    # cancelled
+    inner = []
+    for pair in coords:
+        m = min(i + j for t in pair for i, j in t)
+        inner.append([_R.from_dict({(i, j, i + j - m): c
+                                    for (i, j), c in t.items()})
+                      for t in pair])
+    (n1, d1), (n2, d2) = inner
+    # the arguments (1 - z) A/C and (1 - z) B/C over one denominator: C =
+    # z d1 with A = n1, B = n2 when d1 = d2, else C = z d1 d2 with A = n1
+    # d2, B = n2 d1; the powers are tabulated once for both coordinates
+    c1, c2 = (_R.one, _R.one) if d1 == d2 else (d2, d1)
+    exps = [e for pair in coords for t in pair for e in t]
+    top = max(i + j for i, j in exps)
+    A = _powers(n1 * c1, max(i for i, _ in exps))
+    B = _powers(n2 * c2, max(j for _, j in exps))
+    C = _powers(_Z * d1 * c1, top)
+    omz = 1 - _Z
+    O = _powers(omz, top)
+    for num, den in coords:
+        d = max(i + j for t in (num, den) for i, j in t)
+        rd = _substituted(den, d, A, B, C, O)
+        if not rd:
+            raise IdenticallySingular("substitution denominator vanishes")
+        rn = _substituted(num, d, A, B, C, O)
+        ln = _R.from_dict({(i, j, 0): c for (i, j), c in num.items()}) * omz
+        ld = _R.from_dict({(i, j, 0): c for (i, j), c in den.items()})
         if ln * rd != rn * ld:
             return False
     return True

@@ -449,7 +449,8 @@ import contextlib, io, sys
 from fractions import Fraction as F
 from projflow import Poly, canonical_flow, canonicalize, cli, poly_gcd
 canonicalize(canonical_flow(2))
-x, y, z = (Poly.var(i, 3) for i in range(3))
+x, y = Poly.var(0, 2), Poly.var(1, 2)
+z = x + y + 1
 g = x ** 3 * z ** 2 + F(3, 2) * y ** 2 * z + 9 * x ** 2 * y ** 2 * z
 a = 2 * x ** 3 * y ** 2 * z - F(1, 2) * x ** 2 * z ** 2 - F(5, 3) * y * z ** 2 \\
     - 4 * x * y ** 3 * z ** 3
@@ -466,10 +467,9 @@ print(set(codes), "sympy" in sys.modules)
 
 
 def test_first_verdict_and_cli_import_no_sympy():
-    # a first verdict, the gcd of the hard pair in three variables of
-    # test_algebra, and classify, level and zoo on the catalogue run
-    # without importing sympy.  This process has imported sympy already, so
-    # a fresh interpreter checks.
+    # a first verdict, the gcd of the hard pair in x, y of test_algebra, and
+    # classify, level and zoo on the catalogue run without importing sympy.
+    # This process has imported sympy already, so a fresh interpreter checks.
     flows = [print_flow(entry.flow) for entry in zoo()]
     code, out, err = _run_child("-c", _FIRST_VERDICT, *flows)
     assert code == 0, err
