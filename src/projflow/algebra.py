@@ -31,19 +31,19 @@ coefficient of x^a y^(k - a), and a polynomial in x alone its coefficient
 list.  The list-form section works on such lists: conversions, products,
 derivatives, exact division, homogeneous evaluation and ``_form_gcd``, a
 heuristic gcd (GCDHEU).  ``poly_gcd`` takes it for a pair in x alone or a
-pair of forms, and ``series.expand_from_vf`` and
-``odesolve.rational_solutions`` run on the lists.  Any other pair takes
-``_heu_gcd``, GCDHEU in y: the images at a point y = xi are lists in x,
-and their ``_form_gcd`` is read back into keys of x, y by balanced xi-adic
-digits, with no recursion.  Both run until their division check accepts,
-which they are shown to do, so no gcd has a fallback.  Factorization over
-Q also runs on the lists: Yun's square-free split (``_sqf_list``, on
-``_form_gcd``) and rational roots by p-adic lifting (``_rational_roots``)
-give ``linear_factors_q`` and ``factor_list_q``, which leaves to sympy's
-Zassenhaus only a square-free cofactor of degree 4 or more without
-rational roots.  Real projective roots are counted by Sturm chains on the
-parts of ``_sqf_list`` (``_sturm_count``).  So sympy is imported only by
-``factor_list_q``, on such a cofactor, and by ``largest_prime_factor``.
+pair of forms; the Lie recurrence, the level and the ODE solver run on the
+lists.  Any other pair takes ``_heu_gcd``, GCDHEU in y: the images at a
+point y = xi are lists in x, and their ``_form_gcd`` is read back into keys
+of x, y by balanced xi-adic digits, with no recursion.  Both run until
+their division check accepts, which they are shown to do, so no gcd has a
+fallback.  Factorization over Q also runs on the lists: Yun's square-free
+split (``_sqf_list``, on ``_form_gcd``) and rational roots by p-adic
+lifting (``_rational_roots``) give ``linear_factors_q`` and
+``factor_list_q``, which leaves to sympy's Zassenhaus only a square-free
+cofactor of degree 4 or more without rational roots.  Real projective roots
+are counted by Sturm chains on the parts of ``_sqf_list``
+(``_sturm_count``).  So sympy is imported only by ``factor_list_q``, on
+such a cofactor, and by ``largest_prime_factor``.
 
 Products, sums and exact division run on the stored keys and numerators and
 multiply or take the lcm of the denominators.  Every product of two term
@@ -692,11 +692,25 @@ def _form_list(p):
     return c, p.den
 
 
+def _form_lists(*polys):
+    """([c, ...], L): the lists of L p, L the lcm of the p.den."""
+    pairs = [_form_list(p) for p in polys]
+    L = lcm(*(den for _, den in pairs))
+    return [[v * (L // den) for v in c] for c, den in pairs], L
+
+
 def _list_poly(c, den=1, nvars=2, reduce=True):
     """The Poly of the list c over den: a form in x, y, or in x alone."""
     top = (len(c) - 1) << _W if nvars == 2 else 0
     return Poly._of(nvars, {top | a: v for a, v in enumerate(c) if v}, den,
                     reduce)
+
+
+def _trim(c):
+    """The list c with its zero top entries popped."""
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
 def _split(c):
@@ -785,9 +799,7 @@ def _prem(f, g):
         r = [s * v for v in r]
         for j, v in enumerate(g[:-1], len(r) - n):
             r[j] -= c * v
-    while r and not r[-1]:
-        r.pop()
-    return r
+    return _trim(r)
 
 
 def _content(c):
@@ -898,9 +910,7 @@ def _image_at(p, xi):
     for k, v in p.ints.items():
         a = k & _MAX_DEG
         c[a] += v * xi ** ((k >> _W) - a)
-    while c and not c[-1]:
-        c.pop()
-    return c
+    return _trim(c)
 
 
 def _heu_gcd(p, q):
@@ -1276,9 +1286,7 @@ def _sqf_list(f):
     b, c = _ldiv(f, g), _ldiv(df, g)
     out, i = [], 1
     while len(b) > 1:
-        d = _ladd(c, _ldiff(b), -1)
-        while d and not d[-1]:
-            d.pop()
+        d = _trim(_ladd(c, _ldiff(b), -1))
         a = _form_gcd(b, d) if d else b
         if len(a) > 1:
             out.append((a, i))

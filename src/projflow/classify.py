@@ -22,6 +22,7 @@ from .algebra import (
     VerificationFailed,
     LinearMap2,
     _divide_known,
+    _form_lists,
     _quotient,
     divexact,
     linear_factors_q,
@@ -48,11 +49,11 @@ from .birmap import (
 )
 from .odesolve import (
     NoRationalSolution,
-    homogenize_0,
-    orbit_ode_reduce,
-    rational_solutions,
-    solve_differ,
-    _on_y1,
+    _homogenize,
+    _solutions,
+    _solves,
+    _univariate_form,
+    _y1_lists,
 )
 
 X = Poly.var(0, 2)
@@ -674,7 +675,7 @@ def _classify_by_form(vf):
         J = RatFn(vf.P, X * vf.D)  # w = x J and r = y J
         return RationalFlow(0, HomBir.from_A(RatFn(-Y) / J), RatFn(X, Y), None)
     try:
-        A = homogenize_0(solve_differ(vf)["particular"])
+        A = _homogenize(*_univariate_form(vf)[0])
     except NoRationalSolution:
         return None
     # the radial conjugation by A puts the field in univariate form
@@ -702,15 +703,14 @@ def _transported_invariant(vf, N, ell):
     (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  As
     gcd(P, Q) = 1, the sides can share only lx and ly, so with those divided
     out (``_divide_known``) they are coprime and take no gcd.  W is checked
-    exactly against the orbit equation ``orbit_ode_reduce``, as one
-    polynomial identity on the unreduced pair (num(x, 1), den(x, 1)): its
-    solutions form one line, so W is then the invariant ``orbit_invariant``
-    returns."""
+    exactly against the orbit equation, by ``_solves`` with R = 0 on the
+    lists of the unreduced pair (num(x, 1), den(x, 1)): its solutions form
+    one line, so W is then the invariant ``orbit_invariant`` returns."""
     lx, ly = ell.L.inverse().coord_polys()
     num, den = _divide_known((lx * ly ** (N - 1) * ell.Q ** N, ell.P ** N),
                              (lx, ly))
     W = RatFn(num * (1 / num.leading_coeff()), den.unit_normal(), reduce=False)
-    if not orbit_ode_reduce(vf, N).solved_by(_on_y1(W.num), _on_y1(W.den)):
+    if not _solves(*_y1_lists(vf, N)[:3], *_form_lists(W.num, W.den)[0]):
         raise VerificationFailed("transported invariant does not solve the "
                                  "orbit equation")
     return W
@@ -826,11 +826,10 @@ def orbit_invariant(vf, N):
     conjugator instead (``_transported_invariant``)."""
     if N == 0:
         return RatFn(X, Y)
-    sol = rational_solutions(orbit_ode_reduce(vf, N))
-    g = sol["homogeneous_basis"]
+    g = _solutions(*_y1_lists(vf, N)[:3])[1]
     if g is None:
         raise NoRationalSolution("no rational orbit invariant")
-    W = homogenize_0(g) * RatFn(Poly(2, {(0, N): Fraction(1)}))
+    W = _homogenize(*g) * RatFn(Poly(2, {(0, N): Fraction(1)}))
     return W.scale_num_monic()
 
 

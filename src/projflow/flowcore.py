@@ -20,6 +20,12 @@ from .algebra import (
     poly_dot,
     poly_gcd,
     divexact,
+    _form_gcd,
+    _form_lists,
+    _ladd,
+    _ldiff,
+    _ldiv,
+    _lmul,
     _quotient,
     _unit_den,
 )
@@ -427,27 +433,6 @@ def _jacobian(f):
 
 # -- level -----------------------------------------------------------------
 
-def _linear_form_pair(ratio):
-    """Write a reduced 0-homogenic ratio as (a x + b y)/(c x + d y).
-
-    Returns (a, b, c, d) or None when impossible.
-    """
-    n, d = ratio.num, ratio.den
-    dn = n.total_degree()
-    dd = d.total_degree()
-    if dn == 0 and dd == 0:
-        # constant k: (k x)/(x) representation
-        k = ratio.constant_value()
-        return (k, Fraction(0), Fraction(1), Fraction(0))
-    if dn == 1 and dd == 1:
-        a = n.terms.get((1, 0), Fraction(0))
-        b = n.terms.get((0, 1), Fraction(0))
-        c = d.terms.get((1, 0), Fraction(0))
-        dd_ = d.terms.get((0, 1), Fraction(0))
-        return (a, b, c, dd_)
-    return None
-
-
 def exact_isqrt(fr):
     """Integer n >= 0 with n^2 == fr, or None."""
     if fr < 0 or fr.denominator != 1:
@@ -462,28 +447,31 @@ def level_of(vf):
     T = y P - x Q.
 
     It reads the ratio of S_x = y w_x - x r_x and S_y = y w_y - x r_y, whose
-    numerators over D^2 are D (y P_i - x Q_i) - D_i T.
+    numerators over D^2 are D (y P_i - x Q_i) - D_i T, on the lists of
+    ``algebra`` (y c is c + [0], x c is [0] + c, and c_y is c_x with the
+    list reversed), reduced by one ``_form_gcd``.
     """
-    P, Q, D = vf.P, vf.Q, vf.D
-    T = _Y * P - _X * Q
-    if T.is_zero():
+    (P, Q, D), _ = _form_lists(vf.P, vf.Q, vf.D)
+    T = _ladd(P + [0], [0] + Q, -1)
+    if not any(T):
         return LevelResult.level(0)
-    yD, mxD = _Y * D, -_X * D
-    Sx, Sy = (poly_dot([(yD, P.derivative(i)), (mxD, Q.derivative(i)),
-                        (-D.derivative(i), T)]) for i in (0, 1))
-    if Sx.is_zero() or Sy.is_zero():
+    Sx, Sy = (_ladd(_lmul(D, _ladd(di(P) + [0], [0] + di(Q), -1)),
+                    _lmul(di(D), T), -1)
+              for di in (_ldiff, lambda c: _ldiff(c[::-1])[::-1]))
+    if not (any(Sx) and any(Sy)):
         return LevelResult.level(1)
-    ratio = RatFn(Sy, Sx)
-    lf = _linear_form_pair(ratio)
-    if lf is None:
+    g = _form_gcd(Sy, Sx)
+    num, den = _ldiv(Sy, g), _ldiv(Sx, g)
+    if len(num) > 2:
         return LevelResult.indeterminate()
-    a, b, c, d = lf
+    # num = [b, a] and den = [d, c]; a constant n0/d0 is (n0 x)/(d0 x)
+    (b, a), (d, c) = (num, den) if len(num) == 2 else ([0] + num, [0] + den)
     if a == d:
         # every linear-form representation has a = d; not a flow field
         return LevelResult.indeterminate()
-    value = ((a + d) ** 2 - 4 * b * c) / (a - d) ** 2
+    value = Fraction((a + d) ** 2 - 4 * b * c, (a - d) ** 2)
     n = exact_isqrt(value)
-    if n is None or n == 0:
+    if not n:
         return LevelResult.non_integer_square(value)
     return LevelResult.level(n)
 

@@ -3,17 +3,17 @@
 Nonexistence is proved via pole-order (indicial) bounds at each irreducible
 factor of the leading coefficient (Abramov's denominator bound) and a
 degree bound at infinity, then a finite linear system; no sampling is
-involved.  The solver clears denominators and runs on the integer
-coefficient lists of ``algebra``: the leading coefficient is factored by
-``factor_list_q``, the indicial congruence at each factor is solved on
-remainders mod that factor, and the system is eliminated fraction-free on
-integer rows.  Only the solutions are built as ``RatFn``, and each is
-checked against the equation (``LinODE.solved_by``).
+involved.  The solver ``_solutions`` runs on integer coefficient lists:
+the leading coefficient is factored by ``factor_list_q``, the indicial
+congruence at each factor is solved on remainders mod that factor, the
+system is eliminated fraction-free, and each solution is checked by one
+list identity (``_solves``).  The flow's equations are built as lists
+(``_y1_lists``); only the public wrappers build a ``LinODE`` or ``RatFn``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import (
     AlgebraError,
@@ -21,8 +21,9 @@ from .algebra import (
     Poly,
     RatFn,
     VerificationFailed,
+    _content,
     _form_gcd,
-    _form_list,
+    _form_lists,
     _ladd,
     _ldiff,
     _ldiv,
@@ -30,8 +31,8 @@ from .algebra import (
     _lmul,
     _prem,
     _primitive,
+    _trim,
     factor_list_q,
-    poly_dot,
 )
 
 DEGREE_CAP = 200
@@ -47,9 +48,7 @@ class LinODE:
     __slots__ = ("p", "q", "r")
 
     def __init__(self, p, q, r):
-        self.p = _uni(p)
-        self.q = _uni(q)
-        self.r = _uni(r)
+        self.p, self.q, self.r = map(_uni, (p, q, r))
         if self.p.is_zero():
             raise AlgebraError("leading coefficient p must be nonzero")
 
@@ -57,17 +56,11 @@ class LinODE:
         return self.p * f.derivative(0) + self.q * f - self.r
 
     def solved_by(self, n, d):
-        """Whether n/d solves the equation, for univariate Polys n and d that
-        need not be coprime: with p = pn/pd, q = qn/qd and r = rn/rd, the
-        polynomial identity pn qd rd (n' d - n d') + qn pd rd n d = rn pd
-        qd d^2, checked without a gcd."""
+        """Whether n/d solves the equation, for univariate Polys n and d
+        that need not be coprime, by ``_solves``."""
         if d.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
-        (pn, pd), (qn, qd), (rn, rd) = ((c.num, c.den)
-                                        for c in (self.p, self.q, self.r))
-        wronskian = poly_dot([(n.derivative(0), d), (-n, d.derivative(0))])
-        lhs = poly_dot([(pn * qd, wronskian), (qn * pd, n * d)]) * rd
-        return lhs == rn * pd * qd * d * d
+        return _solves(*_ode_lists(self), *_form_lists(n, d)[0])
 
     def __repr__(self):
         return "LinODE(%s, %s, %s)" % (self.p.to_string(("x",)),
@@ -87,25 +80,20 @@ def _uni(f):
     raise TypeError(repr(f))
 
 
-def _lists(f):
-    """(n, d) for a univariate RatFn f = n/d, as integer lists."""
-    (n, a), (d, _) = _form_list(f.num), _form_list(f.den)
-    return n, [v * a for v in d]
+def _ode_lists(ode):
+    """The lists (P, Q, R) of the equation over its denominators."""
+    (pn, pd), (qn, qd), (rn, rd) = (_form_lists(c.num, c.den)[0]
+                                    for c in (ode.p, ode.q, ode.r))
+    return (_lmul(_lmul(pn, qd), rd), _lmul(_lmul(qn, pd), rd),
+            _lmul(_lmul(rn, pd), qd))
 
 
-def _clear_denominators(ode):
-    """Equivalent polynomial equation P f' + Q f = R, as integer lists
-    (zero is []) with no common factor in Z[x]."""
-    (pn, pd), (qn, qd), (rn, rd) = (_lists(c) for c in (ode.p, ode.q, ode.r))
-    P = _lmul(_lmul(pn, qd), rd)
-    Q = _lmul(_lmul(qn, pd), rd)
-    R = _lmul(_lmul(rn, pd), qd)
-    g = _primitive(P)
-    for h in (Q, R):
-        if h and len(g) > 1:
-            g = _form_gcd(g, h)
-    c = gcd(*P, *Q, *R)
-    return tuple(_ldiv([v // c for v in h], g) if h else h for h in (P, Q, R))
+def _solves(P, Q, R, n, d):
+    """Whether n/d solves P f' + Q f = R, for integer lists (zero top
+    entries allowed), d != []: P (n' d - n d') + Q n d == R d^2."""
+    w = _ladd(_lmul(_ldiff(n), d), _lmul(n, _ldiff(d)), -1)
+    lhs = _ladd(_lmul(P, w), _lmul(_lmul(Q, n), d))
+    return _trim(lhs) == _trim(_lmul(_lmul(R, d), d))
 
 
 def _multiplicity(Q, pi):
@@ -135,15 +123,15 @@ def _indicial_candidate(pi, A, B):
 
 
 def _solve_linear_system(rows, rhs, ncols):
-    """Gauss-Jordan elimination on integer rows, fraction-free.
+    """Gauss-Jordan elimination on integer rows (of length ncols) and
+    right sides, fraction-free.
 
-    rows: list of integer coefficient lists (len ncols); rhs: list of
-    integers.  Each elimination step replaces a row r by pv * r - f * s for
-    the pivot row s and divides it by its content, so the rows stay
-    integer; a pivot row over its pivot entry is then a row of the reduced
-    row echelon form, which is unique, so the result is that of
-    elimination over Q.  Returns (particular | None, nullspace basis
-    vectors), with Fraction entries.
+    Each elimination step replaces a row r by pv * r - f * s for the pivot
+    row s and divides it by its content, so the rows stay integer; a pivot
+    row over its pivot entry is then a row of the reduced row echelon
+    form, which is unique, so the result is that of elimination over Q.
+    Returns (particular | None, nullspace basis vectors, k): integer
+    vectors, k times those over Q for k the lcm of the pivot entries.
     """
     m = [list(row) + [b] for row, b in zip(rows, rhs)]
     nrows = len(m)
@@ -166,20 +154,22 @@ def _solve_linear_system(rows, rhs, ncols):
         rank += 1
         if rank == nrows:
             break
+    k = lcm(*(row[col] for row, col in zip(m, pivots)))
+    scaled = [(row, col, k // row[col]) for row, col in zip(m, pivots)]
     particular = None
     if not any(row[ncols] for row in m[rank:]):
-        particular = [Fraction(0)] * ncols
-        for row, col in zip(m, pivots):
-            particular[col] = Fraction(row[ncols], row[col])
+        particular = [0] * ncols
+        for row, col, t in scaled:
+            particular[col] = row[ncols] * t
     basis = []
     for fc in range(ncols):
         if fc not in pivots:
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            for row, col in zip(m, pivots):
-                v[col] = Fraction(-row[fc], row[col])
+            v = [0] * ncols
+            v[fc] = k
+            for row, col, t in scaled:
+                v[col] = -row[fc] * t
             basis.append(v)
-    return particular, basis
+    return particular, basis, k
 
 
 def _operator_system(P, Q, den, rhs, M):
@@ -206,16 +196,22 @@ def _operator_system(P, Q, den, rhs, M):
     return rows, rhs
 
 
-def rational_solutions(ode):
-    """All rational solutions as {'particular': f | None,
-    'homogeneous_basis': g | None}.
+def _solutions(P, Q, R):
+    """(particular, basis) of P f' + Q f = R for integer lists, P != []:
+    pairs (n, d) of integer lists, f = n/d, checked by ``_solves``.
 
-    The solution set is particular + span(g): f is one solution and g spans
-    those of the homogeneous equation p f' + q f = 0, with a monic
-    numerator.  A None component certifies, through the indicial and degree
+    The solutions are particular + span(basis), basis one of P f' + Q f =
+    0.  A None component certifies, through the indicial and degree
     bounds, that no rational solution of that kind exists.
     """
-    P, Q, R = _clear_denominators(ode)
+    if not P:
+        raise AlgebraError("leading coefficient p must be nonzero")
+    g = _primitive(P)
+    for h in (Q, R):
+        if h and len(g) > 1:
+            g = _form_gcd(g, h)
+    c = gcd(*P, *Q, *R)
+    P, Q, R = (_ldiv([v // c for v in h], g) if h else h for h in (P, Q, R))
     # denominator bound
     den = [1]
     for pi, p0 in factor_list_q(P):
@@ -225,11 +221,7 @@ def rational_solutions(ode):
         elif p0 - 1 > q0:
             e = q0
         else:
-            # p0 is pi's multiplicity in P, so these divisions are exact
-            A = P
-            for _ in range(p0):
-                A = _ldiv(A, pi)
-            cand = _indicial_candidate(pi, A, qcof)
+            cand = _indicial_candidate(pi, _multiplicity(P, pi)[1], qcof)
             e = max(q0, cand if cand is not None else 0)
         for _ in range(e):
             den = _lmul(den, pi)
@@ -251,83 +243,101 @@ def rational_solutions(ode):
     if M > DEGREE_CAP:
         raise CapExceeded("numerator degree bound %d exceeds cap" % M)
     rows, rhs = _operator_system(P, Q, den, rhs, M)
-    particular, nullspace = _solve_linear_system(rows, rhs, M + 1)
-    den = _list_poly(den, nvars=1)
+    particular, nullspace, k = _solve_linear_system(rows, rhs, M + 1)
+    den = [k * v for v in den]
+    out = []
+    for vec, r in ((particular, R), (nullspace[0] if nullspace else None, [])):
+        if vec is not None:
+            vec = _trim(vec), den
+            if not _solves(P, Q, r, *vec):
+                raise VerificationFailed("solution fails the ODE")
+        out.append(vec)
+    return tuple(out)
 
-    def build(vec):
-        num = Poly(1, {(k,): c for k, c in enumerate(vec)})
-        return RatFn(num, den)
 
-    part = None
-    if particular is not None:
-        part = build(particular)
-        if not ode.solved_by(part.num, part.den):
-            raise VerificationFailed("particular solution has a nonzero residual")
-    basis = None
-    real_null = [v for v in nullspace if any(v)]
-    if real_null:
-        basis = build(real_null[0]).scale_num_monic()
-        if not LinODE(ode.p, ode.q, 0).solved_by(basis.num, basis.den):
-            raise VerificationFailed("homogeneous solution does not solve the ODE")
-    return {"particular": part, "homogeneous_basis": basis}
+def _ratfns(particular, basis):
+    """``_solutions`` as RatFns, the basis with a monic numerator."""
+    f, g = (pair and RatFn(*(_list_poly(c, nvars=1) for c in pair))
+            for pair in (particular, basis))
+    return {"particular": f, "homogeneous_basis": g and g.scale_num_monic()}
+
+
+def rational_solutions(ode):
+    """All rational solutions as {'particular': f | None,
+    'homogeneous_basis': g | None} (``_solutions``)."""
+    return _ratfns(*_solutions(*_ode_lists(ode)))
 
 
 # -- the flow-specific equations ------------------------------------------
 
-def _on_y1(p):
-    """2-variable polynomial p(x, y) -> univariate p(x, 1)."""
-    return _list_poly(*_form_list(p), nvars=1)
-
-
 def dehomogenize(f):
     """2-variable rational f(x, y) -> univariate f(x, 1)."""
-    den = _on_y1(f.den)
+    num, den = (_list_poly(c, nvars=1) for c in _form_lists(f.num, f.den)[0])
     if den.is_zero():
         raise AlgebraError("denominator vanishes on y = 1")
-    return RatFn(_on_y1(f.num), den)
+    return RatFn(num, den)
+
+
+def _homogenize(n, d):
+    """A(x, y) = f(x/y) for f = n/d, integer lists in x, d with a positive
+    leading entry, reduced as RatFn reduces, both sides forms of the larger
+    degree k (the side of degree k has no factor y, and d's leading entry
+    leads its form)."""
+    if not n:
+        d = [1]
+    elif len(g := _form_gcd(n, d)) > 1:
+        n, d = _ldiv(n, g), _ldiv(d, g)
+    c = _content(d)
+    k = max(len(n), len(d))
+    return RatFn(*(_list_poly(h + [0] * (k - len(h)), s)
+                   for h, s in ((n, c), ([v // c for v in d], 1))),
+                 reduce=False)
 
 
 def homogenize_0(f):
-    """Univariate f(t) -> 0-homogenic A(x, y) = f(x/y).
+    """Univariate f(t) -> 0-homogenic A(x, y) = f(x/y)."""
+    return _homogenize(*_form_lists(f.num, f.den)[0])
 
-    Both sides become forms of degree k, the larger of the two degrees.
-    Not reduced again: the side of degree k has no factor y, so the forms
-    stay coprime, and the grlex leading term of the denominator is its
-    univariate one."""
-    k = max(f.num.total_degree(), f.den.total_degree())
 
-    def conv(p):
-        c, den = _form_list(p)
-        return _list_poly(c + [0] * (k + 1 - len(c)), den)
-    return RatFn(conv(f.num), conv(f.den), reduce=False)
+def _y1_lists(vf, N=None):
+    """(p, q, r, L): lists of L times the univariate-form equation
+    f rho + f' (x rho - omega) = -1 of rho = r(x, 1), omega = w(x, 1), or
+    for N the orbit one (omega - x rho) w' + N rho w = 0 of W = y^N w(x/y),
+    times D(x, 1): (x Q - P) f' + Q f = -D, (P - x Q) w' + N Q w = 0."""
+    if N is not None and N < 1:
+        raise AlgebraError("need N >= 1")
+    cs, L = _form_lists(vf.P, vf.Q, vf.D)
+    P, Q, D = map(_trim, cs)
+    p = _trim(_ladd([0] + Q, P, -1))
+    if N is None:
+        return p, Q, [-v for v in D], L
+    return [-v for v in p], [N * v for v in Q], [], L
+
+
+def _linode(p, q, r, L):
+    return LinODE(*(_list_poly(c, L, nvars=1) for c in (p, q, r)))
 
 
 def differ_ode(vf):
-    """The univariate-form equation f rho + f' (x rho - omega) = -1 for
-    omega = w(x, 1) and rho = r(x, 1), multiplied through by D(x, 1) so that
-    its coefficients are polynomials: f Q + f' (x Q - P) = -D at y = 1."""
-    P, Q, D = (_on_y1(g) for g in (vf.P, vf.Q, vf.D))
-    return LinODE(Poly.var(0, 1) * Q - P, Q, -D)
+    """The univariate-form equation (``_y1_lists``) as a LinODE."""
+    return _linode(*_y1_lists(vf))
 
 
-def solve_differ(vf):
-    """Solve the univariate-form equation; returns the affine family.
-
-    {'particular': f, 'homogeneous_basis': g | None}; A(x,y) = f(x/y) yields the radial
-    map putting the flow in univariate form.
-    """
-    sol = rational_solutions(differ_ode(vf))
-    if sol["particular"] is None:
+def _univariate_form(vf):
+    """``_solutions`` of the univariate-form equation; the particular f
+    gives the radial map A(x, y) = f(x/y) to univariate form."""
+    sol = _solutions(*_y1_lists(vf)[:3])
+    if sol[0] is None:
         raise NoRationalSolution("no rational univariate form")
     return sol
 
 
+def solve_differ(vf):
+    """``_univariate_form`` as {'particular': f, 'homogeneous_basis':
+    g | None}."""
+    return _ratfns(*_univariate_form(vf))
+
+
 def orbit_ode_reduce(vf, N):
-    """First-order ODE for w(t) with W = y^N w(x/y) constant on orbits:
-    (omega - t rho) w' + N rho w = 0 for omega = w(t, 1) and rho = r(t, 1)
-    of the field, multiplied through by D(t, 1) so that its coefficients are
-    polynomials: (P - t Q) w' + N Q w = 0 at y = 1."""
-    if N < 1:
-        raise AlgebraError("need N >= 1")
-    P, Q = _on_y1(vf.P), _on_y1(vf.Q)
-    return LinODE(P - Poly.var(0, 1) * Q, N * Q, 0)
+    """The orbit equation of the field for N >= 1 as a LinODE."""
+    return _linode(*_y1_lists(vf, N))

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import runpy
 from fractions import Fraction
 
 import jsonschema
@@ -65,8 +66,13 @@ from projflow.classify import (
 )
 from projflow.cli import _coords_repr, main
 from projflow.flowcore import NotDegenerate
-from projflow.odesolve import NoRationalSolution, homogenize_0, solve_differ
-from projflow.parser import parse_flow, print_flow, print_vector_field
+from projflow.odesolve import (LinODE, NoRationalSolution, differ_ode,
+                               homogenize_0, solve_differ)
+from projflow.parser import (parse_flow, parse_vector_field, print_flow,
+                             print_vector_field)
+
+import odesolve_reference
+from test_odesolve import _homogenize_by_terms
 
 SCHEMA = json.load(open(
     os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -624,22 +630,127 @@ def test_radial_read_and_transported_invariant_take_no_gcd(monkeypatch):
 
 
 def test_canonicalize_solves_one_ode(monkeypatch):
-    # the univariate form is the only rational_solutions call of a rational
-    # flow of level >= 1; its invariant comes from the conjugator
+    # the univariate form is the only ODE a rational flow of level >= 1
+    # solves: one call of the list solver, which rational_solutions wraps
+    # too; its invariant comes from the conjugator
     calls = []
-    solve = odesolve_module.rational_solutions
+    solve = odesolve_module._solutions
 
-    def counted(ode):
-        calls.append(ode)
-        return solve(ode)
+    def counted(P, Q, R):
+        calls.append((P, Q, R))
+        return solve(P, Q, R)
 
-    monkeypatch.setattr(odesolve_module, "rational_solutions", counted)
-    monkeypatch.setattr(classify_module, "rational_solutions", counted)
+    monkeypatch.setattr(odesolve_module, "_solutions", counted)
     for N, h in ((1, _HIGH_LEVEL_MAPS[0]), (3, _HIGH_LEVEL_MAPS[1])):
         calls.clear()
         res = canonicalize(conjugate_flow(canonical_flow(N), h))
         assert isinstance(res, RationalFlow) and res.level == N
         assert len(calls) == 1, (N, calls)
+
+
+def _differ_reference(vf):
+    """The univariate-form equation (x Q - P) f' + Q f = -D at y = 1, on
+    the field's Polys."""
+    P, Q, D = (Poly(1, {(a,): c for (a, _), c in g.terms.items()})
+               for g in (vf.P, vf.Q, vf.D))
+    return LinODE(Poly.var(0, 1) * Q - P, Q, -D)
+
+
+def _catalogue_fields():
+    """The vector fields of the catalogue's field texts."""
+    rows = runpy.run_path(os.path.join(os.path.dirname(__file__), "..",
+                                       "bench", "catalogue.py"))["CATALOGUE"]
+    return [parse_vector_field(row[2]) for row in rows]
+
+
+def test_univariate_form_matches_fraction_reference(monkeypatch):
+    # the particular solution and homogeneous basis of solve_differ, and
+    # the A that _classify_by_form conjugates by, against the Fraction
+    # solver of odesolve_reference on the Poly equation; a field with a
+    # homogeneous solution pins the particular's pivot choice
+    sphere = VectorField((X - Y) * (X - Y), (X - Y) * (X - Y))
+    genus1 = VectorField(X * X - 2 * X * Y, -2 * X * Y + Y * Y)
+    fields = [e.vf for e in zoo()] + _catalogue_fields()
+    fields += [vector_field(f) for seed in (2, 7)
+               for _, _, f in _seeded_conjugates(random.Random(seed))]
+    fields += [vector_field(conjugate_flow(canonical_flow(N), h))
+               for N in (3, 5) for h in _HIGH_LEVEL_MAPS]
+    fields += [sphere, genus1]
+    taken = []
+    radial = classify_module._radial_field
+    monkeypatch.setattr(classify_module, "_radial_field",
+                        lambda vf, A: taken.append(A) or radial(vf, A))
+    seen = set()
+    for vf in fields:
+        try:
+            ode = _differ_reference(vf)
+        except AlgebraError:  # level 0: T = 0, so x Q - P = 0 at y = 1
+            with pytest.raises(AlgebraError):
+                solve_differ(vf)
+            seen.add("level 0")
+            continue
+        assert (differ_ode(vf).p, differ_ode(vf).q, differ_ode(vf).r) == \
+            (ode.p, ode.q, ode.r)
+        want = odesolve_reference.rational_solutions(ode)
+        if want["particular"] is None:
+            with pytest.raises(NoRationalSolution):
+                solve_differ(vf)
+            assert classify_module._classify_by_form(vf) is None
+            seen.add("none")
+            continue
+        assert solve_differ(vf) == want, vf
+        seen.add("homogeneous" if want["homogeneous_basis"] else "unique")
+        taken.clear()
+        classify_module._classify_by_form(vf)
+        assert taken == [_homogenize_by_terms(want["particular"])], vf
+    assert seen == {"level 0", "none", "homogeneous", "unique"}
+    assert solve_differ(sphere)["homogeneous_basis"] is not None
+
+
+def test_classify_by_form_reads_lists(monkeypatch):
+    # level_of, the univariate-form step (_univariate_form, _homogenize)
+    # and the orbit check (_transported_invariant) run on integer lists:
+    # _classify_by_form builds no LinODE, and these steps take no poly_gcd
+    scope, seen, ran = [], [], set()
+
+    def watch(owner):
+        gcd = owner.poly_gcd
+
+        def spy(p, q):
+            if scope:
+                seen.append(scope[-1])
+            return gcd(p, q)
+        monkeypatch.setattr(owner, "poly_gcd", spy)
+
+    def enter(name):
+        fn = getattr(classify_module, name)
+
+        def run(*args):
+            ran.add(name)
+            scope.append(name)
+            try:
+                return fn(*args)
+            finally:
+                scope.pop()
+        monkeypatch.setattr(classify_module, name, run)
+
+    def no_linode(self, *args):
+        raise AssertionError("LinODE built")
+
+    steps = {"level_of", "_univariate_form", "_homogenize",
+             "_transported_invariant"}
+    for owner in (algebra_module, flowcore_module, birmap_module):
+        watch(owner)
+    for name in steps:
+        enter(name)
+    monkeypatch.setattr(odesolve_module.LinODE, "__init__", no_linode)
+    fields = [e.vf for e in zoo()]
+    fields += [vector_field(f) for seed in (2, 7)
+               for _, _, f in _seeded_conjugates(random.Random(seed))]
+    for vf in fields:
+        assert isinstance(classify_module._classify_by_form(vf), RationalFlow)
+    assert ran == steps
+    assert seen == []
 
 
 def test_rational_solutions_makes_no_failing_division(monkeypatch):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projflow import (
     AlgebraError,
@@ -38,7 +38,7 @@ from projflow import (
 )
 from projflow import algebra, birmap, classify, flowcore
 from projflow.flowcore import (_coord_jets, _flow_jets, _jet_field,
-                               _linear_form_pair, exact_isqrt)
+                               exact_isqrt)
 
 import jets_reference
 from pde_reference import jacobian_field, pde_second_order
@@ -397,6 +397,15 @@ def test_level_of_special_cases():
     # pseudo-log marker: value 0
     lvl = level_of(vecfield(-1, -1, 0))
     assert lvl.tag == "NonIntegerSquare" and lvl.value == 0
+    # T = y w - x r = 0; a square; S_y/S_x constant; a = d
+    one = Poly.const(2, 1)
+    for (P, Q), want in (
+            ((-X * X - X * Y, -X * Y - Y * Y), LevelResult.level(0)),
+            ((X * X + 3 * X * Y, -Y * Y), LevelResult.level(4)),
+            ((-X * X, -Y * Y), LevelResult.level(1)),
+            ((-X * X - X * Y - Y * Y, -X * X - X * Y - Y * Y),
+             LevelResult.indeterminate())):
+        assert level_of(VectorField.of(P, Q, one)) == want, (P, Q)
 
 
 def vecfield(U, V, W):
@@ -474,6 +483,27 @@ def radial_multipliers(draw):
     return RatFn(a if not a.is_zero() else X ** m, b if not b.is_zero() else Y ** m)
 
 
+def _linear_form_pair(ratio):
+    """Write a reduced 0-homogenic ratio as (a x + b y)/(c x + d y).
+
+    Returns (a, b, c, d) or None when impossible.
+    """
+    n, d = ratio.num, ratio.den
+    dn = n.total_degree()
+    dd = d.total_degree()
+    if dn == 0 and dd == 0:
+        # constant k: (k x)/(x) representation
+        k = ratio.constant_value()
+        return (k, Fraction(0), Fraction(1), Fraction(0))
+    if dn == 1 and dd == 1:
+        a = n.terms.get((1, 0), Fraction(0))
+        b = n.terms.get((0, 1), Fraction(0))
+        c = d.terms.get((1, 0), Fraction(0))
+        dd_ = d.terms.get((0, 1), Fraction(0))
+        return (a, b, c, dd_)
+    return None
+
+
 def _level_reference(w, r):
     """``level_of`` in RatFn arithmetic on w and r."""
     x, y = RatFn.var(0, 2), RatFn.var(1, 2)
@@ -519,3 +549,47 @@ def test_field_normal_form_and_operations(pqd, A, abcd):
     li = L.inverse()
     assert conjugate_vf_linear(vf, L) == VectorField(wl * li.a + rl * li.b,
                                                      wl * li.c + rl * li.d)
+
+
+@st.composite
+def level_fields(draw):
+    """(P, Q, D) with D a nonzero form of degree k in 0..3 and P, Q forms
+    of degree k + 2, drawn in shapes that reach every branch of
+    ``level_of``: P = 0 or Q = 0; T = y P - x Q = 0 (P = x G, Q = y G);
+    S_x = 0 or S_y = 0 (w and r multiples of y^2 or of x^2); or free."""
+    k = draw(st.integers(0, 3))
+    D = _form(draw, k)
+    if D.is_zero():
+        D = X ** k + 2 * Y ** k
+    shape = draw(st.sampled_from(("free", "P0", "Q0", "T0", "Sx0", "Sy0")))
+    if shape == "T0":
+        G = _form(draw, k + 1)
+        return X * G, Y * G, D
+    if shape in ("Sx0", "Sy0"):
+        z2 = (Y if shape == "Sx0" else X) ** 2
+        return draw(_c) * z2 * D, draw(_c) * z2 * D, D
+    P, Q = _form(draw, k + 2), _form(draw, k + 2)
+    return (Poly.zero(2) if shape == "P0" else P,
+            Poly.zero(2) if shape == "Q0" else Q, D)
+
+
+_ONE2 = Poly.const(2, 1)
+
+
+@given(level_fields())
+@example((-X * X - X * Y - Y * Y, -X * X - X * Y - Y * Y, _ONE2))  # a = d
+@example((X * X - Y * Y, -Y * Y, _ONE2))  # a non-square
+@example((-X * X - X * Y - Y * Y, -X * Y, _ONE2))  # the square 0
+@example((-X * X, -Y * Y, _ONE2))  # a constant ratio S_y/S_x
+@example((-X * X - X * Y, -X * Y - Y * Y, _ONE2))  # T = 0
+@example((-Y * Y * (X - Y), -Y * Y * (X - Y), X - Y))  # S_x = 0
+@example((-X ** 5, X ** 5, X ** 3))  # S_y = 0
+@example((Poly.zero(2), X * Y * (X + Y), X + Y))  # P = 0
+@example((X * X * (X - 2 * Y), Poly.zero(2), X - 2 * Y))  # Q = 0
+@example(((X + Y) ** 5 - X ** 5, Y ** 5, (X - Y) ** 3))  # D of degree 3
+@settings(max_examples=150, deadline=None)
+def test_level_of_matches_reference(pqd):
+    # the list computation of the level against RatFn arithmetic on w, r
+    P, Q, D = pqd
+    assert level_of(VectorField.of(P, Q, D)) == _level_reference(
+        RatFn(P, D), RatFn(Q, D))

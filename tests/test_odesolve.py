@@ -98,12 +98,12 @@ def test_wrong_solution_fails_certificate(monkeypatch):
     solve = odesolve._solve_linear_system
 
     def wrong_particular(rows, rhs, ncols):
-        particular, nullspace = solve(rows, rhs, ncols)
-        return [c + 1 for c in particular], nullspace
+        particular, nullspace, s = solve(rows, rhs, ncols)
+        return [c + 1 for c in particular], nullspace, s
 
     def wrong_null(rows, rhs, ncols):
-        particular, nullspace = solve(rows, rhs, ncols)
-        return particular, [[c + 1 for c in v] for v in nullspace]
+        particular, nullspace, s = solve(rows, rhs, ncols)
+        return particular, [[c + 1 for c in v] for v in nullspace], s
 
     monkeypatch.setattr(odesolve, "_solve_linear_system", wrong_particular)
     ode = LinODE(RatFn(T) * Fraction(-2), _const(-1), _const(-1))
