@@ -50,10 +50,10 @@ from .birmap import (
 from .odesolve import (
     NoRationalSolution,
     _homogenize,
+    _orbit_equation,
     _solutions,
     _solves,
     _univariate_form,
-    _y1_lists,
 )
 
 X = Poly.var(0, 2)
@@ -648,7 +648,7 @@ def classify_vf(vf):
     """Classification of a 2-homogenic vector field (w, r).
 
     Level 0 gives ell from J = w/x; any other field is put in univariate
-    form by the radial map that solves ``solve_differ``, then
+    form by the radial map of ``_univariate_form``, then
     ``univariate_classify`` reads its level and the chain of shears and
     involutions takes it to the field of phi_N.  A rational flow has such a
     form, so Steps I-III (``reduce_denominator_step``, ``step2_obstruction``,
@@ -703,14 +703,13 @@ def _transported_invariant(vf, N, ell):
     (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  As
     gcd(P, Q) = 1, the sides can share only lx and ly, so with those divided
     out (``_divide_known``) they are coprime and take no gcd.  W is checked
-    exactly against the orbit equation, by ``_solves`` with R = 0 on the
-    lists of the unreduced pair (num(x, 1), den(x, 1)): its solutions form
-    one line, so W is then the invariant ``orbit_invariant`` returns."""
+    exactly, unreduced, by ``_solves`` on the orbit equation (R = 0), whose
+    solutions form one line: W is then ``orbit_invariant``'s invariant."""
     lx, ly = ell.L.inverse().coord_polys()
     num, den = _divide_known((lx * ly ** (N - 1) * ell.Q ** N, ell.P ** N),
                              (lx, ly))
     W = RatFn(num * (1 / num.leading_coeff()), den.unit_normal(), reduce=False)
-    if not _solves(*_y1_lists(vf, N)[:3], *_form_lists(W.num, W.den)[0]):
+    if not _solves(*_orbit_equation(vf, N), *_form_lists(W.num, W.den)[0]):
         raise VerificationFailed("transported invariant does not solve the "
                                  "orbit equation")
     return W
@@ -819,17 +818,17 @@ def _pseudolog_chain(q):
 def orbit_invariant(vf, N):
     """Homogeneous degree-N invariant constant on orbits, normalized to a
     unit-normal denominator and monic numerator, from the rational solution
-    of the orbit equation ``orbit_ode_reduce``.
+    of the orbit equation.
 
     ``classify_vf`` reaches it only for a NonRationalGenus1 field, which has
     no conjugator; a RationalFlow carries phi_N's invariant through its
     conjugator instead (``_transported_invariant``)."""
     if N == 0:
         return RatFn(X, Y)
-    g = _solutions(*_y1_lists(vf, N)[:3])[1]
+    g = _solutions(*_orbit_equation(vf, N))[1]
     if g is None:
         raise NoRationalSolution("no rational orbit invariant")
-    W = _homogenize(*g) * RatFn(Poly(2, {(0, N): Fraction(1)}))
+    W = _homogenize(*g) * RatFn(Y ** N)
     return W.scale_num_monic()
 
 

@@ -7,8 +7,8 @@ involved.  The solver ``_solutions`` runs on integer coefficient lists:
 the leading coefficient is factored by ``factor_list_q``, the indicial
 congruence at each factor is solved on remainders mod that factor, the
 system is eliminated fraction-free, and each solution is checked by one
-list identity (``_solves``).  The flow's equations are built as lists
-(``_y1_lists``); only the public wrappers build a ``LinODE`` or ``RatFn``.
+list identity (``_solves``).  The flow's two equations are built as
+lists; only the public wrappers build a ``LinODE`` or ``RatFn``.
 """
 from __future__ import annotations
 
@@ -299,34 +299,36 @@ def homogenize_0(f):
     return _homogenize(*_form_lists(f.num, f.den)[0])
 
 
-def _y1_lists(vf, N=None):
-    """(p, q, r, L): lists of L times the univariate-form equation
-    f rho + f' (x rho - omega) = -1 of rho = r(x, 1), omega = w(x, 1), or
-    for N the orbit one (omega - x rho) w' + N rho w = 0 of W = y^N w(x/y),
-    times D(x, 1): (x Q - P) f' + Q f = -D, (P - x Q) w' + N Q w = 0."""
-    if N is not None and N < 1:
+def _form_equation(vf):
+    """(x Q - P) f' + Q f = -D on the lists of L P, L Q, L D at y = 1: the
+    univariate-form equation f rho + f' (x rho - omega) = -1 times D(x, 1)."""
+    P, Q, D = map(_trim, _form_lists(vf.P, vf.Q, vf.D)[0])
+    return _trim(_ladd([0] + Q, P, -1)), Q, [-v for v in D]
+
+
+def _orbit_equation(vf, N):
+    """(P - x Q) w' + N Q w = 0 on the same lists: the orbit equation
+    (omega - x rho) w' + N rho w = 0 of W = y^N w(x/y) times D(x, 1)."""
+    if N < 1:
         raise AlgebraError("need N >= 1")
-    cs, L = _form_lists(vf.P, vf.Q, vf.D)
-    P, Q, D = map(_trim, cs)
-    p = _trim(_ladd([0] + Q, P, -1))
-    if N is None:
-        return p, Q, [-v for v in D], L
-    return [-v for v in p], [N * v for v in Q], [], L
+    p, Q, _ = _form_equation(vf)
+    return [-v for v in p], [N * v for v in Q], []
 
 
-def _linode(p, q, r, L):
-    return LinODE(*(_list_poly(c, L, nvars=1) for c in (p, q, r)))
+def _linode(eq, vf):
+    L = _form_lists(vf.P, vf.Q, vf.D)[1]
+    return LinODE(*(_list_poly(c, L, nvars=1) for c in eq))
 
 
 def differ_ode(vf):
-    """The univariate-form equation (``_y1_lists``) as a LinODE."""
-    return _linode(*_y1_lists(vf))
+    """The univariate-form equation (``_form_equation``) as a LinODE."""
+    return _linode(_form_equation(vf), vf)
 
 
 def _univariate_form(vf):
     """``_solutions`` of the univariate-form equation; the particular f
     gives the radial map A(x, y) = f(x/y) to univariate form."""
-    sol = _solutions(*_y1_lists(vf)[:3])
+    sol = _solutions(*_form_equation(vf))
     if sol[0] is None:
         raise NoRationalSolution("no rational univariate form")
     return sol
@@ -340,4 +342,4 @@ def solve_differ(vf):
 
 def orbit_ode_reduce(vf, N):
     """The orbit equation of the field for N >= 1 as a LinODE."""
-    return _linode(*_y1_lists(vf, N))
+    return _linode(_orbit_equation(vf, N), vf)

@@ -14,11 +14,11 @@ Horner pass, and the denominator-prime diagnostic."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import (AlgebraError, Poly, RatFn, _content, _form_gcd,
-                      _form_list, _form_lists, _form_value, _ladd, _lderive,
-                      _ldiv, _list_poly, _lmul, largest_prime_factor)
+                      _form_list, _form_value, _ladd, _lderive, _ldiv,
+                      _list_poly, _lmul, largest_prime_factor)
 from .flowcore import _flow_jets
 
 
@@ -68,8 +68,9 @@ def expand_from_vf(vf, K):
     if K < 2:
         raise AlgebraError("order must be >= 2")
     # D is unit-normal, so its denominator is 1
-    (P, Q), L = _form_lists(vf.P, vf.Q)
-    D, _ = _form_list(vf.D)
+    (P, p), (Q, q), (D, _) = (_form_list(f) for f in (vf.P, vf.Q, vf.D))
+    L = lcm(p, q)
+    P, Q = [c * (L // p) for c in P], [c * (L // q) for c in Q]
     zero, one = RatFn(Poly.zero(2)), _list_poly([1])
     tables = []
     for start in ([0, 1], [1, 0]):  # x and y

@@ -631,8 +631,8 @@ def test_radial_read_and_transported_invariant_take_no_gcd(monkeypatch):
 
 def test_canonicalize_solves_one_ode(monkeypatch):
     # the univariate form is the only ODE a rational flow of level >= 1
-    # solves: one call of the list solver, which rational_solutions wraps
-    # too; its invariant comes from the conjugator
+    # solves: one call of the list solver, which rational_solutions and
+    # orbit_invariant call too; its invariant comes from the conjugator
     calls = []
     solve = odesolve_module._solutions
 
@@ -641,6 +641,7 @@ def test_canonicalize_solves_one_ode(monkeypatch):
         return solve(P, Q, R)
 
     monkeypatch.setattr(odesolve_module, "_solutions", counted)
+    monkeypatch.setattr(classify_module, "_solutions", counted)
     for N, h in ((1, _HIGH_LEVEL_MAPS[0]), (3, _HIGH_LEVEL_MAPS[1])):
         calls.clear()
         res = canonicalize(conjugate_flow(canonical_flow(N), h))
