@@ -16,10 +16,7 @@ by shifts and masks: the ``Poly(nvars, terms)`` constructor, the read-only
 printing, evaluation and the grouping of the Horner scheme below.
 
 Evaluation at a point of rationals (``Poly.eval``, ``RatFn.eval``) sums
-integers and builds one Fraction per call: with each coordinate a/b, a term
-c x^e becomes the integer c a^e b^(top - e) over b^top, for top the largest
-exponent of the variable, and the powers of a and b come from one table per
-variable that raises them to the gaps between its distinct exponents.
+integers over one denominator and builds one Fraction per call.
 
 Rational functions are kept fully reduced, with the denominator normalized
 to primitive integer coefficients and a positive graded-lex leading
@@ -50,21 +47,14 @@ multiply or take the lcm of the denominators.  Every product of two term
 lists runs in ``_mul_ints``, which can add into a dict it is given: so
 ``poly_dot``, a sum of products p * q, puts every product over the lcm of
 the products' denominators and accumulates all of them into one dict, with
-one reduction at the end.  ``Poly.euler`` gives x p_x + y p_y + s p by
-Euler's identity, each homogeneous part of degree j times j + s, with no
-product.  Exact division divides by the primitive part of the divisor, so
-every quotient coefficient is an integer (Gauss's lemma), and takes the
-leading term of the remainder from a heap.
+one reduction at the end.  Exact division divides by the primitive part of
+the divisor, so every quotient coefficient is an integer (Gauss's lemma),
+and takes the leading term of the remainder from a heap.
 
 Substitution (``Poly.eval_hom``, and through it ``subs_polys`` and
-``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) as the sum of C^(d - s) *
-P_s(A, B, ...) over the homogeneous parts P_s of P, by one Horner scheme
-on the stored keys: the arguments and C are put over the lcm L of their
-denominators, so that every term of P has denominator P.den * L^d; the
-outer level joins the parts from the lowest degree up, multiplying the sum
-so far by C raised to the gap to the next part, and the inner levels fold
-each part variable by variable.  Each step multiplies by one argument or C
-raised to a gap, taken from one cache of powers built by squaring.
+``RatFn.subs``) evaluates C^d * P(A/C, B/C, ...) by one Horner scheme on
+the stored keys, with the arguments and C over the lcm of their
+denominators and one cache of their powers built by squaring.
 ``RatFn.subs_pair`` returns the substituted pair unreduced.  A caller that
 knows common factors of a pair or a triple over one denominator divides
 them out by ``_divide_known`` instead of taking a gcd of the whole.
@@ -786,6 +776,14 @@ def _ldiv(f, g):
             for j in range(n):
                 r[i + j] -= c * g[j]
     return q if len(f) > n and not any(r[:n]) else None
+
+
+def _multiplicity(Q, pi):
+    """(m, Q / pi^m) for the largest m with pi^m dividing Q != 0."""
+    m = 0
+    while (q := _ldiv(Q, pi)) is not None:
+        Q, m = q, m + 1
+    return m, Q
 
 
 def _prem(f, g):

@@ -9,17 +9,16 @@ chain of ``classify`` takes, start from coprime P and Q and only rescale.
 
 Every action ends in one radial step; ``apply`` divides out the factors it
 knows (``algebra._divide_known``) and then reduces what is left once.
-``push_forward_phi`` builds ell o phi_N o ell^{-1} in closed form from
-ell's terms and T = P + Q * l_y, with Q divided out of its denominator, so
-the conjugation certificate of ``classify.canonicalize`` substitutes into
-neither f nor phi_N.
+``push_forward_phi``, the certificate of ``classify.canonicalize``, is
+ell o phi_N o ell^{-1} in closed form; by l_x(M) = a1 and l_y(M) = a2 for
+l = L^{-1}(x), M = L(a1, a2), every known factor cancels as an exponent.
 ``conjugate_flow`` applies a^{-1} to the pullback f o a, from which
 ``pullback_pair`` divides out P o L and Q o L.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .algebra import (
     AlgebraError,
@@ -28,6 +27,10 @@ from .algebra import (
     Poly,
     RatFn,
     _divide_known,
+    _form_list,
+    _form_value,
+    _list_poly,
+    _multiplicity,
     _quotient,
     divexact,
     poly_dot,
@@ -166,25 +169,49 @@ class HomBir:
 
     def push_forward_phi(self, N):
         """(N1, N2, D) with (N1/D, N2/D) = self o phi_N o self^{-1}, not
-        reduced.  With l = L^{-1}(x) and T = P + Q * l_y, phi_N(self^{-1}(x))
-        = phi_N(l * Q/P) = (Q/P) * w for w = (l_x T^N, l_y P^N) / (P^(N-1) T)
-        if N >= 1 and (l_x P^(1-N), l_y P T^(-N)) / T^(1-N) if N <= 0.  self
-        is 1-homogenic, so the result is (Q/P) * self(w): with w = (a1, a2)/E
-        and M = L(a1, a2), that is (M1 P(M), M2 P(M)) / (P E Q(M)/Q).
+        reduced.  With l = L^{-1}(x) and T = P + Q l_y, phi_N(self^{-1}(x))
+        = phi_N(l Q/P) = (Q/P) (a1, a2)/E, with (a1, a2)/E = (l_x T^N, l_y
+        P^N) / (P^(N-1) T) if N >= 1, else (l_x P^(1-N), l_y P T^(-N)) /
+        T^(1-N).  So the map is (M1 P(M), M2 P(M)) / (P E Q(M)/Q), M = L(a).
 
-        Q divides Q(M): T = P + Q l_y is P mod Q, so (a1, a2) is P^k l mod
-        Q (k = N if N >= 1, else 1 - N), M = L(a1, a2) is P^k x mod Q as
-        L(l) = x, and Q(M) is Q(P^k x) = P^(k deg Q) Q mod Q, that is 0."""
+        As L(l) = x, l_x(M) = a1 and l_y(M) = a2: with P = l_x^i l_y^j P0
+        and Q = l_x^i' l_y^j' Q0, P(M) = a1^i a2^j P0(M) and Q(M) = a1^i'
+        a2^j' Q0(M); T = l_y T0 if j > 0.  All else is a power product of
+        l_x, l_y, P0, T0: the common power c of a1, a2 leaves M = c M', c^d
+        cancels in P(M)/Q(M), the exponents cancel as integers, and only M',
+        P0(M'), Q0(M')/Q0 and the powers left are multiplied out.  Q0 divides
+        Q0(M'): the atoms are prime to Q0 and T = P mod Q0, so a = P^k l,
+        M = P^k x and Q0(M) = 0 mod Q0."""
         P, Q, L = self.P, self.Q, self.L
         lx, ly = L.inverse().coord_polys()
-        T = P + Q * ly
+        ux, uy = _form_list(lx), _form_list(ly)
+        i, P0 = _split_linear(P, *ux)
+        j, P0 = _split_linear(P0, *uy)
+        i2, Q0 = _split_linear(Q, *ux)
+        j2, Q0 = _split_linear(Q0, *uy)
+        T0, g = (Q + P0 * lx ** i * ly ** (j - 1), 1) if j else (P + Q * ly, 0)
         if N >= 1:
-            a1, a2, E = lx * T ** N, ly * P ** N, P ** (N - 1) * T
+            A1, A2 = (1, g * N, 0, N), (i * N, 1 + j * N, N, 0)
+            E = (i * (N - 1), j * (N - 1) + g, N - 1, 1)
         else:
-            a1, a2, E = lx * P ** (1 - N), ly * P * T ** -N, T ** (1 - N)
+            k = 1 - N
+            A1, A2 = (1 + i * k, j * k, k, 0), (i, 1 + j - g * N, 1, -N)
+            E = (0, g * k, 0, k)
+        c = [min(e) for e in zip(A1, A2)]
+        A1, A2 = ([e - f for e, f in zip(A, c)] for A in (A1, A2))
+        # exponents in Q c P(M') / (P E Q(M')) but P0(M'), Q0(M')
+        d = [e - f + (i - i2) * u + (j - j2) * v + w
+             for e, f, u, v, w in zip(c, E, A1, A2, (i2 - i, j2 - j, -1, 0))]
+        one, atoms = Poly.const(2, 1), (lx, ly, P0, T0)
+        a1, a2, W, D = (prod((a if e == 1 else a ** e
+                              for a, e in zip(atoms, es) if e), start=one)
+                        for es in (A1, A2, [max(e, 0) for e in d],
+                                   [max(-e, 0) for e in d]))
         M = [a1 * L.a + a2 * L.b, a1 * L.c + a2 * L.d]
-        PM = P.subs_polys(M)
-        return M[0] * PM, M[1] * PM, P * E * divexact(Q.subs_polys(M), Q)
+        W = W * (P0 if P0.is_constant() else P0.subs_polys(M))
+        if not Q0.is_constant():
+            D = D * divexact(Q0.subs_polys(M), Q0)
+        return M[0] * W, M[1] * W, D
 
     def coords(self):
         """Coordinate functions of the map."""
@@ -201,6 +228,16 @@ class HomBir:
     def __repr__(self):
         return "HomBir(P=%s, Q=%s, L=%r)" % (
             self.P.to_string(), self.Q.to_string(), self.L)
+
+
+def _split_linear(F, u, s):
+    """(e, F0) with F = l^e F0 for l = u/s, u a primitive linear list,
+    divided out on lists only if F vanishes at the integer root of u."""
+    if _form_value(F, u[0], -u[1])[0]:
+        return 0, F
+    c, q = _form_list(F)
+    e, c = _multiplicity(c, u)
+    return e, _list_poly(c) * Fraction(s ** e, q)
 
 
 def _normalize_triple(P, Q, L):

@@ -29,6 +29,7 @@ from .algebra import (
     _ldiv,
     _list_poly,
     _lmul,
+    _multiplicity,
     _prem,
     _primitive,
     _trim,
@@ -94,14 +95,6 @@ def _solves(P, Q, R, n, d):
     w = _ladd(_lmul(_ldiff(n), d), _lmul(n, _ldiff(d)), -1)
     lhs = _ladd(_lmul(P, w), _lmul(_lmul(Q, n), d))
     return _trim(lhs) == _trim(_lmul(_lmul(R, d), d))
-
-
-def _multiplicity(Q, pi):
-    """(m, Q / pi^m) for the largest m with pi^m dividing Q != 0."""
-    m = 0
-    while (q := _ldiv(Q, pi)) is not None:
-        Q, m = q, m + 1
-    return m, Q
 
 
 def _indicial_candidate(pi, A, B):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apply_reference import apply_reference
+from push_forward_reference import push_forward_reference
 from projflow import algebra, birmap
 from projflow import (
     HomBir,
@@ -156,14 +157,23 @@ def test_push_forward_phi_matches_composition():
     # a^-1's, composed by RatFn.subs (the outer one unreduced, by subs_pair,
     # and compared cross-multiplied), for maps with identity, swap and a
     # general L: N in -3..3 at degrees 0 and 1, N in -2..2 at degree 2 and,
-    # for the general L only, at degree 3
+    # for the general L only, at degree 3; and N in -2..2 on maps of
+    # degree 2 with l_y planted in P or l_x^2 in Q
     rng = random.Random(17)
     Ls = (LinearMap2.identity(), SWAP, LinearMap2(2, -1, 1, 3))
-    cases = [(deg, L, range(-3, 4) if deg < 2 else range(-2, 3))
+    cases = [(HomBir(_rand_poly(rng, deg), _rand_poly(rng, deg), L),
+              range(-3, 4) if deg < 2 else range(-2, 3))
              for deg in range(3) for L in Ls]
-    cases.append((3, Ls[2], range(-2, 3)))
-    for deg, L, levels in cases:
-        a = HomBir(_rand_poly(rng, deg), _rand_poly(rng, deg), L)
+    cases.append((HomBir(_rand_poly(rng, 3), _rand_poly(rng, 3), Ls[2]),
+                  range(-2, 3)))
+    # random forms almost never carry the factors l_x, l_y of
+    # (l_x, l_y) = L^-1(x) that push_forward_phi cancels: plant them
+    for L in Ls:
+        lx, ly = L.inverse().coord_polys()
+        cases += [(HomBir(ly * _rand_poly(rng, 1), _rand_poly(rng, 2), L),
+                   range(-2, 3)),
+                  (HomBir(_rand_poly(rng, 2), lx * lx, L), range(-2, 3))]
+    for a, levels in cases:
         bx, by = a.inverse().coords()
         for N in levels:
             t = canonical_flow(N)
@@ -343,6 +353,14 @@ def _invertible(m):
 _MAPS = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY).map(_invertible)
 
 
+def _drawn_form(draw, k):
+    """A nonzero form of degree k with coefficients in -3..3."""
+    cs = draw(st.lists(st.integers(-3, 3), min_size=k + 1, max_size=k + 1))
+    f = sum((cf * X ** i * Y ** (k - i) for i, cf in enumerate(cs) if cf),
+            Poly.zero(2))
+    return Y ** k if f.is_zero() else f
+
+
 @st.composite
 def planted_hombirs(draw):
     """A normalized HomBir of degree 0-3 with a Fraction L; from degree 1,
@@ -353,11 +371,7 @@ def planted_hombirs(draw):
     deg = draw(st.integers(0, 3))
 
     def form(k):
-        cs = draw(st.lists(st.integers(-3, 3), min_size=k + 1,
-                           max_size=k + 1))
-        f = sum((cf * X ** i * Y ** (k - i) for i, cf in enumerate(cs)
-                 if cf), Poly.zero(2))
-        return Y ** k if f.is_zero() else f
+        return _drawn_form(draw, k)
     if deg == 0:
         P, Q = form(0), form(0)
     else:
@@ -365,6 +379,32 @@ def planted_hombirs(draw):
         P = form(deg - 1) * (ly if draw(st.booleans()) else form(1))
         Q = form(deg - 1) * (lx if draw(st.booleans()) else form(1))
     return HomBir(P, Q, L)
+
+
+@st.composite
+def factor_planted_hombirs(draw):
+    """A HomBir of degree 0-3 with L the identity, the swap or a Fraction
+    map, whose P or Q is l_x^i l_y^j times a form, (l_x, l_y) = L^-1(x)."""
+    L = draw(st.sampled_from((LinearMap2.identity(), SWAP)) | _MAPS)
+    deg = draw(st.integers(0, 3))
+    i = draw(st.integers(0, deg))
+    j = draw(st.integers(0, deg - i))
+    lx, ly = L.inverse().coord_polys()
+    P = _drawn_form(draw, deg - i - j) * lx ** i * ly ** j
+    Q = _drawn_form(draw, deg)
+    return HomBir(*((Q, P) if draw(st.booleans()) else (P, Q)), L)
+
+
+@given(factor_planted_hombirs(), st.integers(-4, 4))
+@settings(max_examples=40, deadline=None)
+def test_push_forward_phi_matches_reference(ell, N):
+    # push_forward_phi cancels the known factors l_x, l_y, P0 and T0 as
+    # exponents; tests/push_forward_reference multiplies every factor out.
+    # The two triples are compared cross-multiplied
+    N1, N2, D = ell.push_forward_phi(N)
+    R1, R2, RD = push_forward_reference(ell, N)
+    assert not D.is_zero()
+    assert N1 * RD == R1 * D and N2 * RD == R2 * D
 
 
 @given(planted_hombirs(), _ENTRY, _ENTRY.map(lambda p: p or 1), _MAPS)

@@ -657,11 +657,30 @@ def _differ_reference(vf):
     return LinODE(Poly.var(0, 1) * Q - P, Q, -D)
 
 
+def _catalogue_rows():
+    """The rows of the catalogue: name, flow text, field text, ..."""
+    return runpy.run_path(os.path.join(os.path.dirname(__file__), "..",
+                                       "bench", "catalogue.py"))["CATALOGUE"]
+
+
 def _catalogue_fields():
     """The vector fields of the catalogue's field texts."""
-    rows = runpy.run_path(os.path.join(os.path.dirname(__file__), "..",
-                                       "bench", "catalogue.py"))["CATALOGUE"]
-    return [parse_vector_field(row[2]) for row in rows]
+    return [parse_vector_field(row[2]) for row in _catalogue_rows()]
+
+
+def test_push_forward_phi_leaves_no_common_factor():
+    # the certificate's triple (N1, N2, D) at the verdict's level, with the
+    # known factors of ell cancelled as exponents, has a constant gcd on the
+    # zoo, the catalogue's flows and the seeded conjugates
+    flows = [e.flow for e in zoo()]
+    flows += [parse_flow(row[1]) for row in _catalogue_rows()]
+    flows += [f for seed in (2, 7)
+              for _, _, f in _seeded_conjugates(random.Random(seed))]
+    for f in flows:
+        res = canonicalize(f)
+        N1, N2, D = res.ell.push_forward_phi(res.level)
+        gcd = algebra_module.poly_gcd
+        assert gcd(gcd(N1, N2), D).is_constant(), f
 
 
 def test_univariate_form_matches_fraction_reference(monkeypatch):
@@ -758,21 +777,28 @@ def test_rational_solutions_makes_no_failing_division(monkeypatch):
     # multiplicities are found by a division that reports failure (None)
     # without raising, so canonicalize of the seeded conjugates runs no exact
     # division inside rational_solutions that fails, but for the one probe
-    # that ends each multiplicity count
-    failed, counts = [], []
-    div, multiplicity = odesolve_module._ldiv, odesolve_module._multiplicity
+    # that ends each multiplicity count (algebra._multiplicity, whose
+    # divisions are watched while odesolve calls it)
+    failed, counts, inside = [], [], []
+    div, multiplicity = algebra_module._ldiv, odesolve_module._multiplicity
 
-    def spied(f, g):
+    def spied(f, g, watched=True):
         q = div(f, g)
-        if q is None:
+        if q is None and watched:
             failed.append((f, g))
         return q
 
     def counted(Q, pi):
         counts.append(pi)
-        return multiplicity(Q, pi)
+        inside.append(pi)
+        try:
+            return multiplicity(Q, pi)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(odesolve_module, "_ldiv", spied)
+    monkeypatch.setattr(algebra_module, "_ldiv",
+                        lambda f, g: spied(f, g, bool(inside)))
     monkeypatch.setattr(odesolve_module, "_multiplicity", counted)
     cases = [f for seed in (3, 5)
              for _, _, f in _seeded_conjugates(random.Random(seed))]

@@ -276,13 +276,20 @@ def test_coord_jets_match_per_term_recurrence(case, K):
 
 def test_certificate_evaluates_ell_twice(monkeypatch):
     # the certificate f == ell o phi_N o ell^-1 is a closed form in ell's
-    # terms: each call evaluates ell's P and Q at one pair once each, and
-    # builds no phi_N, substitutes into no RatFn, splits no homogeneous part
-    # and takes no gcd
+    # terms: each call evaluates the nonconstant ones of ell's cofactors P0
+    # and Q0 (P and Q with the factors l_x, l_y of L^-1(x) divided out) at
+    # one pair once each, and builds no phi_N, substitutes into no RatFn,
+    # splits no homogeneous part and takes no gcd
     flows = [e.flow for e in zoo()]
     flows += [f for seed in (2, 7)
               for f in _seeded_conjugates(random.Random(seed))]
-    cases = [(f, canonicalize(f)) for f in flows]  # all RationalFlow
+    cases = []
+    for f in flows:
+        res = canonicalize(f)  # all RationalFlow
+        ls = res.ell.L.inverse().coord_polys()
+        cofactors = [algebra._divide_known([g], ls)[0]
+                     for g in (res.ell.P, res.ell.Q)]
+        cases.append((f, res, [g for g in cofactors if not g.is_constant()]))
     evaluated = []
     eval_hom = Poly.eval_hom
     monkeypatch.setattr(Poly, "eval_hom", lambda self, *args: (
@@ -294,10 +301,10 @@ def test_certificate_evaluates_ell_twice(monkeypatch):
                         (algebra, "poly_gcd"), (birmap, "poly_gcd"),
                         (classify, "canonical_flow")):
         monkeypatch.setattr(owner, name, forbidden)
-    for f, res in cases:
+    for f, res, cofactors in cases:
         evaluated.clear()
         assert classify._conjugates_to(f, res.ell, res.level), f
-        assert evaluated == [res.ell.P, res.ell.Q], f
+        assert evaluated == cofactors, f
 
 
 def test_chain_and_radial_map_take_no_gcd(monkeypatch):
