@@ -3,17 +3,16 @@
 An element acts as x -> L(x) * (P/Q)(L(x)), i.e. the linear change first,
 then the radial map (xP/Q, yP/Q).  The stored triple is normalized so that
 structural equality coincides with equality of maps.  The constructor and
-``compose`` divide P and Q by their gcd; ``from_A`` and the closed-form
-moves ``compose_linear`` and ``compose_involution``, which the canonical
-chain of ``classify`` takes, start from coprime P and Q and only rescale.
+``compose`` divide P and Q by their gcd; ``from_A`` and the canonical chain
+of ``classify``, whose moves (a linear change, ``_compose_involution``) keep
+P and Q coprime, only rescale.
 
 Every action ends in one radial step; ``apply`` divides out the factors it
 knows (``algebra._divide_known``) and then reduces what is left once.
 ``push_forward_phi``, the certificate of ``classify.canonicalize``, is
-ell o phi_N o ell^{-1} in closed form; by l_x(M) = a1 and l_y(M) = a2 for
-l = L^{-1}(x), M = L(a1, a2), every known factor cancels as an exponent.
-``conjugate_flow`` applies a^{-1} to the pullback f o a, from which
-``pullback_pair`` divides out P o L and Q o L.
+ell o phi_N o ell^{-1} in closed form over ``linear_split``, in which every
+known factor cancels as an exponent.  ``conjugate_flow`` applies a^{-1} to
+the pullback f o a, from which ``pullback_pair`` divides out P o L, Q o L.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from .flowcore import Flow, VectorField
 class HomBir:
     """Normalized triple (P, Q; L) of a 1-homogenic birational map."""
 
-    __slots__ = ("P", "Q", "L")
+    __slots__ = ("P", "Q", "L", "_split")
 
     def __init__(self, P, Q, L=None):
         if L is None:
@@ -55,7 +54,11 @@ class HomBir:
             raise AlgebraError("P and Q must be homogeneous")
         if P.total_degree() != Q.total_degree():
             raise AlgebraError("P and Q must have equal degree")
-        self.P, self.Q, self.L = _normalize_triple(P, Q, L)
+        g = poly_gcd(P, Q)
+        if not (g.is_constant() and g.constant_value() == 1):
+            P, Q = divexact(P, g), divexact(Q, g)
+        self.P, self.Q, self.L = _rescale(P, Q, L)
+        self._split = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -64,6 +67,7 @@ class HomBir:
         the scale of L and the joint content are normalized."""
         h = object.__new__(cls)
         h.P, h.Q, h.L = _rescale(P, Q, L)
+        h._split = None
         return h
 
     @classmethod
@@ -107,25 +111,6 @@ class HomBir:
         P2 = other.P.subs_polys([lx, ly])
         Q2 = other.Q.subs_polys([lx, ly])
         return HomBir(self.P * P2, self.Q * Q2, self.L.compose(other.L))
-
-    def compose_linear(self, M):
-        """self o linear(M) for a LinearMap2 M, that is (P, Q; L M): the
-        radial part P/Q is unchanged and follows L M."""
-        return HomBir._coprime(self.P, self.Q, self.L.compose(M))
-
-    def compose_involution(self):
-        """self o involution_i(), that is (P l_x, Q l_y; L swap) as in
-        ``compose``, with (l_x, l_y) = det(L) L^{-1}(x).  P and Q are coprime
-        and l_x, l_y are independent linear forms, so the only common
-        factors are l_y when it divides P and l_x when it divides Q, each
-        at most once; each is tested by one exact division."""
-        P, Q, L = self.P, self.Q, self.L
-        x, y = Poly.var(0, 2), Poly.var(1, 2)
-        lx, ly = x * L.d - y * L.b, y * L.a - x * L.c
-        p, q = _quotient(P, ly), _quotient(Q, lx)
-        P2 = (P if p is None else p) * (lx if q is None else 1)
-        Q2 = (Q if q is None else q) * (ly if p is None else 1)
-        return HomBir._coprime(P2, Q2, LinearMap2._of(L.b, L.a, L.d, L.c))
 
     def inverse(self):
         lx, ly = self.L.coord_polys()
@@ -174,21 +159,15 @@ class HomBir:
         P^N) / (P^(N-1) T) if N >= 1, else (l_x P^(1-N), l_y P T^(-N)) /
         T^(1-N).  So the map is (M1 P(M), M2 P(M)) / (P E Q(M)/Q), M = L(a).
 
-        As L(l) = x, l_x(M) = a1 and l_y(M) = a2: with P = l_x^i l_y^j P0
-        and Q = l_x^i' l_y^j' Q0, P(M) = a1^i a2^j P0(M) and Q(M) = a1^i'
-        a2^j' Q0(M); T = l_y T0 if j > 0.  All else is a power product of
-        l_x, l_y, P0, T0: the common power c of a1, a2 leaves M = c M', c^d
-        cancels in P(M)/Q(M), the exponents cancel as integers, and only M',
-        P0(M'), Q0(M')/Q0 and the powers left are multiplied out.  Q0 divides
-        Q0(M'): the atoms are prime to Q0 and T = P mod Q0, so a = P^k l,
-        M = P^k x and Q0(M) = 0 mod Q0."""
+        As L(l) = x, l_x(M) = a1 and l_y(M) = a2, so by ``linear_split``
+        P(M) = a1^i a2^j P0(M), Q(M) = a1^i' a2^j' Q0(M), and T = l_y T0 if
+        j > 0.  All else is a power product of l_x, l_y, P0, T0: the common
+        power c of a1, a2 leaves M = c M', c^d cancels in P(M)/Q(M), the
+        exponents cancel as integers, and only M', P0(M'), Q0(M')/Q0 and the
+        powers left are multiplied out.  Q0 divides Q0(M'): the atoms are
+        prime to Q0 and T = P mod Q0, so M = P^k x mod Q0."""
         P, Q, L = self.P, self.Q, self.L
-        lx, ly = L.inverse().coord_polys()
-        ux, uy = _form_list(lx), _form_list(ly)
-        i, P0 = _split_linear(P, *ux)
-        j, P0 = _split_linear(P0, *uy)
-        i2, Q0 = _split_linear(Q, *ux)
-        j2, Q0 = _split_linear(Q0, *uy)
+        lx, ly, i, j, P0, i2, j2, Q0 = self.linear_split()
         T0, g = (Q + P0 * lx ** i * ly ** (j - 1), 1) if j else (P + Q * ly, 0)
         if N >= 1:
             A1, A2 = (1, g * N, 0, N), (i * N, 1 + j * N, N, 0)
@@ -213,6 +192,31 @@ class HomBir:
             D = D * divexact(Q0.subs_polys(M), Q0)
         return M[0] * W, M[1] * W, D
 
+    def linear_split(self):
+        """(l_x, l_y, i, j, P0, i', j', Q0): (l_x, l_y) = L^{-1}(x) from the
+        integer adjugate of L, P = l_x^i l_y^j P0 and Q = l_x^i' l_y^j' Q0;
+        computed once."""
+        if self._split is None:
+            L = self.L
+            a, b, c, d = (int(e) for e in (L.a, L.b, L.c, L.d))  # _rescale
+            det = a * d - b * c
+            rows = []
+            for u in ([-b, d], [a, -c]):  # the lists of det l_x, det l_y
+                g = gcd(*u) if det > 0 else -gcd(*u)
+                rows.append(([v // g for v in u], det // g))
+            out = []
+            for F in (self.P, self.Q):
+                for u, s in rows:  # F = (u/s)^e F0, on lists if F(root) = 0
+                    e = 0
+                    if not _form_value(F, u[0], -u[1])[0]:
+                        w, q = _form_list(F)
+                        e, w = _multiplicity(w, u)
+                        F = _list_poly(w) * Fraction(s ** e, q)
+                    out.append(e)
+                out.append(F)
+            self._split = (*(_list_poly(*r) for r in rows), *out)
+        return self._split
+
     def coords(self):
         """Coordinate functions of the map."""
         return self.apply((RatFn.var(0, 2), RatFn.var(1, 2)))
@@ -228,23 +232,6 @@ class HomBir:
     def __repr__(self):
         return "HomBir(P=%s, Q=%s, L=%r)" % (
             self.P.to_string(), self.Q.to_string(), self.L)
-
-
-def _split_linear(F, u, s):
-    """(e, F0) with F = l^e F0 for l = u/s, u a primitive linear list,
-    divided out on lists only if F vanishes at the integer root of u."""
-    if _form_value(F, u[0], -u[1])[0]:
-        return 0, F
-    c, q = _form_list(F)
-    e, c = _multiplicity(c, u)
-    return e, _list_poly(c) * Fraction(s ** e, q)
-
-
-def _normalize_triple(P, Q, L):
-    g = poly_gcd(P, Q)
-    if not (g.is_constant() and g.constant_value() == 1):
-        P, Q = divexact(P, g), divexact(Q, g)
-    return _rescale(P, Q, L)
 
 
 def _rescale(P, Q, L):
@@ -270,6 +257,19 @@ def _rescale(P, Q, L):
     if c != 1:
         P, Q = P * (1 / c), Q * (1 / c)
     return P, Q, L
+
+
+def _compose_involution(P, Q, L):
+    """(P l_x, Q l_y; L swap) = (P, Q; L) o involution_i() as in ``compose``,
+    unnormalized, for (l_x, l_y) = det(L) L^{-1}(x).  As P and Q are coprime
+    and l_x, l_y independent, the only common factors are l_y if it divides
+    P and l_x if it divides Q, each once; one exact division tests each."""
+    x, y = Poly.var(0, 2), Poly.var(1, 2)
+    lx, ly = x * L.d - y * L.b, y * L.a - x * L.c
+    p, q = _quotient(P, ly), _quotient(Q, lx)
+    P2 = (P if p is None else p) * (lx if q is None else 1)
+    Q2 = (Q if q is None else q) * (ly if p is None else 1)
+    return P2, Q2, LinearMap2._of(L.b, L.a, L.d, L.c)
 
 
 # -- conjugation actions ---------------------------------------------------

@@ -21,7 +21,6 @@ from .algebra import (
     RatFn,
     VerificationFailed,
     LinearMap2,
-    _divide_known,
     _form_lists,
     _quotient,
     divexact,
@@ -43,6 +42,7 @@ from .flowcore import (
 )
 from .birmap import (
     HomBir,
+    _compose_involution,
     conjugate_vf_linear,
     conjugate_vf_radial,
     _radial_field,
@@ -201,40 +201,42 @@ def _quad_uvw(P, Q, D):
 
 
 class _Chain:
-    """A HomBir ``ell`` followed by pieces that act on a univariate triple
-    ``q``.  Each move updates ell's normalized triple in closed form
-    (``HomBir.compose_linear``, ``HomBir.compose_involution``) and (U, V, W)
-    by its exact formula; ``conjugate_vf`` is the long way round."""
+    """A radial map P/Q, by default the identity, followed by pieces that
+    act on a univariate triple ``q``.  Each move updates (U, V, W) and
+    the unnormalized (P, Q; L) by exact formulas; ``ell`` normalizes once.
+    ``conjugate_vf`` is the long way round."""
 
-    def __init__(self, q, ell):
-        self.q, self.ell = q, ell
+    def __init__(self, q, P=Poly.const(2, 1), Q=Poly.const(2, 1)):
+        self.q, self.P, self.Q = q, P, Q
+        self.L = LinearMap2.identity()
 
-    def _apply(self, ell, U, V, W):
-        self.ell = ell
-        self.q = QuadVF(U, V, W)
+    @property
+    def ell(self):
+        return HomBir._coprime(self.P, self.Q, self.L)
 
     def shear(self, b):
         """x -> x + b y."""
         U, V, W = self.q.triple()
-        self._apply(self.ell.compose_linear(LinearMap2(1, b, 0, 1)),
-                    U, 2 * b * U + V, U * b * b + V * b + W + b)
+        self.L = self.L.compose(LinearMap2(1, b, 0, 1))
+        self.q = QuadVF(U, 2 * b * U + V, U * b * b + V * b + W + b)
 
     def involution(self):
         """``HomBir.involution_i()``."""
         U, V, W = self.q.triple()
-        self._apply(self.ell.compose_involution(), -W, -V - 2, -U)
+        self.P, self.Q, self.L = _compose_involution(self.P, self.Q, self.L)
+        self.q = QuadVF(-W, -V - 2, -U)
 
     def x_scale(self, p):
         """x -> p x."""
         U, V, W = self.q.triple()
-        self._apply(self.ell.compose_linear(LinearMap2(p, 0, 0, 1)),
-                    p * U, V, W / p)
+        self.L = self.L.compose(LinearMap2(p, 0, 0, 1))
+        self.q = QuadVF(p * U, V, W / p)
 
 
-def _chain_to_canonical(uvw, N, ell):
-    """ell composed with the pieces taking (U,V,W).(-y^2) to
-    ((N-1)xy).(-y^2)."""
-    ch = _Chain(uvw, ell)
+def _chain_to_canonical(uvw, N, A):
+    """The radial map of A composed with the pieces taking (U,V,W).(-y^2)
+    to ((N-1)xy).(-y^2)."""
+    ch = _Chain(uvw, A.num, A.den)
     if ch.q.W != 0:
         if ch.q.U != 0:
             ch.shear((N - 1 - ch.q.V) / (2 * ch.q.U))
@@ -679,7 +681,6 @@ def _classify_by_form(vf):
     except NoRationalSolution:
         return None
     # the radial conjugation by A puts the field in univariate form
-    ell = HomBir.from_A(A)
     q = _quad_uvw(*_radial_field(vf, A))
     if q is None:
         raise VerificationFailed("radial conjugation missed the normal form")
@@ -687,27 +688,29 @@ def _classify_by_form(vf):
     if isinstance(res, NonIntegerLevel):
         return res
     if isinstance(res, PseudoLog):
-        return PseudoLog(ell.compose(res.ell_to_normal_form))
+        return PseudoLog(HomBir.from_A(A).compose(res.ell_to_normal_form))
     N = res["N"]
-    full = _chain_to_canonical(q, N, ell)
+    full = _chain_to_canonical(q, N, A)
     coords = HyperboloidPoint(q.U, q.V, q.W, N) if N >= 2 else _phat_from_uvw(q)
     return RationalFlow(N, full, _transported_invariant(vf, N, full), coords)
 
 
 def _transported_invariant(vf, N, ell):
     """The orbit invariant of vf, which ell conjugates to the field of
-    phi_N (N >= 1): phi_N's invariant x y^(N-1) composed with ell^{-1}.
-
-    With ell = (P, Q; L), ell^{-1}(x) = L^{-1}(x) * Q/P as in
-    ``HomBir.push_forward_phi``, so W = lx ly^(N-1) Q^N / P^N for
-    (lx, ly) = L^{-1}, normalized as ``orbit_invariant`` normalizes.  As
-    gcd(P, Q) = 1, the sides can share only lx and ly, so with those divided
-    out (``_divide_known``) they are coprime and take no gcd.  W is checked
-    exactly, unreduced, by ``_solves`` on the orbit equation (R = 0), whose
-    solutions form one line: W is then ``orbit_invariant``'s invariant."""
-    lx, ly = ell.L.inverse().coord_polys()
-    num, den = _divide_known((lx * ly ** (N - 1) * ell.Q ** N, ell.P ** N),
-                             (lx, ly))
+    phi_N (N >= 1): x y^(N-1) at ell^{-1}(x) = L^{-1}(x) Q/P, that is
+    l_x l_y^(N-1) Q^N / P^N = l_x^(1+N(i'-i)) l_y^(N-1+N(j'-j)) Q0^N / P0^N
+    by ``HomBir.linear_split``.  Its atoms are coprime, so each goes to the
+    side of its exponent's sign: no gcd, no division.  Normalized as
+    ``orbit_invariant`` does, W is checked exactly by ``_solves`` on the
+    orbit equation (R = 0), whose solutions form one line: W is then
+    ``orbit_invariant``'s."""
+    lx, ly, i, j, P0, i2, j2, Q0 = ell.linear_split()
+    num, den = Q0 ** N, P0 ** N
+    for a, e in ((lx, 1 + N * (i2 - i)), (ly, N - 1 + N * (j2 - j))):
+        if e > 0:
+            num *= a ** e
+        elif e < 0:
+            den *= a ** -e
     W = RatFn(num * (1 / num.leading_coeff()), den.unit_normal(), reduce=False)
     if not _solves(*_orbit_equation(vf, N), *_form_lists(W.num, W.den)[0]):
         raise VerificationFailed("transported invariant does not solve the "
@@ -745,14 +748,20 @@ def canonicalize(f):
     a non-flow raises AlgebraError("not a flow").  That runs before Steps
     I-III, which a flow never needs and which are slow on large non-flows.
     """
+    return _classified(f)[0]
+
+
+def _classified(f):
+    """(verdict, vf): ``canonicalize`` and the field it classified, None
+    for the identity and for a map that fails the boundary condition."""
     if not isinstance(f, Flow):
         f = Flow(*f)
     if f.is_identity():
-        return Identity()
+        return Identity(), None
     field = _jet_field(f)
     if field is None:
         try:
-            return Degenerate(*_degenerate_form(f))
+            return Degenerate(*_degenerate_form(f)), None
         except NotDegenerate as exc:
             raise AlgebraError("not a flow: the map fails the boundary "
                                "condition and has no degenerate form") from exc
@@ -764,12 +773,12 @@ def canonicalize(f):
         raise
     if isinstance(verdict, RationalFlow):
         if _conjugates_to(f, verdict.ell, verdict.level):
-            return verdict
+            return verdict, vf
         exc = VerificationFailed("canonical conjugation check failed")
         _require_flow(f, vf, exc)
         raise exc
     _require_flow(f, vf)
-    return _name_obstruction(vf) if verdict is None else verdict
+    return (_name_obstruction(vf) if verdict is None else verdict), vf
 
 
 def _require_flow(f, vf, cause=None):
@@ -785,20 +794,24 @@ def _conjugates_to(f, a, N):
     substitution and phi_N is never built.  Each coordinate n/d of f is
     tested against its Ni/D by h = D / d, exact when n/d is in lowest
     terms, and Ni == h * n; when the division is inexact the test is
-    n * D == d * Ni.  Both tests are exact."""
+    n * D == d * Ni.  Both tests are exact; a second coordinate over the
+    same d reuses h."""
     N1, N2, D = a.push_forward_phi(N)
-
-    def holds(fc, Ni):
-        try:
-            return Ni == divexact(D, fc.den) * fc.num
-        except AlgebraError:
-            return fc.num * D == fc.den * Ni
-    return holds(f.u, N1) and holds(f.v, N2)
+    for fc, Ni in ((f.u, N1), (f.v, N2)):
+        if fc is f.u or fc.den != f.u.den:
+            try:
+                h = divexact(D, fc.den)
+            except AlgebraError:
+                h = None
+        if not (Ni == h * fc.num if h is not None
+                else fc.num * D == fc.den * Ni):
+            return False
+    return True
 
 
 def _pseudolog_chain(q):
     """The HomBir taking a delta = 0 univariate field to (-x^2 - x y, -y^2)."""
-    ch = _Chain(q, HomBir.identity())
+    ch = _Chain(q)
     if ch.q.U == 0:
         ch.involution()
     if ch.q.U == 0:

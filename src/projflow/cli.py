@@ -154,12 +154,12 @@ def cmd_level(args):
 def cmd_classify(args):
     obj = parse_input(_read_input(args))
     if isinstance(obj, Flow):
-        verdict = _cl.canonicalize(obj)
+        verdict, vf = _cl._classified(obj)
     else:
-        verdict = _cl.classify_vf(obj)
+        verdict, vf = _cl.classify_vf(obj), None
     payload = _verdict_payload(verdict)
-    if isinstance(obj, Flow) and isinstance(verdict, _cl.RationalFlow):
-        payload["zeros_poles"] = list(zeros_poles(vector_field(obj)))
+    if vf is not None and isinstance(verdict, _cl.RationalFlow):
+        payload["zeros_poles"] = list(zeros_poles(vf))
     _emit(payload, args)
     return 0
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apply_reference import apply_reference
+from invariant_reference import transported_invariant_reference
 from push_forward_reference import push_forward_reference
 from projflow import algebra, birmap
+from projflow.classify import _transported_invariant
 from projflow import (
     HomBir,
     IdenticallySingular,
@@ -14,6 +16,7 @@ from projflow import (
     Poly,
     RatFn,
     canonical_flow,
+    VectorField,
     canonicalize,
     classify_involution,
     conjugate_flow,
@@ -407,16 +410,35 @@ def test_push_forward_phi_matches_reference(ell, N):
     assert N1 * RD == R1 * D and N2 * RD == R2 * D
 
 
+@given(factor_planted_hombirs(), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_transported_invariant_matches_reference(ell, N):
+    # x y^(N-1) carried by ell^-1 from the signed exponents of ell's linear
+    # split, against tests/invariant_reference, which multiplies l_x
+    # l_y^(N-1) Q^N and P^N out and divides l_x, l_y back out; the field is
+    # that of ell o phi_N o ell^-1, so the orbit check passes too
+    vf = conjugate_vf(VectorField((N - 1) * X * Y, -Y * Y), ell.inverse())
+    W = _transported_invariant(vf, N, ell)
+    want = transported_invariant_reference(ell, N)
+    assert (W.num, W.den) == (want.num, want.den)
+
+
 @given(planted_hombirs(), _ENTRY, _ENTRY.map(lambda p: p or 1), _MAPS)
 @settings(max_examples=150, deadline=None)
 def test_closed_form_moves_match_compose(ell, b, p, M0):
-    # each move of the canonical chain updates the normalized triple in
-    # closed form; the general compose (gcd and normalization) is the
+    # each move of the canonical chain of classify updates the triple in
+    # closed form, (P, Q; L M) or birmap._compose_involution, and keeps P
+    # and Q coprime; the general compose (gcd and normalization) is the
     # reference, and the triple is unique, so the two are structurally equal
     for M in (LinearMap2(1, b, 0, 1), LinearMap2(1, 0, 0, 1),
               LinearMap2(p, 0, 0, 1), M0):
-        assert ell.compose_linear(M) == ell.compose(HomBir.linear(M))
-    assert ell.compose_involution() == ell.compose(HomBir.involution_i())
+        assert (HomBir._coprime(ell.P, ell.Q, ell.L.compose(M))
+                == ell.compose(HomBir.linear(M)))
+    assert _involution_move(ell) == ell.compose(HomBir.involution_i())
+
+
+def _involution_move(ell):
+    return HomBir._coprime(*birmap._compose_involution(ell.P, ell.Q, ell.L))
 
 
 @pytest.mark.parametrize("plant_y, plant_x, change", [
@@ -429,6 +451,6 @@ def test_involution_move_cancels_planted_forms(plant_y, plant_x, change):
     P = (X + Y) * (ly if plant_y else X - Y)
     Q = (X - 2 * Y) * (lx if plant_x else X)
     ell = HomBir(P, Q, L)
-    moved = ell.compose_involution()
+    moved = _involution_move(ell)
     assert moved.degree() == ell.degree() + change
     assert moved == ell.compose(HomBir.involution_i())

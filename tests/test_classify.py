@@ -72,6 +72,7 @@ from projflow.parser import (parse_flow, parse_vector_field, print_flow,
                              print_vector_field)
 
 import odesolve_reference
+from invariant_reference import transported_invariant_reference
 from test_odesolve import _homogenize_by_terms
 
 SCHEMA = json.load(open(
@@ -262,7 +263,7 @@ def test_chain_moves_match_conjugate_vf():
         q = QuadVF(frac(), frac(), frac())
         for move, args in (("shear", (frac(),)), ("involution", ()),
                            ("x_scale", (frac() or Fraction(1),))):
-            ch = _Chain(q, HomBir.identity())
+            ch = _Chain(q)
             getattr(ch, move)(*args)
             v = conjugate_vf(q.vector_field(), ch.ell)
             want = _quad_uvw(v.P, v.Q, v.D)
@@ -681,6 +682,43 @@ def test_push_forward_phi_leaves_no_common_factor():
         N1, N2, D = res.ell.push_forward_phi(res.level)
         gcd = algebra_module.poly_gcd
         assert gcd(gcd(N1, N2), D).is_constant(), f
+
+
+def test_orbit_invariant_matches_multiplied_out_reference():
+    # orbit_W of every RationalFlow of level >= 1 on the zoo, the
+    # catalogue's flow texts and the seeded conjugates, against
+    # tests/invariant_reference (l_x l_y^(N-1) Q^N and P^N multiplied out,
+    # l_x and l_y divided back out), term for term
+    flows = [e.flow for e in zoo()]
+    flows += [parse_flow(row[1]) for row in _catalogue_rows()]
+    flows += [f for seed in (1, 2, 3, 7)
+              for _, _, f in _seeded_conjugates(random.Random(seed))]
+    levels = []
+    for f in flows:
+        res = canonicalize(f)
+        if res.level >= 1:
+            want = transported_invariant_reference(res.ell, res.level)
+            assert (res.orbit_W.num, res.orbit_W.den) == (want.num,
+                                                          want.den), f
+            levels.append(res.level)
+    assert set(levels) == {1, 2, 3}
+
+
+def test_conjugates_to_divides_once_per_denominator(monkeypatch):
+    # h = D/d depends on d alone: a flow whose coordinates share their
+    # denominator takes one exact division, any other flow two
+    divisions = []
+    monkeypatch.setattr(classify_module, "divexact",
+                        lambda p, d: divisions.append(d) or divexact(p, d))
+    shared = 0
+    for e in zoo():
+        res = canonicalize(e.flow)
+        divisions.clear()
+        assert _conjugates_to(e.flow, res.ell, res.level), e.name
+        same = e.flow.u.den == e.flow.v.den
+        assert len(divisions) == 2 - same, e.name
+        shared += same
+    assert 0 < shared < len(zoo())
 
 
 def test_univariate_form_matches_fraction_reference(monkeypatch):

@@ -253,3 +253,77 @@ def test_parser_reduces_once_per_coordinate(monkeypatch):
         calls[0] = 0
         parse_input(text)
         assert calls[0] == 2 + powers, (text, calls[0])
+
+
+def test_cli_classify_builds_one_field_and_one_split(monkeypatch):
+    # projflow classify reads zeros_poles off the field that canonicalize
+    # classified, and the certificate and the orbit invariant share ell's
+    # linear split: each catalogue flow text runs one jet field and splits
+    # one ell, from the adjugate of L, with no LinearMap2.inverse
+    import contextlib
+    import io
+    import runpy
+    from projflow import birmap, classify, cli, flowcore
+    from projflow.algebra import LinearMap2
+
+    rows = runpy.run_path(str(SRC.parent.parent / "bench" / "catalogue.py"))
+    counts = {}
+
+    def count(key, fn, when=lambda *args: True):
+        def counted(*args):
+            if when(*args):
+                counts[key] = counts.get(key, 0) + 1
+            return fn(*args)
+        return counted
+
+    jets = count("_jet_field", flowcore._jet_field)
+    monkeypatch.setattr(flowcore, "_jet_field", jets)
+    monkeypatch.setattr(classify, "_jet_field", jets)
+    monkeypatch.setattr(birmap.HomBir, "linear_split", count(
+        "split", birmap.HomBir.linear_split, lambda h: h._split is None))
+    monkeypatch.setattr(LinearMap2, "inverse",
+                        count("inverse", LinearMap2.inverse))
+    texts = [row[1] for row in rows["CATALOGUE"]]
+    assert len(texts) == 19
+    for text in texts:
+        counts.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["classify", text, "--json"]) == 0, text
+        assert '"zeros_poles"' in out.getvalue(), text
+        assert counts == {"_jet_field": 1, "split": 1}, (text, counts)
+
+
+def test_transported_invariant_divides_nothing(monkeypatch):
+    # the invariant reads signed exponents off ell's linear split: no
+    # known-factor division and no exact division runs inside it
+    from projflow import algebra, birmap, classify, flowcore, odesolve, zoo
+
+    scope, seen, ran = [], [], []
+
+    def spy(name, fn):
+        def watched(*args):
+            if scope:
+                seen.append(name)
+            return fn(*args)
+        return watched
+
+    for owner in (algebra, birmap, classify, flowcore, odesolve):
+        for name in ("_divide_known", "_quotient"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name,
+                                    spy(name, getattr(owner, name)))
+    invariant = classify._transported_invariant
+
+    def run(*args):
+        ran.append(args[1])
+        scope.append(True)
+        try:
+            return invariant(*args)
+        finally:
+            scope.pop()
+    monkeypatch.setattr(classify, "_transported_invariant", run)
+    for entry in zoo():
+        classify.canonicalize(entry.flow)
+    assert set(ran) == {1, 2, 3}
+    assert seen == []
