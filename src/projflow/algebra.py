@@ -434,12 +434,6 @@ class Poly:
             return self
         return Poly._of(self.nvars, {k: c // g for k, c in self.ints.items()})
 
-    def strip_monomial(self, exps):
-        """self / x^exps, for a monomial that divides every term."""
-        s = _key(exps)
-        return Poly._of(self.nvars, {k - s: c for k, c in self.ints.items()},
-                        self.den)
-
     # -- structural --------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -564,8 +558,13 @@ def _eval_sums(polys, point):
     of the terms c * prod a_i^e_i * b_i^(top_i - e_i).  The power table of
     a variable walks its sorted distinct exponents and multiplies by a_i
     (and b_i) raised to each gap, so a sparse x^(2^20) costs one ``pow``;
-    b_i = 1 skips the b-powers."""
+    b_i = 1 skips the b-powers.  A point is ``nvars`` ints or Fractions:
+    another length raises AlgebraError, another type TypeError."""
     nv = polys[0].nvars
+    if len(point) != nv:
+        raise AlgebraError("wrong number of coordinates in the point")
+    for c in point:
+        _rational(c)
     exps = [[_exps(k, nv) for k in p.ints] for p in polys]
     tables = []
     scale = 1
@@ -966,12 +965,6 @@ def poly_gcd(p, q):
     return _heu_gcd(p, q)
 
 
-def poly_lcm(p, q):
-    if p.is_zero() or q.is_zero():
-        return Poly.zero(p.nvars)
-    return divexact(p * q, poly_gcd(p, q)).unit_normal()
-
-
 # -- rational functions ---------------------------------------------------
 
 def _unit_den(*polys):
@@ -1030,11 +1023,8 @@ class RatFn:
     def constant_value(self):
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_polynomial(self):
-        return self.den.is_constant()
-
     def as_poly(self):
-        if not self.is_polynomial():
+        if not self.den.is_constant():
             raise AlgebraError("not a polynomial")
         return self.num * (1 / self.den.constant_value())
 

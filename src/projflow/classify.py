@@ -3,8 +3,11 @@
 One pipeline, ``classify_vf``, classifies a vector field by its level,
 univariate normal form, canonical conjugator and orbit invariant;
 ``canonicalize`` runs it on the field of a flow and certifies the result.
-Degenerate detection, denominator reduction and the quadratic-form case
-analysis name the obstruction of a field with no rational univariate form.
+Degenerate detection handles a flow with no vector field.  Denominator
+reduction and the quadratic-form case analysis (Steps I-III) name the
+obstruction of a field that has neither level 0 nor a rational univariate
+form; only ``classify_vf`` runs them, since every non-degenerate flow
+other than the identity is conjugate to some phi_N.
 The level-N coordinate maps and duality read the certified verdict of
 ``canonicalize``; the dual is ell o phi_{-N} o ell^{-1} with x and y swapped,
 from ``HomBir.push_forward_phi``.  Also: symmetric families and a catalogue
@@ -745,8 +748,11 @@ def canonicalize(f):
     field whether or not it is a flow.  Before such a map gets a verdict
     other than a certified RationalFlow, or when classifying its field
     raises, the PDE of ``verify_pde`` on that field decides if it is a flow;
-    a non-flow raises AlgebraError("not a flow").  That runs before Steps
-    I-III, which a flow never needs and which are slow on large non-flows.
+    a non-flow raises AlgebraError("not a flow").  A flow that is neither
+    the identity nor degenerate is conjugate to some phi_N, so a flow with
+    any other verdict raises VerificationFailed.  Steps I-III, which a flow
+    never needs and which are slow on large non-flows, never run here: they
+    serve ``classify_vf`` only.
     """
     return _classified(f)[0]
 
@@ -778,7 +784,8 @@ def _classified(f):
         _require_flow(f, vf, exc)
         raise exc
     _require_flow(f, vf)
-    return (_name_obstruction(vf) if verdict is None else verdict), vf
+    raise VerificationFailed("a flow whose field has verdict %r, not a "
+                             "rational flow" % (verdict,))
 
 
 def _require_flow(f, vf, cause=None):

@@ -154,9 +154,6 @@ class LevelResult:
     def indeterminate(cls):
         return cls("Indeterminate")
 
-    def is_level(self, n=None):
-        return self.tag == "Level" and (n is None or self.n == n)
-
     def __eq__(self, other):
         if not isinstance(other, LevelResult):
             return NotImplemented

@@ -53,16 +53,6 @@ class LinODE:
         if self.p.is_zero():
             raise AlgebraError("leading coefficient p must be nonzero")
 
-    def residual(self, f):
-        return self.p * f.derivative(0) + self.q * f - self.r
-
-    def solved_by(self, n, d):
-        """Whether n/d solves the equation, for univariate Polys n and d
-        that need not be coprime, by ``_solves``."""
-        if d.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
-        return _solves(*_ode_lists(self), *_form_lists(n, d)[0])
-
     def __repr__(self):
         return "LinODE(%s, %s, %s)" % (self.p.to_string(("x",)),
                                        self.q.to_string(("x",)),

@@ -169,3 +169,8 @@ def rational_solutions(ode):
     return {"particular": None if particular is None else build(particular),
             "homogeneous_basis": build(real_null[0]).scale_num_monic()
             if real_null else None}
+
+
+def residual(ode, f):
+    """p f' + q f - r on RatFn arithmetic: zero iff f solves the equation."""
+    return ode.p * f.derivative(0) + ode.q * f - ode.r

@@ -19,7 +19,6 @@ from projflow.algebra import (
     LinearMap2,
     divexact,
     poly_gcd,
-    poly_lcm,
     linear_factors_q,
     count_real_projective_roots,
     poly_dot,
@@ -134,16 +133,6 @@ def test_gcd_divides_both(a, b):
     assert g.leading_coeff() > 0
 
 
-@given(small_poly(), small_poly())
-@settings(max_examples=40, deadline=None)
-def test_lcm_definition(a, b):
-    if a.is_zero() or b.is_zero():
-        return
-    m = poly_lcm(a, b)
-    g = poly_gcd(a, b)
-    assert (m * g).unit_normal() == (a * b).unit_normal()
-
-
 @given(small_poly())
 @settings(max_examples=40, deadline=None)
 def test_factorization_reassembles(p):
@@ -225,7 +214,7 @@ def test_results_are_in_normal_form(triple, n, d):
                    for i in range(a.nvars))
     results = [a + b, a - b, a * b, a * Fraction(n, d), a.derivative(0),
                a.eval_hom([b, c, a][: a.nvars], c), a.unit_normal(),
-               a.strip_monomial(lowest)]
+               divexact(a, Poly(a.nvars, {lowest: 1}))]
     results += a.homogeneous_parts().values()
     if not b.is_zero():
         results.append(divexact(a * b, b))
@@ -309,7 +298,7 @@ def test_key_views_match_sympy(p):
         assert p.derivative(i) == _from_ring(f.diff(R.gens[i]), n)
     if monoms:
         lowest = tuple(min(e[i] for e in monoms) for i in range(n))
-        assert p.strip_monomial(lowest) == _from_ring(
+        assert divexact(p, Poly(n, {lowest: 1})) == _from_ring(
             f.exquo(R({lowest: QQ(1)})), n)
     # printing lists the terms in sympy's graded-lex order
     words = [Poly(n, {e: Fraction(int(c.numerator), int(c.denominator))})
@@ -357,13 +346,14 @@ def test_degree_cap_at_its_boundary():
     assert ((-X * Y) ** n).terms == {(n, n): -1}
     with pytest.raises(CapExceeded):
         (-X * Y) ** (n + 1)
-    # a monomial of total degree at the cap decodes, differentiates and strips
+    # a monomial of total degree at the cap decodes, differentiates and
+    # divides by a monomial
     a = top - 5
     m = Poly(2, {(a, 5): 1})
     assert m.terms == {(a, 5): 1}
     assert m.derivative(0) == Poly(2, {(a - 1, 5): a})
     assert m.derivative(1) == Poly(2, {(a, 4): 5})
-    assert m.strip_monomial((a, 2)) == Poly(2, {(0, 3): 1})
+    assert divexact(m, Poly(2, {(a, 2): 1})) == Poly(2, {(0, 3): 1})
     # a substitution makes total degree deg P * max deg of the arguments
     with pytest.raises(CapExceeded):
         (X ** 2 ** 31).eval_hom([X, Y], X * Y)
@@ -499,6 +489,29 @@ def test_ratfn_eval_raises_at_a_pole():
         with pytest.raises(ZeroDivisionError):
             f.eval(point)
     assert f.eval((1, 1)) == Fraction(2, 4)
+
+
+@pytest.mark.parametrize("nv", [1, 2])
+def test_eval_checks_its_point(nv):
+    # a point has nvars coordinates, each an int or a Fraction: lengths
+    # nvars - 1 and nvars + 1 raise, and so do a float and a str in either
+    # place, for a zero polynomial too
+    x = Poly.var(0, nv)
+    good = (3, Fraction(1, 2))[:nv]
+    p = x * x + 1
+    f = RatFn(Poly.const(nv, 1), x - 1)
+    assert p.eval(good) == 10 and f.eval(good) == Fraction(1, 2)
+    for g in (p, Poly.zero(nv), f):
+        for point in (good[:-1], good + (5,)):
+            with pytest.raises(AlgebraError, match="^wrong number of "
+                               "coordinates in the point$"):
+                g.eval(point)
+        for bad in (0.5, "1"):
+            for i in range(nv):
+                point = good[:i] + (bad,) + good[i + 1:]
+                with pytest.raises(TypeError, match="^expected int or "
+                                   "Fraction, got "):
+                    g.eval(point)
 
 
 def test_horner_raises_arguments_to_gaps_by_squaring(monkeypatch):

@@ -15,6 +15,7 @@ from projflow import (
     Flow,
     HomBir,
     Identity,
+    LevelResult,
     LinearMap2,
     NeedsRationalRoot,
     NonIntegerLevel,
@@ -36,6 +37,7 @@ from projflow import (
     conjugate_vf,
     dual,
     kapa,
+    level_of,
     lookup,
     orbit_invariant,
     pN_map,
@@ -48,6 +50,7 @@ from projflow import (
     univariate_classify,
     vecc,
     vector_field,
+    verify_pde,
     verify_translation,
     zoo,
 )
@@ -73,6 +76,7 @@ from projflow.parser import (parse_flow, parse_vector_field, print_flow,
 
 import odesolve_reference
 from invariant_reference import transported_invariant_reference
+from test_acceptance import _mutants, _perturbed
 from test_odesolve import _homogenize_by_terms
 
 SCHEMA = json.load(open(
@@ -319,6 +323,79 @@ def test_canonicalize_rejects_a_non_flow_without_degenerate_form():
     assert not verify_translation(f)
 
 
+class _StepsReached(Exception):
+    pass
+
+
+def test_canonicalize_never_runs_steps_one_to_three(monkeypatch):
+    # a flow that is neither the identity nor degenerate is conjugate to
+    # some phi_N, so canonicalize names no obstruction: with Steps I-III
+    # made to raise, the zoo, the catalogue's flow texts and seeded
+    # conjugates keep their verdicts and non-flows are still rejected; only
+    # classify_vf reaches them, on a field with no univariate form
+    flows = [e.flow for e in zoo()]
+    flows += [parse_flow(row[1]) for row in _catalogue_rows()]
+    flows += [f for seed in (1, 2, 3, 7)
+              for _, _, f in _seeded_conjugates(random.Random(seed))]
+    want = [repr(canonicalize(f)) for f in flows]
+    rng = random.Random(5)
+    non_flows = _mutants() + [g for e in zoo() for g in
+                              (_perturbed(e.flow, rng) for _ in range(3))
+                              if not verify_pde(g)]
+    # some of them have a field with no univariate form, which used to go
+    # on to Steps I-III once the translation equation had failed
+    assert any(_formless(g) for g in non_flows)
+    reached = []
+    name_obstruction = classify_module._name_obstruction
+
+    def counted(vf):
+        reached.append("_name_obstruction")
+        return name_obstruction(vf)
+
+    def step(vf):
+        reached.append("reduce_denominator_step")
+        raise _StepsReached
+
+    monkeypatch.setattr(classify_module, "_name_obstruction", counted)
+    monkeypatch.setattr(classify_module, "reduce_denominator_step", step)
+    assert [repr(canonicalize(f)) for f in flows] == want
+    for g in non_flows:
+        with pytest.raises(AlgebraError, match="^not a flow: "):
+            canonicalize(g)
+    assert reached == []
+    # (x y, x y) has a constant denominator and is named by Step II
+    res = classify_vf(VectorField(X * Y, X * Y))
+    assert isinstance(res, NonRational) and res.tag == "phi_e_prime"
+    assert reached == ["_name_obstruction"]
+    # x^2 + y^2 times the radial field, conjugated by y/(x + y), has a
+    # denominator that Step I must clear
+    with pytest.raises(_StepsReached):
+        classify_vf(conjugate_vf(VectorField(X * X + Y * Y, Poly.zero(2)),
+                                 HomBir.from_A(_rf(Y, X + Y))))
+    assert reached[1:] == ["_name_obstruction", "reduce_denominator_step"]
+
+
+def _formless(f):
+    """Whether f has a jet field that has no rational univariate form."""
+    field = flowcore_module._jet_field(f)
+    try:
+        return (field is not None and classify_module._classify_by_form(
+            VectorField.of(*field)) is None)
+    except AlgebraError:
+        return False
+
+
+def test_canonicalize_raises_on_a_flow_without_univariate_form(monkeypatch):
+    # a flow passes the translation equation, so a field verdict other than
+    # RationalFlow is a fault of the classifier, not an obstruction to name
+    f = lookup("phi2_1").flow
+    for verdict in (None, NonIntegerLevel(Fraction(9, 4))):
+        monkeypatch.setattr(classify_module, "_classify_by_form",
+                            lambda vf: verdict)
+        with pytest.raises(VerificationFailed, match="not a rational flow"):
+            canonicalize(f)
+
+
 def test_canonicalize_pseudolog(capsys):
     res = classify_vf(VectorField(-X * X - X * Y, -Y * Y))
     assert isinstance(res, PseudoLog)
@@ -426,6 +503,90 @@ def test_quadratic_classify_input_checks():
     assert str(exc.value) == "irrational root required"
 
 
+def test_quadratic_classify_level0():
+    # w = x J, r = y J for J = x + y: y w - x r = 0, the radial field of a
+    # level-0 flow, which level_of reads as level 0 too
+    w, r = X * X + X * Y, X * Y + Y * Y
+    assert quadratic_classify(w, r) == {"kind": "level0"}
+    assert level_of(VectorField(w, r)) == LevelResult.level(0)
+
+
+# The shapes below are proportional fields (w, r), which quadratic_classify
+# sends to Step II before it looks for roots, and a linear change keeps a
+# field proportional: so only a direct call reaches these step2 branches.
+
+def test_cube_case_without_x_terms_is_step2():
+    # (0, x^2): y w - x r = -x^3, whose triple root x = 0 is at (0 : 1), so
+    # no change is made; w = a x^2 + b x y has a = b = 0, and the swapped
+    # field (y^2, 0) is Step II's w = z y^2, r = 0
+    assert classify_module._cube_case(Poly.zero(2), X * X, (0, 1)) == {
+        "kind": "step2"}
+
+
+@pytest.mark.parametrize("w, r", [
+    (X * X + X * Y, Poly.zero(2)),      # c = d = 0: r = 0, Step II's shape
+    (Poly.zero(2), X * Y + Y * Y),      # a = b = 0: w = 0, the swap of it
+])
+def test_triangular_case_proportional_is_step2(w, r):
+    res = classify_module._triangular_case(VectorField(w, r), None)
+    assert res == {"kind": "step2"}
+
+
+def test_triangular_case_swaps_when_b_is_zero():
+    # (a x^2, c x y + d y^2) with a != 0: the linear map (x, y) -> (-y/a, x)
+    # swaps the coordinates and rescales, giving (d x^2 - (c/a) x y, -y^2),
+    # so delta^2 = (1 - c/a)^2 with W = 0, which level_of reads off the
+    # field itself: 4, level 2, for c = -a; 25/4 for a = 2, c = -3
+    for a, c, d, level in ((1, -1, 1, LevelResult.level(2)),
+                           (2, -3, 5, LevelResult.non_integer_square(
+                               Fraction(25, 4)))):
+        vf1 = VectorField(a * X * X, c * X * Y + d * Y * Y)
+        uvw = QuadVF(d, Fraction(-c, a), 0)
+        res = classify_module._triangular_case(vf1, None)
+        assert res == {"kind": "univariate", "uvw": uvw}, (a, c, d)
+        swap = HomBir.linear(LinearMap2(0, Fraction(-1, a), 1, 0))
+        assert conjugate_vf(vf1, swap) == uvw.vector_field(), (a, c, d)
+        assert uvw.delta_squared() == (1 - Fraction(c, a)) ** 2
+        assert level_of(vf1) == level, (a, c, d)
+
+
+def test_bc_iteration_outcomes():
+    # (x^2 + B x y, C x y + y^2), that is a = d = 1 in _triangular_case
+    def field(B, C):
+        return VectorField(X * X + B * X * Y, C * X * Y + Y * Y)
+
+    # B = C = 1: w = x (x + y), r = y (x + y), the radial level-0 field
+    assert classify_module._bc_iteration(1, 1, None) == {"kind": "level0"}
+    assert level_of(field(1, 1)) == LevelResult.level(0)
+    # B + C = 2: the radial map A = -y/(x+y) gives ((C - 2) x y, -y^2),
+    # so delta^2 = (C - 1)^2 and the level is |C - 1|
+    for B, C in ((3, -1), (-1, 3), (5, -3)):
+        res = classify_module._bc_iteration(B, C, None)
+        assert res == {"kind": "univariate", "uvw": QuadVF(0, C - 2, 0),
+                       "via": "A=-y/(x+y)"}, (B, C)
+        radial = HomBir.from_A(_rf(-Y, X + Y))
+        assert conjugate_vf(field(B, C), radial) == \
+            QuadVF(0, C - 2, 0).vector_field(), (B, C)
+        assert level_of(field(B, C)) == LevelResult.level(abs(C - 1))
+    # exactly one of B, C is 1, or one is 2 and the other nonzero: a
+    # logarithmic obstruction
+    for B, C in ((1, 3), (4, 1), (2, 3), (-3, 2)):
+        res = classify_module._bc_iteration(B, C, None)
+        assert isinstance(res, NonRational), (B, C)
+        assert (res.tag, res.detail) == ("log_type", (B, C))
+    # otherwise B' = (B + C - 2)/(B C - 1) must be an integer: for (3, 3)
+    # it is 4/8, the arithmetic obstruction
+    res = classify_module._bc_iteration(3, 3, None)
+    assert isinstance(res, NonRational)
+    assert (res.tag, res.detail) == ("arithmetic_obstruction", (3, 3))
+    # B = 0 steps to B' = 2 - C, and then B' + C = 2; C = 0 steps from B to
+    # 2 - B and back, which the iteration reports as a cycle
+    assert classify_module._bc_iteration(0, 5, None) == {
+        "kind": "univariate", "uvw": QuadVF(0, 3, 0), "via": "A=-y/(x+y)"}
+    with pytest.raises(VerificationFailed, match="cycled"):
+        classify_module._bc_iteration(5, 0, None)
+
+
 # -- Step II and denominator reduction -------------------------------------
 
 def test_step2_rational_branches():
@@ -450,6 +611,20 @@ def test_step2_non_rational_branches():
     assert isinstance(res, NonRational) and res.tag == "phi_e_prime"
     res = step2_obstruction(VectorField(Poly.zero(2), X * Y))
     assert isinstance(res, NonRational) and res.tag == "phi_e"
+
+
+def test_step2_zero_field_and_perfect_square():
+    # the zero field is the identity flow's
+    assert isinstance(step2_obstruction(VectorField(Poly.zero(2),
+                                                    Poly.zero(2))), Identity)
+    # w = z l^2 for a linear form l, here (x + y)^2 and 3 (x - 2 y)^2, has
+    # discriminant 0 and is linearly conjugate to z x^2, whose flow is
+    # x/(1 - z x); r proportional to w is first taken to 0
+    for w, r in (((X + Y) ** 2, Poly.zero(2)),
+                 (3 * (X - 2 * Y) ** 2, 6 * (X - 2 * Y) ** 2)):
+        res = step2_obstruction(VectorField(w, r))
+        assert res == {"kind": "rational", "normal": "x/(1-zx)",
+                       "flow": None}, (w, r)
 
 
 def test_reduce_denominator_zoo_fields():

@@ -64,7 +64,7 @@ def test_zoo_translation_and_fields():
     for e in zoo():
         assert verify_translation(e.flow), e.name
         assert vector_field(e.flow) == e.vf, e.name
-        assert level_of(e.vf).is_level(e.level), e.name
+        assert level_of(e.vf) == LevelResult.level(e.level), e.name
 
 
 def test_zeros_poles_zoo():
@@ -397,7 +397,7 @@ def test_boundary_condition_matches_lowest_part_reference():
 def test_level_of_special_cases():
     # level 1: one partial of S = y*w - x*r vanishes
     lvl = level_of(VectorField(RatFn.const(0, 2), RatFn(-Y * Y)))
-    assert lvl.is_level(1)
+    assert lvl == LevelResult.level(1)
     # non-integer discriminant
     lvl = level_of(vecfield(1, 0, -1))
     assert lvl.tag == "NonIntegerSquare"
@@ -435,8 +435,8 @@ def test_canonical_flow_all_integers():
         f = canonical_flow(N)
         assert verify_translation(f), N
         if N != 1:
-            assert level_of(vector_field(f)).is_level(abs(N) if N else 0) \
-                or level_of(vector_field(f)).is_level(1)
+            assert level_of(vector_field(f)) in (LevelResult.level(abs(N)),
+                                                 LevelResult.level(1))
 
 
 def test_i0_symmetry():
@@ -452,7 +452,7 @@ def test_level0_flows_satisfy_translation(a, b):
         return
     f = level0_flow(RatFn(a * X + b * Y))
     assert verify_translation(f)
-    assert level_of(vector_field(f)).is_level(0)
+    assert level_of(vector_field(f)) == LevelResult.level(0)
 
 
 # -- the stored form (P, Q, D) against RatFn arithmetic on (w, r) ----------

@@ -1,8 +1,11 @@
 """Source hygiene that needs no linter: every module-level import of the
 package is used (``__init__.py`` is exempt: its imports are re-exports),
-every private module-level name is used somewhere in the package, and every
-private parameter is passed somewhere in the package or its tests."""
+every private module-level name is used somewhere in the package, every
+public name is used by the package, the README or the benchmark harness
+unless an allowlist says why not, and every private parameter is passed
+somewhere in the package or its tests."""
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "projflow"
@@ -66,6 +69,77 @@ def test_no_dead_private_module_names():
                        for _, other, refs in nodes if other is not node):
                 dead.append("%s:%d %s" % (fname, node.lineno, name))
     assert not dead, dead
+
+
+# Public names that only tests call, kept as the paper's objects or as the
+# general form that tests check the library's closed forms against.
+TEST_ONLY_PUBLIC = {
+    "HomBir.linear": "a linear map as a 1-BIR element, the paper's linear "
+                     "conjugators; tests build conjugates with it",
+    "HomBir.involution_i": "the paper's involution i; _Chain composes it in "
+                           "closed form, and tests check that against it",
+    "conjugate_vf": "conjugation of a field by any 1-BIR map; the library "
+                    "conjugates by linear and radial pieces only, and tests "
+                    "check those against it",
+    "classify_involution": "the paper's classification of involutions",
+    "vecc": "the paper's vector field of the (sigma, tau) family",
+    "compose_flows_level0": "the paper's group law of level-0 flows",
+}
+
+
+def _outside_references():
+    """Names that README code spans and the benchmark harness refer to; a
+    string constant of bench/ that is a dotted path names each part."""
+    found = set()
+    readme = (SRC.parents[1] / "README.md").read_text()
+    for span in re.findall(r"```.*?```|`[^`\n]+`", readme, re.S):
+        found.update(re.findall(r"[A-Za-z_]\w*", span))
+    for path in sorted((SRC.parents[1] / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= _references(tree)
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and re.fullmatch(r"[A-Za-z_][\w.]*", n.value)):
+                found.update(n.value.split("."))
+    return found
+
+
+def test_no_test_only_public_names():
+    # a public function, class or method is dead weight to the library when
+    # only tests call it: some module of the package (outside its own
+    # definition; __init__ re-exports do not count), the README or the
+    # benchmark harness must refer to it, or it is allowlisted with a
+    # reason.  Names match as in the private-name test, so a method counts
+    # as referred to when any attribute of its name is read.
+    tops, defs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            tops.append(top)
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs.append((top, top.name))
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                defs += [(m, "%s.%s" % (top.name, m.name))
+                         for m in top.body if isinstance(m, ast.FunctionDef)]
+    outside = _outside_references()
+    unused = set()
+    for node, qual in defs:
+        name = qual.rpartition(".")[2]
+        if name.startswith("_") or name in outside:
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if not any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   for top in tops for n in ast.walk(top)
+                   if id(n) not in own):
+            unused.add(qual)
+    assert unused - set(TEST_ONLY_PUBLIC) == set(), sorted(unused)
+    # an allowlisted name that something else now refers to leaves the list
+    assert set(TEST_ONLY_PUBLIC) <= unused, sorted(set(TEST_ONLY_PUBLIC)
+                                                   - unused)
 
 
 def test_monomial_keys_stay_in_algebra():
